@@ -297,10 +297,37 @@ def conv2d_depthwise(x, w, bias=None, *, stride: int = 1, pad: PadSpec | None = 
 
 
 def conv1x1(x, w, bias=None):
-    wd = value_of(w)
+    """Per-pixel channel map as one (o, c) @ (n, c, h*w) matmul; w is (o, c, 1, 1)."""
+    xd, wd = value_of(x), value_of(w)
+    bd = value_of(bias) if bias is not None else None
     if wd.shape[2] != 1 or wd.shape[3] != 1:
         raise ShapeError(f"conv1x1 requires k=1 weights, got {wd.shape[2:]}")
-    return conv2d(x, w, bias, stride=1, pad=PadSpec.same(0))
+    if xd.shape[1] != wd.shape[1]:
+        raise ShapeError(
+            f"conv1x1 channel mismatch: input has {xd.shape[1]}, "
+            f"weights expect {wd.shape[1]}"
+        )
+    n, c, h, wi = xd.shape
+    o = wd.shape[0]
+    wm = wd.reshape(o, c)
+    xm = xd.reshape(n, c, h * wi)
+    out = np.matmul(wm, xm).reshape(n, o, h, wi)
+    if bd is not None:
+        out = out + bd[None, :, None, None]
+    if not _any_node(x, w, bias):
+        return out
+
+    def vjp_x(g):
+        return np.matmul(wm.T, g.reshape(n, o, h * wi)).reshape(n, c, h, wi)
+
+    def vjp_w(g):
+        gm = g.reshape(n, o, h * wi)
+        return np.matmul(gm, xm.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, 1, 1)
+
+    def vjp_b(g):
+        return g.sum(axis=(0, 2, 3))
+
+    return _emit(out, [(x, vjp_x), (w, vjp_w), (bias, vjp_b)], name="conv1x1")
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +444,20 @@ def concat_channels(a, b):
 # ---------------------------------------------------------------------------
 
 
+_PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _to_phases(a):
+    """(n, ch, 2h, 2w) -> contiguous (n, 2, 2, ch, h, w), phase (i % 2, j % 2) first.
+
+    :func:`interleave2x2` of the four phases in ``_PHASES`` order inverts it.
+    """
+    n, ch, h2, w2 = a.shape
+    return np.ascontiguousarray(
+        a.reshape(n, ch, h2 // 2, 2, w2 // 2, 2).transpose(0, 3, 5, 1, 2, 4)
+    )
+
+
 def reassemble(x_de, kernels, k: int):
     """Gather-and-dot: out(c, i, j) = sum_m kern(m, i, j) * window_m(c, i//2, j//2).
 
@@ -429,51 +470,53 @@ def reassemble(x_de, kernels, k: int):
         raise ShapeError(
             f"kernel map {kd.shape} does not match decoder {xd.shape} with K={k}"
         )
-    k2 = k * k
-    # stacked per-position GEMMs: (n*h*w, c, K^2) @ (n*h*w, K^2, 4 phases)
-    patches = (
-        T.im2col(xd, k, 1, PadSpec.same(k // 2))
-        .reshape(n, c, k2, h, w)
-        .transpose(0, 3, 4, 1, 2)
-        .reshape(n * h * w, c, k2)
-    )
-    kmat = (
-        kd.reshape(n, k2, h, 2, w, 2)
-        .transpose(0, 2, 4, 1, 3, 5)
-        .reshape(n * h * w, k2, 4)
-    )
-    out = (
-        np.matmul(patches, kmat)
-        .reshape(n, h, w, c, 2, 2)
-        .transpose(0, 3, 1, 4, 2, 5)
-        .reshape(n, c, 2 * h, 2 * w)
-    )
+    k2, r = k * k, k // 2
+    dtype = np.result_type(xd, kd)
+    # Tap loop.  Output phase (a, b) = (i % 2, j % 2) is an (h, w) plane, and
+    # tap m of every phase reads the same shifted window of the zero-padded
+    # decoder.  Each window is copied once and multiply-added into the four
+    # phase accumulators, so no K^2-fold unfold is built; taps are summed in
+    # order m = 0 .. K^2-1.
+    xp = np.pad(xd, ((0, 0), (0, 0), (r, r), (r, r)))
+    kph = _to_phases(kd)  # (n, 2, 2, K^2, h, w)
+    acc = np.zeros((n, 2, 2, c, h, w), dtype)
+    win = np.empty((n, c, h, w), dtype)
+    tmp = np.empty((n, c, h, w), dtype)
+    for m in range(k2):
+        dy, dx = divmod(m, k)
+        np.copyto(win, xp[:, :, dy : dy + h, dx : dx + w])
+        for a, b in _PHASES:
+            np.multiply(win, kph[:, a, b, m, None], out=tmp)
+            acc[:, a, b] += tmp
+    out = interleave2x2(*(acc[:, a, b] for a, b in _PHASES))
     if not _any_node(x_de, kernels):
         return out
 
-    def _grad_phases(g):
-        return (
-            g.reshape(n, c, h, 2, w, 2)
-            .transpose(0, 2, 4, 1, 3, 5)
-            .reshape(n * h * w, c, 4)
-        )
-
     def vjp_x(g):
-        dpatch = np.matmul(_grad_phases(g), kmat.transpose(0, 2, 1))
-        dcols = (
-            dpatch.reshape(n, h, w, c, k2)
-            .transpose(0, 3, 4, 1, 2)
-            .reshape(n, c, k, k, h, w)
-        )
-        return T.col2im(dcols, (h, w), k, 1, PadSpec.same(k // 2))
+        # adjoint of the tap loop: each tap's four phase products scatter-add
+        # onto the padded window that tap read
+        gph = _to_phases(g)
+        dxp = np.zeros(xp.shape, g.dtype)
+        part = np.empty((n, c, h, w), g.dtype)
+        prod = np.empty((n, c, h, w), g.dtype)
+        for m in range(k2):
+            dy, dx = divmod(m, k)
+            np.multiply(gph[:, 0, 0], kph[:, 0, 0, m, None], out=part)
+            for a, b in _PHASES[1:]:
+                np.multiply(gph[:, a, b], kph[:, a, b, m, None], out=prod)
+                part += prod
+            dxp[:, :, dy : dy + h, dx : dx + w] += part
+        return dxp[:, :, r : r + h, r : r + w]
 
     def vjp_k(g):
-        dk = np.matmul(patches.transpose(0, 2, 1), _grad_phases(g))
-        return (
-            dk.reshape(n, h, w, k2, 2, 2)
-            .transpose(0, 3, 1, 4, 2, 5)
-            .reshape(n, k2, 2 * h, 2 * w)
-        )
+        gph = _to_phases(g)
+        dk = np.empty((n, 2, 2, k2, h, w), g.dtype)
+        win = np.empty((n, c, h, w), xp.dtype)
+        for m in range(k2):
+            dy, dx = divmod(m, k)
+            np.copyto(win, xp[:, :, dy : dy + h, dx : dx + w])
+            np.einsum("nabchw,nchw->nabhw", gph, win, out=dk[:, :, :, m])
+        return interleave2x2(*(dk[:, a, b] for a, b in _PHASES))
 
     return _emit(out, [(x_de, vjp_x), (kernels, vjp_k)], name="reassemble")
 

@@ -237,13 +237,15 @@ def _gradcheck_battery(seed: int):
         lambda X: ag.sum_all(ag.mul(ag.pixel_shuffle_x2(X), shuffle_probe)),
         [rng.normal(size=(1, 4, 2, 2))],
     )
-    xd = rng.normal(size=(1, 2, 2, 3))
-    kraw = rng.normal(size=(1, 9, 4, 6))
-    check(
-        "reassemble(+softmax)",
-        lambda X, K: ag.sum_all(ag.reassemble(X, ag.softmax_channel(K), 3)),
-        [xd, kraw],
-    )
+    # batch 2 and K=5 on a non-square plane: most taps fall off a border
+    for (n, c, h, w), k in (((1, 2, 2, 3), 3), ((2, 2, 1, 3), 5)):
+        xd = rng.normal(size=(n, c, h, w))
+        kraw = rng.normal(size=(n, k * k, 2 * h, 2 * w))
+        check(
+            "reassemble(+softmax)",
+            lambda X, K, k=k: ag.sum_all(ag.reassemble(X, ag.softmax_channel(K), k)),
+            [xd, kraw],
+        )
     fe = rng.normal(size=(1, 2, 4, 4))
     fu = rng.normal(size=(1, 2, 4, 4))
     gr = rng.normal(size=(1, 1, 4, 4))

@@ -128,8 +128,7 @@ def _out_dim(size: int, pad_lo: int, pad_hi: int, k: int, stride: int) -> int:
 def im2col(x: np.ndarray, k: int, stride: int, pad: PadSpec) -> np.ndarray:
     """Unfold k x k windows into an (n, c, k, k, oh, ow) array.
 
-    Shared by the dense/depthwise convolutions, their gradients, and the
-    kernel-reassembly operator.
+    Shared by the dense and depthwise k x k convolutions and their gradients.
     """
     n, c, h, w = x.shape
     oh = _out_dim(h, pad.top, pad.bottom, k, stride)

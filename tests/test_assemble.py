@@ -36,7 +36,41 @@ def window_average_reference(x, k):
     return out
 
 
+def literal_gather(x, kern, k):
+    """Per-position float64 gather of tap m at (i//2 + m//K - K//2, j//2 + m%K - K//2)."""
+    n, c, h, w = x.shape
+    r = k // 2
+    out = np.zeros((n, c, 2 * h, 2 * w))
+    for b in range(n):
+        for i in range(2 * h):
+            for j in range(2 * w):
+                for m in range(k * k):
+                    yy, xx = i // 2 + m // k - r, j // 2 + m % k - r
+                    if 0 <= yy < h and 0 <= xx < w:
+                        out[b, :, i, j] += float(kern[b, m, i, j]) * x[b, :, yy, xx]
+    return out
+
+
 class TestReassemble:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_matches_literal_gather(self, k, dtype):
+        rng = np.random.default_rng(10 + k)
+        n, c, h, w = 2, 3, 3, 4
+        x = rng.normal(size=(n, c, h, w)).astype(dtype)
+        logits = rng.normal(size=(n, k * k, 2 * h, 2 * w)).astype(dtype)
+        kern = T.softmax_channel(logits)
+        phases = kern.reshape(n, k * k, h, 2, w, 2)
+        if k > 1:
+            # every output phase carries its own kernels
+            assert not np.allclose(phases[:, :, :, 0, :, 1], phases[:, :, :, 1, :, 0])
+        out = reassemble(x, KernelMap(kern, k, normalized=True))
+        assert out.dtype == dtype
+        want = literal_gather(x.astype(np.float64), kern, k)
+        # K^2 rounded products and sums of convex weights times |x|
+        atol = k * k * np.finfo(dtype).eps * np.abs(x).max()
+        np.testing.assert_allclose(out, want, rtol=0, atol=atol)
+
     def test_center_onehot_is_nearest(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 3, 4))
         out = reassemble(x, center_onehot(2, 5, 6, 8))

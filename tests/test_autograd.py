@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,21 @@ class TestReassembleGradient:
         np.testing.assert_allclose(
             xn.grad.reshape(-1), M.T @ g.reshape(-1), rtol=1e-10, atol=1e-12
         )
+
+
+class TestReassembleMemory:
+    def test_untracked_peak_is_a_few_outputs(self):
+        """The tap loop keeps phase buffers and one window, never a K^2-fold unfold."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(1, 64, 32, 32)).astype(np.float32)
+        kern = T.softmax_channel(rng.normal(size=(1, 25, 64, 64)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = ag.reassemble(x, kern, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
 
 class TestGradcheckExamples:
