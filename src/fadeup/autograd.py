@@ -458,6 +458,12 @@ def _to_phases(a):
     )
 
 
+def _by_position(a):
+    """(n, ch, 2h, 2w) -> view (n, h, w, p, ch, q) of entry (ch, 2y + p, 2x + q)."""
+    n, ch, h2, w2 = a.shape
+    return a.reshape(n, ch, h2 // 2, 2, w2 // 2, 2).transpose(0, 2, 4, 3, 1, 5)
+
+
 def reassemble(x_de, kernels, k: int):
     """Gather-and-dot: out(c, i, j) = sum_m kern(m, i, j) * window_m(c, i//2, j//2).
 
@@ -472,31 +478,40 @@ def reassemble(x_de, kernels, k: int):
         )
     k2, r = k * k, k // 2
     dtype = np.result_type(xd, kd)
-    # Tap loop.  Output phase (a, b) = (i % 2, j % 2) is an (h, w) plane, and
-    # tap m of every phase reads the same shifted window of the zero-padded
-    # decoder.  Each window is copied once and multiply-added into the four
-    # phase accumulators, so no K^2-fold unfold is built; taps are summed in
-    # order m = 0 .. K^2-1.
-    xp = np.pad(xd, ((0, 0), (0, 0), (r, r), (r, r)))
-    kph = _to_phases(kd)  # (n, 2, 2, K^2, h, w)
-    acc = np.zeros((n, 2, 2, c, h, w), dtype)
-    win = np.empty((n, c, h, w), dtype)
-    tmp = np.empty((n, c, h, w), dtype)
-    for m in range(k2):
-        dy, dx = divmod(m, k)
-        np.copyto(win, xp[:, :, dy : dy + h, dx : dx + w])
-        for a, b in _PHASES:
-            np.multiply(win, kph[:, a, b, m, None], out=tmp)
-            acc[:, a, b] += tmp
-    out = interleave2x2(*(acc[:, a, b] for a, b in _PHASES))
+    # One (C, K^2) @ (K^2, 2) GEMM per decoder position (y, x) and output row
+    # phase p: out[c, 2y+p, 2x+q] = sum_m window[c, m] * kern[m, 2y+p, 2x+q].
+    # xs[n, c, y, X, dy] holds the K row-shifted copies of the zero-padded
+    # decoder, so the window of (y, x) is the K^2 consecutive entries
+    # xs[n, c, y, x : x + K, :] in (dx, dy) order, and a sliding-window view
+    # plus a reshape gives every window matrix without copying.  The kernel
+    # map is permuted once to (n, h, w, p, K^2, q) in the same tap order, and
+    # matmul writes through a view straight into the NCHW output.  Every GEMM
+    # has the same shape whatever n, h and w are, so results do not depend on
+    # batch or plane size.
+    xs = np.zeros((n, c, h, w + 2 * r, k), dtype)
+    for dy in range(k):
+        lo, hi = max(0, r - dy), min(h, h + r - dy)
+        xs[:, :, lo:hi, r : r + w, dy] = xd[:, :, lo + dy - r : hi + dy - r]
+    win = (
+        np.lib.stride_tricks.sliding_window_view(xs, k, axis=3)
+        .transpose(0, 2, 3, 1, 5, 4)
+        .reshape(n, h, w, 1, c, k2)
+    )
+    kq = np.ascontiguousarray(
+        kd.reshape(n, k, k, h, 2, w, 2).transpose(0, 3, 5, 4, 2, 1, 6), dtype=dtype
+    ).reshape(n, h, w, 2, k2, 2)
+    out = np.empty((n, c, 2 * h, 2 * w), dtype)
+    np.matmul(win, kq, out=_by_position(out))
     if not _any_node(x_de, kernels):
         return out
 
     def vjp_x(g):
-        # adjoint of the tap loop: each tap's four phase products scatter-add
-        # onto the padded window that tap read
-        gph = _to_phases(g)
-        dxp = np.zeros(xp.shape, g.dtype)
+        # A tap loop, not the transposed GEMM: that would scatter K^2
+        # overlapping windows back onto the decoder, which at toy-training
+        # planes is slower and allocates more.  Each tap's four phase products
+        # scatter-add onto the padded window that tap read.
+        gph, kph = _to_phases(g), _to_phases(kd)
+        dxp = np.zeros((n, c, h + 2 * r, w + 2 * r), g.dtype)
         part = np.empty((n, c, h, w), g.dtype)
         prod = np.empty((n, c, h, w), g.dtype)
         for m in range(k2):
@@ -509,14 +524,17 @@ def reassemble(x_de, kernels, k: int):
         return dxp[:, :, r : r + h, r : r + w]
 
     def vjp_k(g):
-        gph = _to_phases(g)
-        dk = np.empty((n, 2, 2, k2, h, w), g.dtype)
-        win = np.empty((n, c, h, w), xp.dtype)
-        for m in range(k2):
-            dy, dx = divmod(m, k)
-            np.copyto(win, xp[:, :, dy : dy + h, dx : dx + w])
-            np.einsum("nabchw,nchw->nabhw", gph, win, out=dk[:, :, :, m])
-        return interleave2x2(*(dk[:, a, b] for a, b in _PHASES))
+        # the transposed GEMM over the same window view: (K^2, C) @ (C, 2); g
+        # takes the window's dtype, as a mixed-dtype matmul would copy the
+        # K^2-fold window view to cast it
+        dkq = np.matmul(
+            win.swapaxes(-1, -2), _by_position(np.asarray(g, dtype=dtype))
+        )
+        return (
+            dkq.reshape(n, h, w, 2, k, k, 2)
+            .transpose(0, 5, 4, 1, 3, 2, 6)
+            .reshape(n, k2, 2 * h, 2 * w)
+        )
 
     return _emit(out, [(x_de, vjp_x), (kernels, vjp_k)], name="reassemble")
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fadeup import assemble, tensor as T
+from fadeup import assemble, autograd as ag, tensor as T
 from fadeup.assemble import ReassemblySpec, reassemble
 from fadeup.kernelgen import KernelMap
 from fadeup.tensor import ShapeError
@@ -51,25 +51,91 @@ def literal_gather(x, kern, k):
     return out
 
 
+def literal_kernel_grad(x, g, k):
+    """Per-position float64 dk(m, i, j) = sum_c g(c, i, j) * window_m(c, i//2, j//2)."""
+    n, c, h, w = x.shape
+    r = k // 2
+    dk = np.zeros((n, k * k, 2 * h, 2 * w))
+    for b in range(n):
+        for i in range(2 * h):
+            for j in range(2 * w):
+                for m in range(k * k):
+                    yy, xx = i // 2 + m // k - r, j // 2 + m % k - r
+                    if 0 <= yy < h and 0 <= xx < w:
+                        dk[b, m, i, j] = g[b, :, i, j] @ x[b, :, yy, xx]
+    return dk
+
+
+def phase_varying_kernels(rng, n, k, h, w, dtype, pad=0):
+    """Softmax kernels on a (2h + 2pad, 2w + 2pad) plane, cropped by ``pad``."""
+    logits = rng.normal(size=(n, k * k, 2 * h + 2 * pad, 2 * w + 2 * pad))
+    kern = T.softmax_channel(logits.astype(dtype))[
+        :, :, pad : pad + 2 * h, pad : pad + 2 * w
+    ]
+    phases = kern.reshape(n, k * k, h, 2, w, 2)
+    if k > 1:
+        # every output phase carries its own kernels
+        assert not np.allclose(phases[:, :, :, 0, :, 1], phases[:, :, :, 1, :, 0])
+    return kern
+
+
+# (k, decoder dtype, kernel dtype, input layout); the contiguous same-dtype
+# cases keep their "<k>-<dtype>" ids
+_GATHER_CASES = [
+    pytest.param(k, dtype, dtype, "contiguous", id=f"{k}-{dtype.__name__}")
+    for k in (1, 3, 5, 7)
+    for dtype in (np.float32, np.float64)
+] + [
+    pytest.param(k, x_dtype, k_dtype, layout, id=f"{k}-{layout}")
+    for k in (1, 3, 5, 7)
+    for x_dtype, k_dtype, layout in (
+        (np.float32, np.float32, "decoder_sliced"),
+        (np.float64, np.float64, "decoder_transposed"),
+        (np.float32, np.float32, "kernels_sliced"),
+        (np.float32, np.float64, "f32_decoder_f64_kernels"),
+    )
+]
+
+
 class TestReassemble:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("k", [1, 3, 5, 7])
-    def test_matches_literal_gather(self, k, dtype):
+    @pytest.mark.parametrize("k, x_dtype, k_dtype, layout", _GATHER_CASES)
+    def test_matches_literal_gather(self, k, x_dtype, k_dtype, layout):
         rng = np.random.default_rng(10 + k)
         n, c, h, w = 2, 3, 3, 4
-        x = rng.normal(size=(n, c, h, w)).astype(dtype)
-        logits = rng.normal(size=(n, k * k, 2 * h, 2 * w)).astype(dtype)
-        kern = T.softmax_channel(logits)
-        phases = kern.reshape(n, k * k, h, 2, w, 2)
-        if k > 1:
-            # every output phase carries its own kernels
-            assert not np.allclose(phases[:, :, :, 0, :, 1], phases[:, :, :, 1, :, 0])
+        if layout == "decoder_sliced":
+            x = rng.normal(size=(n, c + 1, h, 2 * w)).astype(x_dtype)[:, 1:, :, ::2]
+        elif layout == "decoder_transposed":
+            x = rng.normal(size=(n, h, w, c)).astype(x_dtype).transpose(0, 3, 1, 2)
+        else:
+            x = rng.normal(size=(n, c, h, w)).astype(x_dtype)
+        pad = 1 if layout == "kernels_sliced" else 0
+        kern = phase_varying_kernels(rng, n, k, h, w, k_dtype, pad)
+        decoder_view = layout in ("decoder_sliced", "decoder_transposed")
+        assert x.flags.c_contiguous != decoder_view
+        assert kern.flags.c_contiguous == (layout != "kernels_sliced")
         out = reassemble(x, KernelMap(kern, k, normalized=True))
+        dtype = np.result_type(x_dtype, k_dtype)
         assert out.dtype == dtype
         want = literal_gather(x.astype(np.float64), kern, k)
         # K^2 rounded products and sums of convex weights times |x|
         atol = k * k * np.finfo(dtype).eps * np.abs(x).max()
         np.testing.assert_allclose(out, want, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_kernel_grad_matches_literal(self, k, dtype):
+        rng = np.random.default_rng(20 + k)
+        n, c, h, w = 2, 3, 3, 4
+        x = rng.normal(size=(n, c, h, w)).astype(dtype)
+        kn = ag.Node(phase_varying_kernels(rng, n, k, h, w, dtype))
+        g = rng.normal(size=(n, c, 2 * h, 2 * w)).astype(dtype)
+        out = reassemble(x, KernelMap(kn, k, normalized=True))
+        ag.backward(ag.sum_all(ag.mul(out, g)))
+        assert kn.grad.dtype == dtype
+        want = literal_kernel_grad(x.astype(np.float64), g.astype(np.float64), k)
+        # c rounded products and sums, each at most max|g| * max|x|
+        atol = c * c * np.finfo(dtype).eps * np.abs(g).max() * np.abs(x).max()
+        np.testing.assert_allclose(kn.grad, want, rtol=0, atol=atol)
 
     def test_center_onehot_is_nearest(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 3, 4))
