@@ -13,6 +13,7 @@ written once and used both for inference and for training.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .tensor import PadSpec, ShapeError
@@ -464,6 +465,29 @@ def _by_position(a):
     return a.reshape(n, ch, h2 // 2, 2, w2 // 2, 2).transpose(0, 2, 4, 3, 1, 5)
 
 
+def _window_matrices(xd, k, dtype):
+    """(n, c, h, w) decoder -> view (n, h, w, 1, c, K^2) of every zero-padded K x K window.
+
+    The one copy is xs[n, c, y, X, dy], the K row-shifted copies of the padded
+    decoder; in it the window of (y, x) is the K^2 consecutive entries
+    xs[n, c, y, x : x + K, :] in (dx, dy) order, so the rest is a view.
+    """
+    n, c, h, w = xd.shape
+    r = k // 2
+    xp = np.zeros((n, c, h + 2 * r, w + 2 * r), dtype)
+    xp[:, :, r : r + h, r : r + w] = xd
+    # K slice copies; one copy of sliding_window_view(xp, k, axis=2) builds
+    # the same array but ran 1.3-4x slower at the toy and C=256 planes
+    xs = np.empty((n, c, h, w + 2 * r, k), dtype)
+    for dy in range(k):
+        xs[..., dy] = xp[:, :, dy : dy + h]
+    return (
+        sliding_window_view(xs, k, axis=3)
+        .transpose(0, 2, 3, 1, 5, 4)
+        .reshape(n, h, w, 1, c, k * k)
+    )
+
+
 def reassemble(x_de, kernels, k: int):
     """Gather-and-dot: out(c, i, j) = sum_m kern(m, i, j) * window_m(c, i//2, j//2).
 
@@ -480,23 +504,13 @@ def reassemble(x_de, kernels, k: int):
     dtype = np.result_type(xd, kd)
     # One (C, K^2) @ (K^2, 2) GEMM per decoder position (y, x) and output row
     # phase p: out[c, 2y+p, 2x+q] = sum_m window[c, m] * kern[m, 2y+p, 2x+q].
-    # xs[n, c, y, X, dy] holds the K row-shifted copies of the zero-padded
-    # decoder, so the window of (y, x) is the K^2 consecutive entries
-    # xs[n, c, y, x : x + K, :] in (dx, dy) order, and a sliding-window view
-    # plus a reshape gives every window matrix without copying.  The kernel
-    # map is permuted once to (n, h, w, p, K^2, q) in the same tap order, and
-    # matmul writes through a view straight into the NCHW output.  Every GEMM
-    # has the same shape whatever n, h and w are, so results do not depend on
-    # batch or plane size.
-    xs = np.zeros((n, c, h, w + 2 * r, k), dtype)
-    for dy in range(k):
-        lo, hi = max(0, r - dy), min(h, h + r - dy)
-        xs[:, :, lo:hi, r : r + w, dy] = xd[:, :, lo + dy - r : hi + dy - r]
-    win = (
-        np.lib.stride_tricks.sliding_window_view(xs, k, axis=3)
-        .transpose(0, 2, 3, 1, 5, 4)
-        .reshape(n, h, w, 1, c, k2)
-    )
+    # The window matrices are a view of one K-fold copy of the decoder
+    # (_window_matrices).  The kernel map is permuted once to
+    # (n, h, w, p, K^2, q) in the same (dx, dy) tap order, and matmul writes
+    # through a view straight into the NCHW output.  Every GEMM has the same
+    # shape whatever n, h and w are, so results do not depend on batch or
+    # plane size.
+    win = _window_matrices(xd, k, dtype)
     kq = np.ascontiguousarray(
         kd.reshape(n, k, k, h, 2, w, 2).transpose(0, 3, 5, 4, 2, 1, 6), dtype=dtype
     ).reshape(n, h, w, 2, k2, 2)
@@ -524,11 +538,14 @@ def reassemble(x_de, kernels, k: int):
         return dxp[:, :, r : r + h, r : r + w]
 
     def vjp_k(g):
-        # the transposed GEMM over the same window view: (K^2, C) @ (C, 2); g
-        # takes the window's dtype, as a mixed-dtype matmul would copy the
-        # K^2-fold window view to cast it
+        # the transposed GEMM over the same windows: (K^2, C) @ (C, 2).  The
+        # windows are rebuilt here rather than kept on the tape, which would
+        # hold a K-fold copy of the decoder per node until backward.  g takes
+        # the window's dtype, as a mixed-dtype matmul would copy the K^2-fold
+        # window view to cast it.
         dkq = np.matmul(
-            win.swapaxes(-1, -2), _by_position(np.asarray(g, dtype=dtype))
+            _window_matrices(xd, k, dtype).swapaxes(-1, -2),
+            _by_position(np.asarray(g, dtype=dtype)),
         )
         return (
             dkq.reshape(n, h, w, 2, k, k, 2)

@@ -94,6 +94,10 @@ _GATHER_CASES = [
         (np.float32, np.float32, "kernels_sliced"),
         (np.float32, np.float64, "f32_decoder_f64_kernels"),
     )
+] + [
+    # decoders with fewer rows than K // 2, where most taps fall outside
+    pytest.param(k, np.float64, np.float64, f"rows{h}", id=f"{k}-rows{h}")
+    for k, h in ((7, 1), (7, 2), (9, 2), (9, 3))
 ]
 
 
@@ -102,6 +106,8 @@ class TestReassemble:
     def test_matches_literal_gather(self, k, x_dtype, k_dtype, layout):
         rng = np.random.default_rng(10 + k)
         n, c, h, w = 2, 3, 3, 4
+        if layout.startswith("rows"):
+            h = int(layout[4:])
         if layout == "decoder_sliced":
             x = rng.normal(size=(n, c + 1, h, 2 * w)).astype(x_dtype)[:, 1:, :, ::2]
         elif layout == "decoder_transposed":
@@ -121,11 +127,14 @@ class TestReassemble:
         atol = k * k * np.finfo(dtype).eps * np.abs(x).max()
         np.testing.assert_allclose(out, want, rtol=0, atol=atol)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("k", [3, 5])
-    def test_kernel_grad_matches_literal(self, k, dtype):
+    @pytest.mark.parametrize(
+        "k, dtype, h",
+        [(k, dtype, 3) for k in (3, 5) for dtype in (np.float32, np.float64)]
+        + [(7, np.float64, 1), (7, np.float64, 2), (9, np.float64, 2)],
+    )
+    def test_kernel_grad_matches_literal(self, k, dtype, h):
         rng = np.random.default_rng(20 + k)
-        n, c, h, w = 2, 3, 3, 4
+        n, c, w = 2, 3, 4
         x = rng.normal(size=(n, c, h, w)).astype(dtype)
         kn = ag.Node(phase_varying_kernels(rng, n, k, h, w, dtype))
         g = rng.normal(size=(n, c, 2 * h, 2 * w)).astype(dtype)
