@@ -679,27 +679,6 @@ def gradcheck(fn, inputs, eps: float = 1e-5) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sgd_step(params, grads, lr: float, momentum: float = 0.0, velocity=None):
-    """One classical-momentum update on plain arrays.
-
-    v <- momentum * v + grad; p <- p - lr * v.  Returns (params, velocity).
-    """
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError("momentum must be in [0, 1)")
-    if velocity is None:
-        velocity = [np.zeros_like(p) for p in params]
-    new_params, new_vel = [], []
-    for i, (p, g, v) in enumerate(zip(params, grads, velocity)):
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for parameter {i}")
-        v = momentum * v + g
-        new_params.append(p - lr * v)
-        new_vel.append(v)
-    return new_params, new_vel
-
-
 class MomentumSGD:
     """Stateful momentum SGD over parameter Nodes (updates data in place)."""
 

@@ -80,6 +80,14 @@ def _resolve(args, name: str, default, convert):
     return default
 
 
+def _resolve_impl(args, allowed: tuple) -> str:
+    """The semi-shift form, checked whichever source set it."""
+    impl = _resolve(args, "impl", "l2h", str)
+    if impl not in allowed:
+        raise CliConfigError(f"impl must be one of {allowed}, got {impl!r}")
+    return impl
+
+
 def _write_manifest(path, command: str, config: dict, inputs, outputs) -> None:
     manifest = {
         "command": command,
@@ -103,12 +111,10 @@ def _write_manifest(path, command: str, config: dict, inputs, outputs) -> None:
 def _cmd_upsample(args) -> int:
     variant = _resolve(args, "variant", "fade", str)
     seed = _resolve(args, "seed", 0, int)
-    impl = _resolve(args, "impl", "l2h", str)
+    impl = _resolve_impl(args, tuple(kernelgen.SEMISHIFT_FORMS))
     compressed = _resolve(args, "d", 64, int)
     kernel_size = _resolve(args, "K", 5, int)
     precision = _resolve(args, "precision", None, str)
-    if impl not in kernelgen.SEMISHIFT_FORMS:
-        raise CliConfigError(f"--impl must be one of {tuple(kernelgen.SEMISHIFT_FORMS)}")
 
     x_de = T.read_ften(args.decoder)
     x_en = T.read_ften(args.encoder) if args.encoder else None
@@ -127,8 +133,6 @@ def _cmd_upsample(args) -> int:
     op = ops.build_operator(cfg)
     if args.weights:
         ops.load_checkpoint(op, args.weights)
-    if variant not in ops.DECODER_ONLY_VARIANTS and x_en is None:
-        raise ShapeError(f"variant {variant!r} needs --encoder (the x2 guide feature)")
     out = ag.value_of(op.forward(x_en, x_de, impl=impl))
     T.write_ften(args.out, out)
     config = {
@@ -418,6 +422,9 @@ def _cmd_verify(args) -> int:
 # train / ablate
 # ---------------------------------------------------------------------------
 
+# the direct form is an inference-only oracle and refuses autograd nodes
+_TRAIN_IMPLS = tuple(f for f in kernelgen.SEMISHIFT_FORMS if f != "direct")
+
 _TASK_ALIASES = {
     "binary_shapes": ("binary_shapes_segmentation", 2),
     "multiclass_shapes": ("multiclass_shapes_segmentation", 3),
@@ -486,7 +493,7 @@ def _cmd_train(args) -> int:
     classes = _resolve(args, "classes", default_classes, int)
     count = _resolve(args, "count", 16, int)
     variant = _resolve(args, "variant", "fade", str)
-    impl = _resolve(args, "impl", "l2h", str)
+    impl = _resolve_impl(args, _TRAIN_IMPLS)
 
     task = toy.ToyTask(kind, size=size, classes=classes, seed=seed, count=count)
     cfg = toy.TrainConfig(variant, epochs=epochs, lr=lr, seed=seed, impl=impl)
@@ -630,11 +637,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--encoder", default=None, help="x2 guide FTEN input")
     p.add_argument("--weights", default=None, help="checkpoint to load")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--impl", choices=("direct", "h2l", "l2h"), default=None)
+    p.add_argument("--impl", choices=tuple(kernelgen.SEMISHIFT_FORMS), default=None)
     p.add_argument("--d", type=int, default=None, help="compressed channels")
     p.add_argument("--K", type=int, default=None, help="kernel size")
     p.add_argument("--precision", choices=("f32", "f64"), default=None)
-    p.add_argument("--gate", choices=("learned", "one", "none"), default=None)
+    p.add_argument("--gate", choices=ops._GATE_MODES, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(run=_cmd_upsample)
 
@@ -652,7 +659,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--classes", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--impl", choices=("direct", "h2l", "l2h"), default=None)
+    p.add_argument("--impl", choices=_TRAIN_IMPLS, default=None)
     p.add_argument("--outdir", required=True)
     p.set_defaults(run=_cmd_train)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import value_of
-from .operators import OperatorConfig, UpsampleOperator, effective_gate_mode
+from .operators import VARIANT_SPECS, OperatorConfig, UpsampleOperator, effective_gate_mode
 
 MAC_TO_FLOP = 2
 
@@ -148,24 +148,11 @@ def flops_of(q: CostQuery) -> CostReport:
 
 
 def _variant_counted(cfg: OperatorConfig) -> int:
-    C, d, K = cfg.channels, cfg.compressed, cfg.kernel_size
-    K2 = K * K
-    gated = effective_gate_mode(cfg) == "learned"
-    base = {
-        "fade": 2 * C * d + 9 * K2 * d,
-        "fade_g1": 2 * C * d + 9 * K2 * d,
-        "b4_semishift_nogate": 2 * C * d + 9 * K2 * d,
-        "b5_semishift_skip": 2 * C * d + 9 * K2 * d,
-        "b6_full": 2 * C * d + 9 * K2 * d,
-        "fade_lite": 2 * C * K2 + 9 * K2,
-        "carafe": C * d + 36 * K2 * d,
-        "b2_decoder_only": C * d + 36 * K2 * d,
-        "b1_encoder_only": C * d + 9 * K2 * d,
-        "b3_naive": 2 * C * d + 9 * K2 * d,
-        "nearest": 0,
-        "bilinear": 0,
-    }[cfg.variant]
-    return base + (C if gated else 0)
+    """The kernel source's weight polynomial, plus C for a learned gate."""
+    source = VARIANT_SPECS[cfg.variant].source
+    C = cfg.channels
+    base = 0 if source is None else source.counted(C, cfg.compressed, cfg.kernel_size**2)
+    return base + (C if effective_gate_mode(cfg) == "learned" else 0)
 
 
 def params_of(q) -> int:

@@ -3,14 +3,17 @@
 Variants cover the gated encoder-decoder operator (``fade``), its
 depthwise ``fade_lite`` version, the ungated ``fade_g1`` mode, the
 decoder-only ``carafe`` baseline, plain ``nearest``/``bilinear``, and
-the six ablation variants b1-b6.  ``b6_full`` is an alias of ``fade``
-and ``b2_decoder_only`` of ``carafe``.
+the six ablation variants b1-b6.  Each variant is one row of
+:data:`VARIANT_SPECS`: where its kernels come from and its default gate.
+``b6_full`` is the same row as ``fade``, ``b2_decoder_only`` as
+``carafe`` and ``b5_semishift_skip`` as ``fade_g1``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,50 +22,96 @@ from .autograd import Node, value_of
 from .rng import ShuffledLcg
 from .tensor import FormatError, ShapeError, check_nchw
 
-VARIANTS = (
-    "fade",
-    "fade_lite",
-    "fade_g1",
-    "carafe",
-    "nearest",
-    "bilinear",
-    "b1_encoder_only",
-    "b2_decoder_only",
-    "b3_naive",
-    "b4_semishift_nogate",
-    "b5_semishift_skip",
-    "b6_full",
+# The generator and baseline lambdas below look kernelgen/assemble functions
+# up at call time, so a wrapper installed on those module attributes (or on
+# a SEMISHIFT_FORMS entry) sees every call.
+
+
+@dataclass(frozen=True)
+class KernelSource:
+    """One kernel-generator family.
+
+    ``make_params(rng, C, d, K, dtype)`` draws the parameter dataclass,
+    whose fields are ConvWeights/DepthwiseWeights in slot order;
+    ``generate(guide, x_de, params, impl)`` returns the raw KernelMap;
+    ``guided`` says whether it reads the encoder guide; ``counted(C, d,
+    K2)`` is the closed-form weight count (biases excluded).
+    """
+
+    make_params: Callable
+    generate: Callable
+    guided: bool
+    counted: Callable[[int, int, int], int]
+
+
+_SEMISHIFT = KernelSource(
+    kernelgen.make_semishift_params,
+    lambda guide, x_de, p, impl: kernelgen.SEMISHIFT_FORMS[impl](guide, x_de, p),
+    guided=True,
+    counted=lambda C, d, K2: 2 * C * d + 9 * K2 * d,
+)
+_LITE = KernelSource(
+    lambda rng, C, d, K, dtype: kernelgen.make_semishift_lite_params(rng, C, K, dtype),
+    lambda guide, x_de, p, impl: kernelgen.semishift_lite(guide, x_de, p),
+    guided=True,
+    counted=lambda C, d, K2: 2 * C * K2 + 9 * K2,
+)
+_CARAFE = KernelSource(
+    kernelgen.make_carafe_params,
+    lambda guide, x_de, p, impl: kernelgen.carafe_kernelgen(x_de, p),
+    guided=False,
+    counted=lambda C, d, K2: C * d + 36 * K2 * d,
+)
+_ENCODER_ONLY = KernelSource(
+    kernelgen.make_encoder_only_params,
+    lambda guide, x_de, p, impl: kernelgen.encoder_only_kernelgen(guide, p),
+    guided=True,
+    counted=lambda C, d, K2: C * d + 9 * K2 * d,
+)
+_NAIVE = KernelSource(
+    kernelgen.make_naive_params,
+    lambda guide, x_de, p, impl: kernelgen.naive_kernelgen(guide, x_de, p),
+    guided=True,
+    counted=lambda C, d, K2: 2 * C * d + 9 * K2 * d,
 )
 
-WEIGHTLESS_VARIANTS = ("nearest", "bilinear")
 
-# variants whose forward does not take an encoder guide
-DECODER_ONLY_VARIANTS = ("nearest", "bilinear", "carafe", "b2_decoder_only")
+@dataclass(frozen=True)
+class VariantSpec:
+    """A variant: its kernel source and default gate mode, or, for the
+    weightless variants, the baseline upsampler of the decoder."""
+
+    source: KernelSource | None
+    gate: str = "none"
+    baseline: Callable | None = None
+
+    @property
+    def guided(self) -> bool:
+        return self.source is not None and self.source.guided
+
+
+_FADE = VariantSpec(_SEMISHIFT, gate="learned")
+_SKIP = VariantSpec(_SEMISHIFT, gate="one")
+_DECODER_ONLY = VariantSpec(_CARAFE)
+
+VARIANT_SPECS = {
+    "fade": _FADE,
+    "fade_lite": VariantSpec(_LITE, gate="learned"),
+    "fade_g1": _SKIP,
+    "carafe": _DECODER_ONLY,
+    "nearest": VariantSpec(None, baseline=lambda x_de: assemble.upsample_nearest(x_de)),
+    "bilinear": VariantSpec(None, baseline=lambda x_de: assemble.upsample_bilinear(x_de)),
+    "b1_encoder_only": VariantSpec(_ENCODER_ONLY),
+    "b2_decoder_only": _DECODER_ONLY,
+    "b3_naive": VariantSpec(_NAIVE),
+    "b4_semishift_nogate": VariantSpec(_SEMISHIFT),
+    "b5_semishift_skip": _SKIP,
+    "b6_full": _FADE,
+}
+
+VARIANTS = tuple(VARIANT_SPECS)
 
 _GATE_MODES = ("learned", "one", "none")
-
-_DEFAULT_GATE = {
-    "fade": "learned",
-    "fade_lite": "learned",
-    "b6_full": "learned",
-    "fade_g1": "one",
-    "b5_semishift_skip": "one",
-}
-
-# kernel source per variant: semishift (selectable form), lite, carafe,
-# encoder_only, naive
-_KERNEL_SOURCE = {
-    "fade": "semishift",
-    "fade_g1": "semishift",
-    "b4_semishift_nogate": "semishift",
-    "b5_semishift_skip": "semishift",
-    "b6_full": "semishift",
-    "fade_lite": "lite",
-    "carafe": "carafe",
-    "b2_decoder_only": "carafe",
-    "b1_encoder_only": "encoder_only",
-    "b3_naive": "naive",
-}
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
@@ -82,22 +131,28 @@ class OperatorConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ShapeError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
+        spec = VARIANT_SPECS[self.variant]
         if self.precision not in _DTYPES:
             raise ShapeError(f"precision must be f32 or f64, got {self.precision!r}")
         if self.window != 3:
             raise ShapeError("generator window is fixed at 3")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ShapeError(f"kernel size must be odd, got {self.kernel_size}")
-        if self.variant not in WEIGHTLESS_VARIANTS:
+        if spec.source is not None:
             if self.channels < 1:
                 raise ShapeError(f"variant {self.variant!r} needs channels >= 1")
             if self.compressed < 1:
                 raise ShapeError("compressed channel count must be >= 1")
         if self.gate_mode is not None and self.gate_mode not in _GATE_MODES:
             raise ShapeError(f"gate_mode must be one of {_GATE_MODES}")
-        if self.gate_mode is not None and self.variant in WEIGHTLESS_VARIANTS:
+        if self.gate_mode is not None and spec.source is None:
             raise ShapeError(f"variant {self.variant!r} carries no gate")
-        if self.encoder_channels is not None and self.variant in DECODER_ONLY_VARIANTS:
+        if self.gate_mode in ("learned", "one") and not spec.guided:
+            raise ShapeError(
+                f"variant {self.variant!r} takes no encoder guide for gate_mode "
+                f"{self.gate_mode!r} to fuse"
+            )
+        if self.encoder_channels is not None and not spec.guided:
             raise ShapeError(f"variant {self.variant!r} takes no encoder guide")
 
     @property
@@ -108,7 +163,7 @@ class OperatorConfig:
 def effective_gate_mode(cfg: OperatorConfig) -> str:
     if cfg.gate_mode is not None:
         return cfg.gate_mode
-    return _DEFAULT_GATE.get(cfg.variant, "none")
+    return VARIANT_SPECS[cfg.variant].gate
 
 
 @dataclass
@@ -126,6 +181,14 @@ class _Slot:
     bucket: str
 
 
+def _weight_slots(prefix: str, owner, weights_bucket="counted", bias_bucket="bias"):
+    """``<prefix>.weights``, then ``<prefix>.bias`` if the owner has one."""
+    slots = [_Slot(f"{prefix}.weights", owner, "weights", weights_bucket)]
+    if owner.bias is not None:
+        slots.append(_Slot(f"{prefix}.bias", owner, "bias", bias_bucket))
+    return slots
+
+
 class UpsampleOperator:
     """Config plus owned parameters; forward is pure given the parameters."""
 
@@ -138,83 +201,27 @@ class UpsampleOperator:
     # -- construction -------------------------------------------------------
 
     def _build(self):
+        """Draw parameters in slot order: kernel source, gate, adapter."""
         cfg = self.config
-        dtype = cfg.dtype
+        source = VARIANT_SPECS[cfg.variant].source
         rng = ShuffledLcg(cfg.seed)
         self.kernel_params = None
         self.gate_params = None
         self.adapter = None
-        source = _KERNEL_SOURCE.get(cfg.variant)
-        if source == "semishift":
-            p = kernelgen.make_semishift_params(
-                rng, cfg.channels, cfg.compressed, cfg.kernel_size, dtype
+        if source is not None:
+            self.kernel_params = source.make_params(
+                rng, cfg.channels, cfg.compressed, cfg.kernel_size, cfg.dtype
             )
-            self.kernel_params = p
-            self._slots += [
-                _Slot("compressor_en.weights", p.compressor_en, "weights", "counted"),
-                _Slot("compressor_de.weights", p.compressor_de, "weights", "counted"),
-                _Slot("compressor_de.bias", p.compressor_de, "bias", "bias"),
-                _Slot("generator.weights", p.generator, "weights", "counted"),
-                _Slot("generator.bias", p.generator, "bias", "bias"),
-            ]
-        elif source == "lite":
-            p = kernelgen.make_semishift_lite_params(
-                rng, cfg.channels, cfg.kernel_size, dtype
-            )
-            self.kernel_params = p
-            self._slots += [
-                _Slot("compressor_en.weights", p.compressor_en, "weights", "counted"),
-                _Slot("compressor_de.weights", p.compressor_de, "weights", "counted"),
-                _Slot("compressor_de.bias", p.compressor_de, "bias", "bias"),
-                _Slot("generator.weights", p.generator, "weights", "counted"),
-                _Slot("generator.bias", p.generator, "bias", "bias"),
-            ]
-        elif source == "carafe":
-            p = kernelgen.make_carafe_params(
-                rng, cfg.channels, cfg.compressed, cfg.kernel_size, dtype
-            )
-            self.kernel_params = p
-            self._slots += [
-                _Slot("compressor.weights", p.compressor, "weights", "counted"),
-                _Slot("content_encoder.weights", p.content_encoder, "weights", "counted"),
-                _Slot("content_encoder.bias", p.content_encoder, "bias", "bias"),
-            ]
-        elif source == "encoder_only":
-            p = kernelgen.make_encoder_only_params(
-                rng, cfg.channels, cfg.compressed, cfg.kernel_size, dtype
-            )
-            self.kernel_params = p
-            self._slots += [
-                _Slot("compressor.weights", p.compressor, "weights", "counted"),
-                _Slot("generator.weights", p.generator, "weights", "counted"),
-                _Slot("generator.bias", p.generator, "bias", "bias"),
-            ]
-        elif source == "naive":
-            p = kernelgen.make_naive_params(
-                rng, cfg.channels, cfg.compressed, cfg.kernel_size, dtype
-            )
-            self.kernel_params = p
-            self._slots += [
-                _Slot("compressor.weights", p.compressor, "weights", "counted"),
-                _Slot("compressor.bias", p.compressor, "bias", "bias"),
-                _Slot("generator.weights", p.generator, "weights", "counted"),
-                _Slot("generator.bias", p.generator, "bias", "bias"),
-            ]
+            for f in fields(self.kernel_params):
+                self._slots += _weight_slots(f.name, getattr(self.kernel_params, f.name))
         if effective_gate_mode(cfg) == "learned":
-            gp = gate.make_gate_params(rng, cfg.channels, dtype)
-            self.gate_params = gp
-            self._slots += [
-                _Slot("gate.weights", gp.projector, "weights", "counted"),
-                _Slot("gate.bias", gp.projector, "bias", "bias"),
-            ]
+            self.gate_params = gate.make_gate_params(rng, cfg.channels, cfg.dtype)
+            self._slots += _weight_slots("gate", self.gate_params.projector)
         if cfg.encoder_channels is not None and cfg.encoder_channels != cfg.channels:
             self.adapter = kernelgen.make_channel_adapter(
-                rng, cfg.encoder_channels, cfg.channels, dtype
+                rng, cfg.encoder_channels, cfg.channels, cfg.dtype
             )
-            self._slots += [
-                _Slot("adapter.weights", self.adapter, "weights", "adapter"),
-                _Slot("adapter.bias", self.adapter, "bias", "adapter"),
-            ]
+            self._slots += _weight_slots("adapter", self.adapter, "adapter", "adapter")
 
     # -- parameter access ----------------------------------------------------
 
@@ -282,8 +289,8 @@ class UpsampleOperator:
                 f"decoder dtype {value_of(x_de).dtype} does not match operator "
                 f"precision {cfg.precision}"
             )
-        needs_encoder = cfg.variant not in DECODER_ONLY_VARIANTS
-        if needs_encoder:
+        spec = VARIANT_SPECS[cfg.variant]
+        if spec.guided:
             if x_en is None:
                 raise ShapeError(
                     f"variant {cfg.variant!r} requires the high-res encoder guide"
@@ -297,56 +304,37 @@ class UpsampleOperator:
                 raise ShapeError(
                     f"encoder has {value_of(x_en).shape[1]} channels, expected {expect_c}"
                 )
-        if cfg.variant not in WEIGHTLESS_VARIANTS:
+        if spec.source is not None:
             if value_of(x_de).shape[1] != cfg.channels:
                 raise ShapeError(
                     f"decoder has {value_of(x_de).shape[1]} channels, expected {cfg.channels}"
                 )
-        return needs_encoder
 
     def forward_parts(self, x_en, x_de, impl: str | None = None):
         """Run the pipeline and return (output, intermediates dict)."""
         cfg = self.config
-        needs_encoder = self._check_inputs(x_en, x_de)
-        if cfg.variant == "nearest":
-            return assemble.upsample_nearest(x_de), {}
-        if cfg.variant == "bilinear":
-            return assemble.upsample_bilinear(x_de), {}
+        spec = VARIANT_SPECS[cfg.variant]
+        self._check_inputs(x_en, x_de)
+        if spec.baseline is not None:
+            return spec.baseline(x_de), {}
         guide = x_en
-        if needs_encoder and self.adapter is not None:
+        if self.adapter is not None:
             guide = kernelgen.apply_channel_adapter(x_en, self.adapter)
-
-        source = _KERNEL_SOURCE[cfg.variant]
-        if source == "semishift":
-            form = kernelgen.SEMISHIFT_FORMS[impl or self.impl]
-            kernels = form(guide, x_de, self.kernel_params)
-        elif source == "lite":
-            kernels = kernelgen.semishift_lite(guide, x_de, self.kernel_params)
-        elif source == "carafe":
-            kernels = kernelgen.carafe_kernelgen(x_de, self.kernel_params)
-        elif source == "encoder_only":
-            kernels = kernelgen.encoder_only_kernelgen(guide, self.kernel_params)
-        else:  # naive
-            kernels = kernelgen.naive_kernelgen(guide, x_de, self.kernel_params)
-
+        kernels = spec.source.generate(guide, x_de, self.kernel_params, impl or self.impl)
         normalized = kernelgen.normalize_kernels(kernels)
         upsampled = assemble.reassemble(x_de, normalized)
         parts = {"kernels": normalized}
 
         mode = effective_gate_mode(cfg)
+        if mode == "none":
+            return upsampled, parts
         if mode == "learned":
             g = gate.generate_gate(x_de, self.gate_params)
-            out = gate.fuse_gated(guide, upsampled, g)
-            parts["gate"] = g
-            parts["upsampled"] = upsampled
-        elif mode == "one":
-            g = gate.fixed_gate(guide, 1.0)
-            out = gate.fuse_gated(guide, upsampled, g)
-            parts["gate"] = g
-            parts["upsampled"] = upsampled
         else:
-            out = upsampled
-        return out, parts
+            g = gate.fixed_gate(guide, 1.0)
+        parts["gate"] = g
+        parts["upsampled"] = upsampled
+        return gate.fuse_gated(guide, upsampled, g), parts
 
     def forward(self, x_en, x_de, impl: str | None = None):
         out, _ = self.forward_parts(x_en, x_de, impl)
@@ -444,7 +432,10 @@ def read_checkpoint(path) -> dict:
             raise FormatError("truncated checkpoint manifest")
         (nlen,) = struct.unpack_from("<H", raw, pos)
         pos += 2
-        name = raw[pos : pos + nlen].decode("ascii")
+        try:
+            name = raw[pos : pos + nlen].decode("ascii")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"checkpoint entry name is not ASCII: {e}") from e
         pos += nlen
         if pos + _CKPT_ENTRY_DIMS.size > len(raw):
             raise FormatError("truncated checkpoint manifest")

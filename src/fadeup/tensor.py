@@ -168,54 +168,6 @@ def conv_cols_matmul(cols: np.ndarray, w4: np.ndarray) -> np.ndarray:
     return out.reshape(n, o, oh, ow)
 
 
-def conv2d(
-    x: np.ndarray, w: ConvWeights, stride: int = 1, pad: PadSpec | None = None
-) -> np.ndarray:
-    """Cross-correlation with zero-fill padding (no kernel flip).
-
-    ``pad=None`` means k//2 on every side ("same" at stride 1).
-    """
-    check_nchw(x, "conv2d input")
-    if pad is None:
-        pad = PadSpec.same(w.k // 2)
-    if x.shape[1] != w.in_channels:
-        raise ShapeError(
-            f"conv2d channel mismatch: input has {x.shape[1]}, "
-            f"weights expect {w.in_channels}"
-        )
-    cols = im2col(x, w.k, stride, pad)
-    out = conv_cols_matmul(cols, w.weights)
-    if w.bias is not None:
-        out = out + w.bias[None, :, None, None]
-    return out
-
-
-def conv2d_depthwise(
-    x: np.ndarray, w: DepthwiseWeights, stride: int = 1, pad: PadSpec | None = None
-) -> np.ndarray:
-    """Per-channel convolution: channel c is filtered by kernel c only."""
-    check_nchw(x, "depthwise input")
-    if pad is None:
-        pad = PadSpec.same(w.k // 2)
-    if x.shape[1] != w.channels:
-        raise ShapeError(
-            f"depthwise channel mismatch: input has {x.shape[1]}, "
-            f"weights expect {w.channels}"
-        )
-    cols = im2col(x, w.k, stride, pad)
-    out = np.einsum("ncijhw,cij->nchw", cols, w.weights, optimize=True)
-    if w.bias is not None:
-        out = out + w.bias[None, :, None, None]
-    return out
-
-
-def conv1x1(x: np.ndarray, w: ConvWeights) -> np.ndarray:
-    """Per-pixel linear map over channels; spatial dims unchanged."""
-    if w.k != 1:
-        raise ShapeError(f"conv1x1 requires k=1 weights, got k={w.k}")
-    return conv2d(x, w, stride=1, pad=PadSpec.same(0))
-
-
 def interp_nearest_x2(x: np.ndarray) -> np.ndarray:
     """x2 nearest-neighbour: output (i, j) copies input (i//2, j//2)."""
     check_nchw(x)

@@ -16,11 +16,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import MomentumSGD, Node, backward, value_of
-from .operators import (
-    DECODER_ONLY_VARIANTS,
-    OperatorConfig,
-    build_operator,
-)
+from .operators import VARIANT_SPECS, OperatorConfig, build_operator
 from .rng import ShuffledLcg, init_conv_weights
 from .tensor import ConvWeights, PadSpec, ShapeError
 
@@ -365,7 +361,7 @@ class ToyNet:
         e0 = ag.leaky_relu(ag.conv2d(x, self.enc0.weights, self.enc0.bias, pad=p1))
         e1 = ag.leaky_relu(ag.conv2d(ag.maxpool2x2(e0), self.enc1.weights, self.enc1.bias, pad=p1))
         z = ag.leaky_relu(ag.conv2d(ag.maxpool2x2(e1), self.bott.weights, self.bott.bias, pad=p1))
-        guided = self.variant not in DECODER_ONLY_VARIANTS
+        guided = VARIANT_SPECS[self.variant].guided
         u1, parts1 = self.up1.forward_parts(e1 if guided else None, z, impl=self.impl)
         d1 = ag.leaky_relu(ag.conv2d(u1, self.dec1.weights, self.dec1.bias, pad=p1))
         u2, parts2 = self.up2.forward_parts(e0 if guided else None, d1, impl=self.impl)

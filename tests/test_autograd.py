@@ -195,39 +195,45 @@ class TestGradcheckExamples:
         assert err < 1e-7
 
 
+def sgd_run(p0, grads, lr, momentum):
+    """Data of one parameter Node after one MomentumSGD step per gradient."""
+    node = Node(np.array(p0, dtype=np.float64))
+    opt = MomentumSGD([node], lr=lr, momentum=momentum)
+    for g in grads:
+        node.grad = np.array(g, dtype=np.float64)
+        opt.step()
+    return node.data
+
+
 class TestSgd:
     def test_single_step_no_momentum(self):
-        params, vel = ag.sgd_step([np.zeros(1)], [np.ones(1)], lr=0.1, momentum=0.0)
-        assert params[0][0] == pytest.approx(-0.1, abs=1e-15)
+        p = sgd_run([0.0], [[1.0]], lr=0.1, momentum=0.0)
+        assert p[0] == pytest.approx(-0.1, abs=1e-15)
 
     def test_zero_grads_leave_params(self):
         p = np.array([1.0, -2.0])
-        params, _ = ag.sgd_step([p], [np.zeros(2)], lr=0.5, momentum=0.9)
-        np.testing.assert_array_equal(params[0], p)
+        np.testing.assert_array_equal(sgd_run(p, [np.zeros(2)], lr=0.5, momentum=0.9), p)
 
     def test_momentum_recurrence(self):
         lr, mom = 0.1, 0.9
         g1, g2 = np.array([1.0]), np.array([0.5])
         p = np.array([0.0])
-        p1, vel = ag.sgd_step([p], [g1], lr, mom)
-        p2, _ = ag.sgd_step(p1, [g2], lr, mom, vel)
+        p2 = sgd_run(p, [g1, g2], lr, mom)
         v1 = g1
         v2 = mom * v1 + g2
         want = p - lr * v1 - lr * v2
-        np.testing.assert_allclose(p2[0], want, rtol=1e-14)
+        np.testing.assert_allclose(p2, want, rtol=1e-14)
 
     def test_functional_matches_class(self):
+        """The class against the classical-momentum recurrence on plain arrays."""
         rng = np.random.default_rng(0)
         p0 = rng.normal(size=(3,))
         gs = [rng.normal(size=(3,)) for _ in range(3)]
-        node = Node(p0.copy())
-        opt = MomentumSGD([node], lr=0.05, momentum=0.8)
-        arr, vel = [p0.copy()], None
+        arr, vel = p0.copy(), np.zeros(3)
         for g in gs:
-            node.grad = g.copy()
-            opt.step()
-            arr, vel = ag.sgd_step(arr, [g], 0.05, 0.8, vel)
-        np.testing.assert_allclose(node.data, arr[0], rtol=1e-14)
+            vel = 0.8 * vel + g
+            arr = arr - 0.05 * vel
+        np.testing.assert_allclose(sgd_run(p0, gs, 0.05, 0.8), arr, rtol=1e-14)
 
     def test_nonfinite_gradient_aborts(self):
         node = Node(np.zeros(2), name="weights")
@@ -236,13 +242,13 @@ class TestSgd:
         with pytest.raises(DivergenceError, match="weights"):
             opt.step()
         with pytest.raises(DivergenceError):
-            ag.sgd_step([np.zeros(1)], [np.array([np.inf])], 0.1)
+            sgd_run([0.0], [[np.inf]], 0.1, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="lr"):
             MomentumSGD([], lr=0.0)
         with pytest.raises(ValueError, match="momentum"):
-            ag.sgd_step([], [], lr=0.1, momentum=1.0)
+            MomentumSGD([], lr=0.1, momentum=1.0)
 
 
 class TestGradcheckBattery:

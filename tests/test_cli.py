@@ -60,6 +60,26 @@ class TestUpsample:
         assert code == 3
         assert "guide" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gate", ["one", "learned"])
+    def test_gate_on_decoder_only_exit_3(self, tmp_path, capsys, gate):
+        _, de_path, _, _ = write_pair(tmp_path)
+        code = main(
+            ["upsample", "--variant", "carafe", "--gate", gate, "--decoder", str(de_path),
+             "--out", str(tmp_path / "x.ften")]
+        )
+        assert code == 3
+        assert "gate" in capsys.readouterr().err
+
+    def test_bogus_impl_env_exit_3(self, tmp_path, monkeypatch, capsys):
+        en_path, de_path, _, _ = write_pair(tmp_path)
+        monkeypatch.setenv("FADEUP_IMPL", "bogus")
+        code = main(
+            ["upsample", "--variant", "fade", "--decoder", str(de_path),
+             "--encoder", str(en_path), "--out", str(tmp_path / "x.ften")]
+        )
+        assert code == 3
+        assert "impl" in capsys.readouterr().err
+
     def test_bad_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ften"
         bad.write_bytes(b"JUNK")
@@ -172,6 +192,19 @@ class TestTrainCli:
         assert (outdir / "gate_stage1.pgm").exists()
         header = (outdir / "metrics.csv").read_text().splitlines()[0]
         assert header.startswith("epoch,loss")
+
+    @pytest.mark.parametrize(
+        "flag,env", [(["--impl", "direct"], None), ([], "direct"), ([], "bogus")]
+    )
+    def test_untrainable_impl_exit_3(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is not None:
+            monkeypatch.setenv("FADEUP_IMPL", env)
+        code = main(
+            ["train", "--task", "binary_shapes", "--variant", "fade", "--epochs", "1",
+             "--size", "16", "--count", "1", "--outdir", str(tmp_path / "run")] + flag
+        )
+        assert code == 3
+        assert "impl" in capsys.readouterr().err
 
     def test_train_rerun_byte_identical_csv(self, tmp_path):
         blobs = []

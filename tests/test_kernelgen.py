@@ -47,10 +47,9 @@ class TestSemiShiftDirect:
         p = random_params(1, 3, 4)
         x_en, x_de = random_pair(2, 1, 3, 2, 2)
         got = kg.semishift_direct(np.zeros_like(x_en), x_de, p).data
-        de_c = T.conv1x1(x_de, p.compressor_de)
-        gen_nobias = ConvWeights(p.generator.weights)
+        de_c = ag.conv1x1(x_de, p.compressor_de.weights, p.compressor_de.bias)
         want = T.interp_nearest_x2(
-            T.conv2d(de_c, gen_nobias, 1, PadSpec.same(1))
+            ag.conv2d(de_c, p.generator.weights, stride=1, pad=PadSpec.same(1))
         ) + p.generator.bias[None, :, None, None]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -132,12 +131,14 @@ class TestSemiShiftStructure:
         p = random_params(9, 2, 3)
         x_en, x_de = random_pair(10, 1, 2, 1, 1)
         out = kg.semishift_h2l(x_en, x_de, p).data
-        de_c = T.conv1x1(x_de, p.compressor_de)
-        de_branch = T.conv2d(de_c, ConvWeights(p.generator.weights), 1, PadSpec.same(1))
+        de_c = ag.conv1x1(x_de, p.compressor_de.weights, p.compressor_de.bias)
+        de_branch = ag.conv2d(de_c, p.generator.weights, stride=1, pad=PadSpec.same(1))
         # subtracting the shared decoder value leaves pure encoder terms
         residual = out - T.interp_nearest_x2(de_branch)
-        en_c = T.conv1x1(x_en, p.compressor_en)
-        en_branch = T.conv2d(en_c, p.generator, 1, PadSpec.same(1))
+        en_c = ag.conv1x1(x_en, p.compressor_en.weights)
+        en_branch = ag.conv2d(
+            en_c, p.generator.weights, p.generator.bias, stride=1, pad=PadSpec.same(1)
+        )
         np.testing.assert_allclose(residual, en_branch, rtol=1e-10, atol=1e-12)
 
     def test_batch_permutation_contract(self):
@@ -154,8 +155,10 @@ class TestSemiShiftStructure:
         p.compressor_de.bias = np.zeros_like(p.compressor_de.bias)
         x_en, x_de = random_pair(14, 1, 2, 2, 2)
         out = kg.semishift_l2h(x_en, np.zeros_like(x_de), p).data
-        en_c = T.conv1x1(x_en, p.compressor_en)
-        want = T.conv2d(en_c, p.generator, 1, PadSpec.same(1))
+        en_c = ag.conv1x1(x_en, p.compressor_en.weights)
+        want = ag.conv2d(
+            en_c, p.generator.weights, p.generator.bias, stride=1, pad=PadSpec.same(1)
+        )
         np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-14)
 
     def test_output_shape(self):
@@ -188,8 +191,8 @@ class TestSemiShiftLite:
         p.generator = DepthwiseWeights(ident, np.zeros(k2))
         x_en, x_de = random_pair(2, 1, c, 2, 3)
         out = kg.semishift_lite(x_en, x_de, p).data
-        en_c = T.conv1x1(x_en, p.compressor_en)
-        de_c = T.conv1x1(x_de, p.compressor_de)
+        en_c = ag.conv1x1(x_en, p.compressor_en.weights)
+        de_c = ag.conv1x1(x_de, p.compressor_de.weights, p.compressor_de.bias)
         np.testing.assert_allclose(out, en_c + T.interp_nearest_x2(de_c), rtol=1e-12)
 
     def test_matches_depthwise_window_oracle(self):
@@ -202,8 +205,8 @@ class TestSemiShiftLite:
         x_en, x_de = random_pair(5, 1, c, 2, 2)
         got = kg.semishift_lite(x_en, x_de, p).data
 
-        en_c = T.conv1x1(x_en, p.compressor_en)
-        de_c = T.conv1x1(x_de, p.compressor_de)
+        en_c = ag.conv1x1(x_en, p.compressor_en.weights)
+        de_c = ag.conv1x1(x_de, p.compressor_de.weights, p.compressor_de.bias)
         gw, gb = p.generator.weights, p.generator.bias
         eh, ew = en_c.shape[2], en_c.shape[3]
         dh, dw = de_c.shape[2], de_c.shape[3]

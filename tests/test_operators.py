@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from fadeup import autograd as ag
+from fadeup import kernelgen as kg
 from fadeup import operators as ops
 from fadeup.operators import (
     OperatorConfig,
@@ -60,6 +63,22 @@ class TestBuild:
         with pytest.raises(ShapeError, match="gate"):
             OperatorConfig("nearest", gate_mode="learned")
 
+    @pytest.mark.parametrize("variant", ["carafe", "b2_decoder_only"])
+    @pytest.mark.parametrize("mode", ["learned", "one"])
+    def test_fusing_gate_on_unguided_rejected(self, variant, mode):
+        # both modes blend with the encoder guide, which these variants never take
+        with pytest.raises(ShapeError, match="gate"):
+            OperatorConfig(variant, channels=3, gate_mode=mode)
+        cfg = OperatorConfig(variant, channels=3, gate_mode="none")
+        assert ops.effective_gate_mode(cfg) == "none"
+
+    @pytest.mark.parametrize(
+        "alias,row", [("b6_full", "fade"), ("b2_decoder_only", "carafe"),
+                      ("b5_semishift_skip", "fade_g1")]
+    )
+    def test_aliases_share_one_row(self, alias, row):
+        assert ops.VARIANT_SPECS[alias] is ops.VARIANT_SPECS[row]
+
 
 class TestForward:
     def test_shape_and_finiteness(self):
@@ -78,11 +97,11 @@ class TestForward:
         x_en, x_de = rnd_pair(1, 2, 3, 2, 3)
         cfg = (
             OperatorConfig(variant)
-            if variant in ops.WEIGHTLESS_VARIANTS
+            if ops.VARIANT_SPECS[variant].source is None
             else OperatorConfig(variant, channels=3, compressed=4, seed=5)
         )
         op = build_operator(cfg)
-        guide = None if variant in ops.DECODER_ONLY_VARIANTS else x_en
+        guide = x_en if ops.VARIANT_SPECS[variant].guided else None
         out = ag.value_of(op.forward(guide, x_de))
         assert out.shape == (2, 3, 4, 6)
         assert np.isfinite(out).all()
@@ -134,6 +153,29 @@ class TestForward:
         op.gate_params.projector.bias = np.full(1, 1e3, dtype=np.float32)
         out = op.forward(x_en, x_de)
         assert np.max(np.abs(out - x_en)) < 1e-5
+
+    @pytest.mark.parametrize(
+        "variant,owner,key",
+        [("carafe", kg, "carafe_kernelgen"), ("fade_lite", kg, "semishift_lite"),
+         ("fade", kg.SEMISHIFT_FORMS, "l2h")],
+    )
+    def test_generator_reached_through_module_attribute(self, monkeypatch, variant, owner, key):
+        """A wrapper installed on the kernelgen attribute sees the call."""
+        calls = []
+        original = owner[key] if isinstance(owner, dict) else getattr(owner, key)
+
+        def spy(*args):
+            calls.append(variant)
+            return original(*args)
+
+        if isinstance(owner, dict):
+            monkeypatch.setitem(owner, key, spy)
+        else:
+            monkeypatch.setattr(owner, key, spy)
+        x_en, x_de = rnd_pair(12, 1, 3, 2, 2)
+        op = build_operator(OperatorConfig(variant, channels=3, compressed=4, seed=1))
+        op.forward(None if variant == "carafe" else x_en, x_de)
+        assert calls == [variant]
 
     def test_missing_encoder_raises(self):
         _, x_de = rnd_pair(8, 1, 3, 2, 2)
@@ -246,6 +288,63 @@ class TestCheckpoint:
         path.write_bytes(b"JUNKJUNKJUNKJUNK")
         with pytest.raises(FormatError, match="magic"):
             read_checkpoint(path)
+
+    def test_header_byte_flips_load_or_raise_format_error(self, tmp_path):
+        """0x00, 0xFF and a high-bit flip at every header and manifest byte."""
+        cfg = OperatorConfig("carafe", channels=2, compressed=2, kernel_size=3, seed=0)
+        op = build_operator(cfg)
+        path = tmp_path / "c.fckp"
+        save_checkpoint(op, path)
+        raw = path.read_bytes()
+        manifest_end = 12 + sum(2 + len(n) + 24 for n, _ in op.named_parameters())
+        assert manifest_end == 151
+        flipped = tmp_path / "flipped.fckp"
+        outcomes = {"loaded": 0, "rejected": 0}
+        for i in range(manifest_end):
+            for value in (0x00, 0xFF, raw[i] ^ 0x80):
+                blob = bytearray(raw)
+                blob[i] = value
+                flipped.write_bytes(bytes(blob))
+                try:
+                    load_checkpoint(build_operator(cfg), flipped)
+                    outcomes["loaded"] += 1
+                except FormatError:
+                    outcomes["rejected"] += 1
+        assert outcomes["loaded"] and outcomes["rejected"]
+
+    # sha256 of save_checkpoint output (channels=3, compressed=4, K=3, seed=5, f32);
+    # a new digest means the RNG draw order, slot names or slot order moved
+    @pytest.mark.parametrize(
+        "variant,extra,digest",
+        [
+            ("fade", {}, "8e4723b92f167c07dcc3066d49b01f96e46c16beab8f892c49cbc369ead4b210"),
+            ("fade_lite", {}, "87b36a45371cfa905c632cf136f4ad1ef853b0aebd856a1ef58ae1d9cc998add"),
+            ("fade_g1", {}, "2d312dcc3ea271bc13dea182297efd01b88caea8f9c331e3f1f604b21e8ddd2d"),
+            ("carafe", {}, "248f8510cbffa563feb5a99178329eed940d864c89c8920c90f7afef92ba0ba0"),
+            ("nearest", {}, "2564bfa94f37f1177388ddcfce3b5c54a0d877d413ab2db33628b4a3e74455f1"),
+            ("bilinear", {}, "2564bfa94f37f1177388ddcfce3b5c54a0d877d413ab2db33628b4a3e74455f1"),
+            ("b1_encoder_only", {}, "02276937d960fc9383b2250ddadb62a928b481fc4ee88d07e7bc7724a85e3276"),
+            ("b2_decoder_only", {}, "248f8510cbffa563feb5a99178329eed940d864c89c8920c90f7afef92ba0ba0"),
+            ("b3_naive", {}, "88cf7e1d83d547b1b36061733d15b4e1cd6adca41d6f048fb7646a34d3251e67"),
+            ("b4_semishift_nogate", {}, "2d312dcc3ea271bc13dea182297efd01b88caea8f9c331e3f1f604b21e8ddd2d"),
+            ("b5_semishift_skip", {}, "2d312dcc3ea271bc13dea182297efd01b88caea8f9c331e3f1f604b21e8ddd2d"),
+            ("b6_full", {}, "8e4723b92f167c07dcc3066d49b01f96e46c16beab8f892c49cbc369ead4b210"),
+            ("fade", {"encoder_channels": 6}, "a7c4d52f797e29df3d5294612bce14b7737f3f2f30391585b987acaced1d2e8f"),
+            ("b1_encoder_only", {"encoder_channels": 2}, "78be0a4cdfecea8b38fca172520fa3fff1c9d1cc43029ce69433578a5efb2507"),
+            ("fade", {"gate_mode": "one"}, "2d312dcc3ea271bc13dea182297efd01b88caea8f9c331e3f1f604b21e8ddd2d"),
+            ("fade_lite", {"gate_mode": "none"}, "fe9deb9b05725e57eceb1c619c80cec08585dc46de9682fb6ffad18faac6276d"),
+            ("b4_semishift_nogate", {"gate_mode": "learned"}, "8e4723b92f167c07dcc3066d49b01f96e46c16beab8f892c49cbc369ead4b210"),
+            ("b3_naive", {"gate_mode": "one"}, "88cf7e1d83d547b1b36061733d15b4e1cd6adca41d6f048fb7646a34d3251e67"),
+        ],
+    )
+    def test_bytes_pinned(self, tmp_path, variant, extra, digest):
+        if ops.VARIANT_SPECS[variant].source is None:
+            cfg = OperatorConfig(variant)
+        else:
+            cfg = OperatorConfig(variant, channels=3, compressed=4, kernel_size=3, seed=5, **extra)
+        path = tmp_path / "op.fckp"
+        save_checkpoint(build_operator(cfg), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestTraining:

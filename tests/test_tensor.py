@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fadeup import autograd as ag
 from fadeup import tensor as T
-from fadeup.tensor import ConvWeights, DepthwiseWeights, FormatError, PadSpec, ShapeError
+from fadeup.tensor import FormatError, PadSpec, ShapeError
 
 
 def conv_reference(x, w, b, stride, pad):
@@ -28,19 +29,20 @@ def conv_reference(x, w, b, stride, pad):
     return out
 
 
+# the convolutions live in fadeup.autograd and run tape-free on plain arrays
 class TestConv2d:
     def test_identity_kernel(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 5, 6))
         w = np.zeros((3, 3, 3, 3))
         for c in range(3):
             w[c, c, 1, 1] = 1.0
-        out = T.conv2d(x, ConvWeights(w), 1, PadSpec.same(1))
+        out = ag.conv2d(x, w, stride=1, pad=PadSpec.same(1))
         np.testing.assert_array_equal(out, x)
 
     def test_allones_window_sum(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
         w = np.ones((1, 1, 3, 3))
-        out = T.conv2d(x, ConvWeights(w), 1, PadSpec.same(1))
+        out = ag.conv2d(x, w, stride=1, pad=PadSpec.same(1))
         ref = conv_reference(x, w, None, 1, PadSpec.same(1))
         np.testing.assert_allclose(out, ref, rtol=0, atol=0)
         # every 3x3 window covers all four values here
@@ -49,7 +51,7 @@ class TestConv2d:
     def test_zero_input_zero_bias(self):
         x = np.zeros((1, 2, 4, 4))
         w = np.random.default_rng(1).normal(size=(3, 2, 3, 3))
-        out = T.conv2d(x, ConvWeights(w, np.zeros(3)), 1, PadSpec.same(1))
+        out = ag.conv2d(x, w, np.zeros(3), stride=1, pad=PadSpec.same(1))
         np.testing.assert_array_equal(out, np.zeros((1, 3, 4, 4)))
 
     @pytest.mark.parametrize("stride,pad", [(1, PadSpec.same(1)), (2, PadSpec(1, 0, 1, 0)), (1, PadSpec(0, 2, 1, 0))])
@@ -58,7 +60,7 @@ class TestConv2d:
         x = rng.normal(size=(2, 3, 5, 4))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        got = T.conv2d(x, ConvWeights(w, b), stride, pad)
+        got = ag.conv2d(x, w, b, stride=stride, pad=pad)
         want = conv_reference(x, w, b, stride, pad)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -66,29 +68,29 @@ class TestConv2d:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 2, 6, 6))
         y = rng.normal(size=(1, 2, 6, 6))
-        w = ConvWeights(rng.normal(size=(3, 2, 3, 3)))
+        w = rng.normal(size=(3, 2, 3, 3))
         a, b = 1.7, -0.4
-        lhs = T.conv2d(a * x + b * y, w)
-        rhs = a * T.conv2d(x, w) + b * T.conv2d(y, w)
+        lhs = ag.conv2d(a * x + b * y, w)
+        rhs = a * ag.conv2d(x, w) + b * ag.conv2d(y, w)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-6)
 
     def test_channel_mismatch(self):
         x = np.zeros((1, 2, 4, 4))
         with pytest.raises(ShapeError, match="channel"):
-            T.conv2d(x, ConvWeights(np.zeros((1, 3, 3, 3))))
+            ag.conv2d(x, np.zeros((1, 3, 3, 3)))
 
     def test_nonpositive_output(self):
         x = np.zeros((1, 1, 2, 2))
         with pytest.raises(ShapeError, match="output dim"):
-            T.conv2d(x, ConvWeights(np.zeros((1, 1, 5, 5))), 1, PadSpec.same(0))
+            ag.conv2d(x, np.zeros((1, 1, 5, 5)), stride=1, pad=PadSpec.same(0))
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(1, 3, 8, 8))
-        w = ConvWeights(rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2))
-        a = T.conv2d(x, w)
-        b = T.conv2d(x, w)
-        assert np.array_equal(a, b)
+        w, b = rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2)
+        first = ag.conv2d(x, w, b)
+        second = ag.conv2d(x, w, b)
+        assert np.array_equal(first, second)
 
 
 class TestDepthwise:
@@ -96,16 +98,14 @@ class TestDepthwise:
         x = np.random.default_rng(0).normal(size=(1, 4, 5, 5))
         w = np.zeros((4, 3, 3))
         w[:, 1, 1] = 1.0
-        np.testing.assert_array_equal(
-            T.conv2d_depthwise(x, DepthwiseWeights(w)), x
-        )
+        np.testing.assert_array_equal(ag.conv2d_depthwise(x, w), x)
 
     def test_single_channel_reduces_to_conv2d(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(1, 1, 5, 4))
         k = rng.normal(size=(1, 3, 3))
-        got = T.conv2d_depthwise(x, DepthwiseWeights(k))
-        want = T.conv2d(x, ConvWeights(k[:, None]))
+        got = ag.conv2d_depthwise(x, k)
+        want = ag.conv2d(x, k[:, None])
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_matches_per_channel_conv2d(self):
@@ -113,42 +113,40 @@ class TestDepthwise:
         x = rng.normal(size=(1, 4, 6, 6))
         w = rng.normal(size=(4, 3, 3))
         b = rng.normal(size=4)
-        got = T.conv2d_depthwise(x, DepthwiseWeights(w, b))
+        got = ag.conv2d_depthwise(x, w, b)
         for c in range(4):
-            want = T.conv2d(
-                x[:, c : c + 1], ConvWeights(w[c][None, None], b[c : c + 1])
-            )
+            want = ag.conv2d(x[:, c : c + 1], w[c][None, None], b[c : c + 1])
             np.testing.assert_allclose(got[:, c : c + 1], want, rtol=1e-12)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channel"):
-            T.conv2d_depthwise(np.zeros((1, 2, 4, 4)), DepthwiseWeights(np.zeros((3, 3, 3))))
+            ag.conv2d_depthwise(np.zeros((1, 2, 4, 4)), np.zeros((3, 3, 3)))
 
 
 class TestConv1x1:
     def test_identity_matrix(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 4, 4))
         w = np.eye(3).reshape(3, 3, 1, 1)
-        np.testing.assert_array_equal(T.conv1x1(x, ConvWeights(w)), x)
+        np.testing.assert_array_equal(ag.conv1x1(x, w), x)
 
     def test_bias_only(self):
         x = np.zeros((1, 2, 3, 3))
         b = np.array([1.5, -2.0, 0.25])
-        out = T.conv1x1(x, ConvWeights(np.zeros((3, 2, 1, 1)), b))
+        out = ag.conv1x1(x, np.zeros((3, 2, 1, 1)), b)
         for c, v in enumerate(b):
             np.testing.assert_array_equal(out[:, c], np.full((1, 3, 3), v))
 
     def test_matches_conv2d_exactly(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(2, 3, 4, 5))
-        w = ConvWeights(rng.normal(size=(4, 3, 1, 1)), rng.normal(size=4))
+        w, b = rng.normal(size=(4, 3, 1, 1)), rng.normal(size=4)
         np.testing.assert_array_equal(
-            T.conv1x1(x, w), T.conv2d(x, w, 1, PadSpec.same(0))
+            ag.conv1x1(x, w, b), ag.conv2d(x, w, b, stride=1, pad=PadSpec.same(0))
         )
 
     def test_rejects_wide_kernel(self):
         with pytest.raises(ShapeError, match="k=1"):
-            T.conv1x1(np.zeros((1, 1, 2, 2)), ConvWeights(np.zeros((1, 1, 3, 3))))
+            ag.conv1x1(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)))
 
 
 class TestInterpNearest:
