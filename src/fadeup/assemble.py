@@ -8,40 +8,16 @@ windows are fully interior.  The same kernel is applied to every channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import autograd as ag
-from .autograd import value_of
 from .kernelgen import KernelMap
-from .tensor import ShapeError
 
 
-@dataclass(frozen=True)
-class ReassemblySpec:
-    k: int = 5
-    scale: int = 2
-
-    def __post_init__(self):
-        if self.k < 1 or self.k % 2 == 0:
-            raise ShapeError(f"kernel size must be odd and positive, got {self.k}")
-        if self.scale != 2:
-            raise ShapeError("only x2 reassembly is supported")
-
-
-def reassemble(x_de, kmap: KernelMap, spec: ReassemblySpec | None = None):
+def reassemble(x_de, kmap: KernelMap):
     """Content-aware x2 upsampling of ``x_de`` under a normalized kernel map."""
     if not isinstance(kmap, KernelMap):
         raise TypeError("reassemble expects a KernelMap")
     if not kmap.normalized:
         raise ValueError("kernel map must be normalized before reassembly")
-    if spec is not None and spec.k != kmap.k:
-        raise ShapeError(f"spec K={spec.k} does not match kernel map K={kmap.k}")
-    xd, kd = value_of(x_de), value_of(kmap.data)
-    n, _, h, w = xd.shape
-    if kd.shape[0] != n or kd.shape[2] != 2 * h or kd.shape[3] != 2 * w:
-        raise ShapeError(
-            f"kernel map {kd.shape} does not match decoder feature {xd.shape}"
-        )
     return ag.reassemble(x_de, kmap.data, kmap.k)
 
 

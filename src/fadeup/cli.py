@@ -115,6 +115,7 @@ def _cmd_upsample(args) -> int:
     compressed = _resolve(args, "d", 64, int)
     kernel_size = _resolve(args, "K", 5, int)
     precision = _resolve(args, "precision", None, str)
+    gate_mode = _resolve(args, "gate", None, str)
 
     x_de = T.read_ften(args.decoder)
     x_en = T.read_ften(args.encoder) if args.encoder else None
@@ -128,7 +129,7 @@ def _cmd_upsample(args) -> int:
         kernel_size=kernel_size,
         seed=seed,
         precision=precision,
-        gate_mode=args.gate,
+        gate_mode=gate_mode,
     )
     op = ops.build_operator(cfg)
     if args.weights:
@@ -142,7 +143,7 @@ def _cmd_upsample(args) -> int:
         "d": compressed,
         "K": kernel_size,
         "precision": precision,
-        "gate": args.gate,
+        "gate": gate_mode,
     }
     inputs = [args.decoder] + ([args.encoder] if args.encoder else [])
     if args.weights:

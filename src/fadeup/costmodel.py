@@ -72,13 +72,24 @@ class CostReport:
         return sum(self.extras.values())
 
 
+def _gate_cost(C: int) -> tuple[int, int]:
+    """(MACs, weights) per decoder position of the learned gate and its fusion."""
+    return 9 * C, C
+
+
+def _table_weights(q: CostQuery) -> int:
+    """Weight count of a row built here: the variant table's polynomial,
+    the one :func:`reconcile` checks live operators against."""
+    return VARIANT_SPECS[q.row].source.counted(q.channels, q.compressed, q.kernel_size**2)
+
+
 def _stages(q: CostQuery):
     """(stage -> (MACs, params)) plus the bias extras for rows built here."""
     C, d, K = q.channels, q.compressed, q.kernel_size
     K2 = K * K
     if q.row == "carafe":
         stages = {
-            "kernel generation": (C * d + 36 * K2 * d, C * d + 36 * K2 * d),
+            "kernel generation": (C * d + 36 * K2 * d, _table_weights(q)),
             "feature assembly": (4 * K2 * C, 0),
         }
         extras = {"content_encoder.bias": 4 * K2}
@@ -108,24 +119,21 @@ def _stages(q: CostQuery):
         extras = {}
     elif q.row == "fade":
         stages = {
-            "kernel generation": (5 * C * d + 45 * K2 * d, 2 * C * d + 9 * K2 * d),
+            "kernel generation": (5 * C * d + 45 * K2 * d, _table_weights(q)),
             "feature assembly": (4 * K2 * C, 0),
         }
         extras = {"compressor_de.bias": d, "generator.bias": K2}
-        if q.gate:
-            stages["gated fusion"] = (9 * C, C)
-            extras["gate.bias"] = 1
     elif q.row == "fade_lite":
         stages = {
-            "kernel generation": (5 * C * K2 + 45 * K2, 2 * C * K2 + 9 * K2),
+            "kernel generation": (5 * C * K2 + 45 * K2, _table_weights(q)),
             "feature assembly": (4 * K2 * C, 0),
         }
         extras = {"compressor_de.bias": K2, "generator.bias": K2}
-        if q.gate:
-            stages["gated fusion"] = (9 * C, C)
-            extras["gate.bias"] = 1
     else:  # pragma: no cover - guarded by CostQuery
         raise UnknownRowError(q.row)
+    if q.row in GATED_ROWS and q.gate:
+        stages["gated fusion"] = _gate_cost(C)
+        extras["gate.bias"] = 1
     return stages, extras
 
 
@@ -152,7 +160,7 @@ def _variant_counted(cfg: OperatorConfig) -> int:
     source = VARIANT_SPECS[cfg.variant].source
     C = cfg.channels
     base = 0 if source is None else source.counted(C, cfg.compressed, cfg.kernel_size**2)
-    return base + (C if effective_gate_mode(cfg) == "learned" else 0)
+    return base + (_gate_cost(C)[1] if effective_gate_mode(cfg) == "learned" else 0)
 
 
 def params_of(q) -> int:

@@ -33,8 +33,7 @@ class GateParams:
 
 
 def make_gate_params(rng: ShuffledLcg, channels: int, dtype) -> GateParams:
-    w = init_conv_weights(rng, 1, channels, 1, dtype)
-    return GateParams(ConvWeights(w, np.zeros(1, dtype)))
+    return GateParams(init_conv_weights(rng, 1, channels, 1, dtype))
 
 
 def generate_gate(x_de, p: GateParams):

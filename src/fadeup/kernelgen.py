@@ -239,6 +239,19 @@ _H2L_PADS = {
 }
 
 
+def _compress_generate(x, compressor: ConvWeights, generator, generator_bias: bool = True):
+    """1x1 compressor with its own bias, then the stride-1 3x3 generator.
+
+    A DepthwiseWeights generator runs depthwise, a ConvWeights one dense.
+    The autograd convs are looked up at call time, so a wrapper installed
+    on those module attributes sees every call.
+    """
+    compressed = ag.conv1x1(x, compressor.weights, compressor.bias)
+    conv = ag.conv2d_depthwise if isinstance(generator, DepthwiseWeights) else ag.conv2d
+    bias = generator.bias if generator_bias else None
+    return conv(compressed, generator.weights, bias, stride=1, pad=PadSpec.same(1))
+
+
 def semishift_h2l(x_en, x_de, p: SemiShiftParams) -> KernelMap:
     """High-to-low form: four stride-2 corner-padded encoder sub-processes.
 
@@ -246,15 +259,22 @@ def semishift_h2l(x_en, x_de, p: SemiShiftParams) -> KernelMap:
     phases; the generator bias rides on the encoder branch only.
     """
     check_x2_pair(x_en, x_de)
+    de_branch = _compress_generate(x_de, p.compressor_de, p.generator, generator_bias=False)
     en_c = ag.conv1x1(x_en, p.compressor_en.weights)
-    de_c = ag.conv1x1(x_de, p.compressor_de.weights, p.compressor_de.bias)
     w, b = p.generator.weights, p.generator.bias
-    de_branch = ag.conv2d(de_c, w, None, stride=1, pad=PadSpec.same(1))
     subs = []
     for phase in ((0, 0), (0, 1), (1, 0), (1, 1)):
         en_branch = ag.conv2d(en_c, w, b, stride=2, pad=_H2L_PADS[phase])
         subs.append(ag.add(en_branch, de_branch))
     return KernelMap(ag.interleave2x2(*subs), p.kernel_size, normalized=False)
+
+
+def _low_to_high(x_en, x_de, p: SemiShiftParams | SemiShiftLiteParams) -> KernelMap:
+    """Stride-1 branches; only the K^2-channel decoder branch is NN-expanded."""
+    check_x2_pair(x_en, x_de)
+    en_branch = _compress_generate(x_en, p.compressor_en, p.generator)
+    de_branch = _compress_generate(x_de, p.compressor_de, p.generator, generator_bias=False)
+    return KernelMap(ag.add(en_branch, ag.interp_nearest_x2(de_branch)), p.kernel_size)
 
 
 def semishift_l2h(x_en, x_de, p: SemiShiftParams) -> KernelMap:
@@ -263,13 +283,7 @@ def semishift_l2h(x_en, x_de, p: SemiShiftParams) -> KernelMap:
     Only the K^2-channel kernel map is interpolated, never the compressed
     (let alone full) decoder feature.
     """
-    check_x2_pair(x_en, x_de)
-    en_c = ag.conv1x1(x_en, p.compressor_en.weights)
-    de_c = ag.conv1x1(x_de, p.compressor_de.weights, p.compressor_de.bias)
-    w, b = p.generator.weights, p.generator.bias
-    en_branch = ag.conv2d(en_c, w, b, stride=1, pad=PadSpec.same(1))
-    de_branch = ag.interp_nearest_x2(ag.conv2d(de_c, w, None, stride=1, pad=PadSpec.same(1)))
-    return KernelMap(ag.add(en_branch, de_branch), p.kernel_size, normalized=False)
+    return _low_to_high(x_en, x_de, p)
 
 
 SEMISHIFT_FORMS = {
@@ -281,15 +295,7 @@ SEMISHIFT_FORMS = {
 
 def semishift_lite(x_en, x_de, p: SemiShiftLiteParams) -> KernelMap:
     """Depthwise variant; same correspondence, L2H-style composition."""
-    check_x2_pair(x_en, x_de)
-    en_c = ag.conv1x1(x_en, p.compressor_en.weights)
-    de_c = ag.conv1x1(x_de, p.compressor_de.weights, p.compressor_de.bias)
-    w, b = p.generator.weights, p.generator.bias
-    en_branch = ag.conv2d_depthwise(en_c, w, b, stride=1, pad=PadSpec.same(1))
-    de_branch = ag.interp_nearest_x2(
-        ag.conv2d_depthwise(de_c, w, None, stride=1, pad=PadSpec.same(1))
-    )
-    return KernelMap(ag.add(en_branch, de_branch), p.kernel_size, normalized=False)
+    return _low_to_high(x_en, x_de, p)
 
 
 def naive_kernelgen(x_en, x_de, p: NaiveParams) -> KernelMap:
@@ -299,33 +305,18 @@ def naive_kernelgen(x_en, x_de, p: NaiveParams) -> KernelMap:
     """
     check_x2_pair(x_en, x_de)
     stacked = ag.concat_channels(x_en, ag.interp_nearest_x2(x_de))
-    compressed = ag.conv1x1(stacked, p.compressor.weights, p.compressor.bias)
-    data = ag.conv2d(
-        compressed, p.generator.weights, p.generator.bias, stride=1, pad=PadSpec.same(1)
-    )
-    return KernelMap(data, p.kernel_size, normalized=False)
+    return KernelMap(_compress_generate(stacked, p.compressor, p.generator), p.kernel_size)
 
 
 def carafe_kernelgen(x_de, p: CarafeParams) -> KernelMap:
     """Decoder-only generation at low resolution, expanded by pixel shuffle."""
-    compressed = ag.conv1x1(x_de, p.compressor.weights)
-    encoded = ag.conv2d(
-        compressed,
-        p.content_encoder.weights,
-        p.content_encoder.bias,
-        stride=1,
-        pad=PadSpec.same(1),
-    )
-    return KernelMap(ag.pixel_shuffle_x2(encoded), p.kernel_size, normalized=False)
+    encoded = _compress_generate(x_de, p.compressor, p.content_encoder)
+    return KernelMap(ag.pixel_shuffle_x2(encoded), p.kernel_size)
 
 
 def encoder_only_kernelgen(x_en, p: EncoderOnlyParams) -> KernelMap:
     """Kernel map straight from the high-res encoder feature."""
-    compressed = ag.conv1x1(x_en, p.compressor.weights)
-    data = ag.conv2d(
-        compressed, p.generator.weights, p.generator.bias, stride=1, pad=PadSpec.same(1)
-    )
-    return KernelMap(data, p.kernel_size, normalized=False)
+    return KernelMap(_compress_generate(x_en, p.compressor, p.generator), p.kernel_size)
 
 
 def normalize_kernels(kmap: KernelMap) -> KernelMap:
@@ -342,13 +333,10 @@ def make_semishift_params(
     rng: ShuffledLcg, channels: int, compressed: int, kernel_size: int, dtype
 ) -> SemiShiftParams:
     k2 = kernel_size * kernel_size
-    w_en = init_conv_weights(rng, compressed, channels, 1, dtype)
-    w_de = init_conv_weights(rng, compressed, channels, 1, dtype)
-    w_gen = init_conv_weights(rng, k2, compressed, 3, dtype)
     return SemiShiftParams(
-        ConvWeights(w_en),
-        ConvWeights(w_de, np.zeros(compressed, dtype)),
-        ConvWeights(w_gen, np.zeros(k2, dtype)),
+        init_conv_weights(rng, compressed, channels, 1, dtype, bias=False),
+        init_conv_weights(rng, compressed, channels, 1, dtype),
+        init_conv_weights(rng, k2, compressed, 3, dtype),
     )
 
 
@@ -356,13 +344,10 @@ def make_semishift_lite_params(
     rng: ShuffledLcg, channels: int, kernel_size: int, dtype
 ) -> SemiShiftLiteParams:
     k2 = kernel_size * kernel_size
-    w_en = init_conv_weights(rng, k2, channels, 1, dtype)
-    w_de = init_conv_weights(rng, k2, channels, 1, dtype)
-    w_gen = init_depthwise_weights(rng, k2, 3, dtype)
     return SemiShiftLiteParams(
-        ConvWeights(w_en),
-        ConvWeights(w_de, np.zeros(k2, dtype)),
-        DepthwiseWeights(w_gen, np.zeros(k2, dtype)),
+        init_conv_weights(rng, k2, channels, 1, dtype, bias=False),
+        init_conv_weights(rng, k2, channels, 1, dtype),
+        init_depthwise_weights(rng, k2, 3, dtype),
     )
 
 
@@ -370,11 +355,9 @@ def make_naive_params(
     rng: ShuffledLcg, channels: int, compressed: int, kernel_size: int, dtype
 ) -> NaiveParams:
     k2 = kernel_size * kernel_size
-    w_comp = init_conv_weights(rng, compressed, 2 * channels, 1, dtype)
-    w_gen = init_conv_weights(rng, k2, compressed, 3, dtype)
     return NaiveParams(
-        ConvWeights(w_comp, np.zeros(compressed, dtype)),
-        ConvWeights(w_gen, np.zeros(k2, dtype)),
+        init_conv_weights(rng, compressed, 2 * channels, 1, dtype),
+        init_conv_weights(rng, k2, compressed, 3, dtype),
     )
 
 
@@ -382,11 +365,9 @@ def make_carafe_params(
     rng: ShuffledLcg, channels: int, compressed: int, kernel_size: int, dtype
 ) -> CarafeParams:
     k2 = kernel_size * kernel_size
-    w_comp = init_conv_weights(rng, compressed, channels, 1, dtype)
-    w_enc = init_conv_weights(rng, 4 * k2, compressed, 3, dtype)
     return CarafeParams(
-        ConvWeights(w_comp),
-        ConvWeights(w_enc, np.zeros(4 * k2, dtype)),
+        init_conv_weights(rng, compressed, channels, 1, dtype, bias=False),
+        init_conv_weights(rng, 4 * k2, compressed, 3, dtype),
     )
 
 
@@ -394,11 +375,9 @@ def make_encoder_only_params(
     rng: ShuffledLcg, channels: int, compressed: int, kernel_size: int, dtype
 ) -> EncoderOnlyParams:
     k2 = kernel_size * kernel_size
-    w_comp = init_conv_weights(rng, compressed, channels, 1, dtype)
-    w_gen = init_conv_weights(rng, k2, compressed, 3, dtype)
     return EncoderOnlyParams(
-        ConvWeights(w_comp),
-        ConvWeights(w_gen, np.zeros(k2, dtype)),
+        init_conv_weights(rng, compressed, channels, 1, dtype, bias=False),
+        init_conv_weights(rng, k2, compressed, 3, dtype),
     )
 
 
@@ -409,8 +388,7 @@ def make_channel_adapter(
 
     Counted outside the standard parameter formulas.
     """
-    w = init_conv_weights(rng, out_channels, in_channels, 1, dtype)
-    return ConvWeights(w, np.zeros(out_channels, dtype))
+    return init_conv_weights(rng, out_channels, in_channels, 1, dtype)
 
 
 def apply_channel_adapter(x, adapter: ConvWeights):

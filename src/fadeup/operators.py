@@ -122,7 +122,6 @@ class OperatorConfig:
     channels: int = 0
     compressed: int = 64
     kernel_size: int = 5
-    window: int = 3
     seed: int = 0
     precision: str = "f32"
     gate_mode: str | None = None  # None -> variant default
@@ -134,8 +133,6 @@ class OperatorConfig:
         spec = VARIANT_SPECS[self.variant]
         if self.precision not in _DTYPES:
             raise ShapeError(f"precision must be f32 or f64, got {self.precision!r}")
-        if self.window != 3:
-            raise ShapeError("generator window is fixed at 3")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ShapeError(f"kernel size must be odd, got {self.kernel_size}")
         if spec.source is not None:
@@ -194,7 +191,6 @@ class UpsampleOperator:
 
     def __init__(self, config: OperatorConfig):
         self.config = config
-        self.impl = "l2h"  # default semi-shift form; "direct" is the test oracle
         self._slots: list[_Slot] = []
         self._build()
 
@@ -259,9 +255,6 @@ class UpsampleOperator:
                 raise ShapeError(f"shape mismatch for parameter {s.name}")
             setattr(s.owner, s.attr, v)
 
-    def state_dict(self) -> dict:
-        return {name: np.array(value_of(v)) for name, v in self.named_parameters()}
-
     def load_state(self, state: dict) -> None:
         names = [s.name for s in self._slots]
         missing = [n for n in names if n not in state]
@@ -311,7 +304,11 @@ class UpsampleOperator:
                 )
 
     def forward_parts(self, x_en, x_de, impl: str | None = None):
-        """Run the pipeline and return (output, intermediates dict)."""
+        """Run the pipeline and return (output, intermediates dict).
+
+        ``impl`` picks the semi-shift form; None means "l2h", and "direct"
+        is the test oracle.
+        """
         cfg = self.config
         spec = VARIANT_SPECS[cfg.variant]
         self._check_inputs(x_en, x_de)
@@ -320,7 +317,7 @@ class UpsampleOperator:
         guide = x_en
         if self.adapter is not None:
             guide = kernelgen.apply_channel_adapter(x_en, self.adapter)
-        kernels = spec.source.generate(guide, x_de, self.kernel_params, impl or self.impl)
+        kernels = spec.source.generate(guide, x_de, self.kernel_params, impl or "l2h")
         normalized = kernelgen.normalize_kernels(kernels)
         upsampled = assemble.reassemble(x_de, normalized)
         parts = {"kernels": normalized}
@@ -372,8 +369,9 @@ def compose_iterative(ops, x_en_list, x_de, impl: str | None = None):
 # entries:   uint16 name length, ASCII name, four uint32 dims of the
 #            rank-4 FTEN blob, uint64 byte offset of the blob from the
 #            start of the file
-# blobs:     FTEN v1 images (rank-4; rank-1 biases are stored as
-#            (len, 1, 1, 1) and depthwise (c, k, k) as (c, 1, k, k))
+# blobs:     FTEN v1 images in entry order, back to back from the end of
+#            the manifest to the end of the file (rank-4; rank-1 biases are
+#            stored as (len, 1, 1, 1) and depthwise (c, k, k) as (c, 1, k, k))
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"FCKP"
@@ -420,11 +418,13 @@ def read_checkpoint(path) -> dict:
         raw = f.read()
     if len(raw) < _CKPT_HEAD.size:
         raise FormatError("truncated checkpoint header")
-    magic, version, _, _, count = _CKPT_HEAD.unpack_from(raw)
+    magic, version, reserved5, reserved67, count = _CKPT_HEAD.unpack_from(raw)
     if magic != _CKPT_MAGIC:
         raise FormatError(f"bad checkpoint magic {magic!r}")
     if version != _CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
+    if reserved5 or reserved67:
+        raise FormatError("checkpoint header bytes 5-7 are reserved and must be zero")
     pos = _CKPT_HEAD.size
     manifest = []
     for _ in range(count):
@@ -436,15 +436,30 @@ def read_checkpoint(path) -> dict:
             name = raw[pos : pos + nlen].decode("ascii")
         except UnicodeDecodeError as e:
             raise FormatError(f"checkpoint entry name is not ASCII: {e}") from e
+        if not name.isprintable():
+            raise FormatError(f"checkpoint entry name {name!r} holds control characters")
         pos += nlen
         if pos + _CKPT_ENTRY_DIMS.size > len(raw):
             raise FormatError("truncated checkpoint manifest")
         *dims, offset = _CKPT_ENTRY_DIMS.unpack_from(raw, pos)
         pos += _CKPT_ENTRY_DIMS.size
         manifest.append((name, tuple(dims), offset))
+    # The blobs tile the rest of the file: the first starts at the manifest
+    # end, and ften_from_bytes takes a blob only at its exact size, so each
+    # blob ends where the next starts and the last ends the file.
+    offsets = [offset for _, _, offset in manifest]
+    ends = offsets[1:] + [len(raw)]
+    if not manifest and pos != len(raw):
+        raise FormatError(f"{len(raw) - pos} bytes after an empty checkpoint manifest")
+    if manifest and offsets[0] != pos:
+        raise FormatError(f"first checkpoint blob at byte {offsets[0]}, expected {pos}")
     out = {}
-    ends = [offset for _, _, offset in manifest[1:]] + [len(raw)]
     for (name, dims, offset), end in zip(manifest, ends):
+        if end <= offset:
+            raise FormatError(
+                f"checkpoint blob {name} would span bytes {offset}..{end}: offsets out of "
+                "order or past the end of the file"
+            )
         arr = T.ften_from_bytes(raw[offset:end])
         if arr.shape != dims:
             raise FormatError(f"checkpoint blob {name} shape {arr.shape} != manifest {dims}")

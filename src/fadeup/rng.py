@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 
+from .tensor import ConvWeights, DepthwiseWeights
+
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
@@ -58,24 +60,20 @@ class ShuffledLcg:
             flat[i] = self.uniform()
         return flat.reshape(shape).astype(dtype)
 
-    def integers(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi) via modulo (small ranges only)."""
-        return lo + self.next_u64() % (hi - lo)
-
 
 def init_conv_weights(
-    rng: ShuffledLcg, out_channels: int, in_channels: int, k: int, dtype
-) -> np.ndarray:
-    """Uniform in +/- sqrt(6 / fan_in), fan_in = in_channels * k^2."""
+    rng: ShuffledLcg, out_channels: int, in_channels: int, k: int, dtype, bias: bool = True
+) -> ConvWeights:
+    """Uniform in +/- sqrt(6 / fan_in), fan_in = in_channels * k^2; zero bias or none."""
     bound = math.sqrt(6.0 / (in_channels * k * k))
     u = rng.uniform_array((out_channels, in_channels, k, k), dtype=np.float64)
-    return ((2.0 * u - 1.0) * bound).astype(dtype)
+    w = ((2.0 * u - 1.0) * bound).astype(dtype)
+    return ConvWeights(w, np.zeros(out_channels, dtype) if bias else None)
 
 
-def init_depthwise_weights(
-    rng: ShuffledLcg, channels: int, k: int, dtype
-) -> np.ndarray:
-    """Depthwise filters see one input channel, so fan_in = k^2."""
+def init_depthwise_weights(rng: ShuffledLcg, channels: int, k: int, dtype) -> DepthwiseWeights:
+    """Depthwise filters see one input channel, so fan_in = k^2; zero bias."""
     bound = math.sqrt(6.0 / (k * k))
     u = rng.uniform_array((channels, k, k), dtype=np.float64)
-    return ((2.0 * u - 1.0) * bound).astype(dtype)
+    w = ((2.0 * u - 1.0) * bound).astype(dtype)
+    return DepthwiseWeights(w, np.zeros(channels, dtype))

@@ -270,12 +270,9 @@ _FTEN_HEADER = struct.Struct("<4sBBH4I")
 
 
 def write_ften(path, x: np.ndarray) -> None:
-    check_nchw(x, "FTEN tensor")
-    code = _FTEN_DTYPE_CODE[x.dtype]
-    header = _FTEN_HEADER.pack(_FTEN_MAGIC, _FTEN_VERSION, code, 0, *x.shape)
+    blob = ften_bytes(x)
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(x, dtype=x.dtype.newbyteorder("<")).tobytes())
+        f.write(blob)
 
 
 def ften_bytes(x: np.ndarray) -> bytes:

@@ -18,7 +18,7 @@ from . import autograd as ag
 from .autograd import MomentumSGD, Node, backward, value_of
 from .operators import VARIANT_SPECS, OperatorConfig, build_operator
 from .rng import ShuffledLcg, init_conv_weights
-from .tensor import ConvWeights, PadSpec, ShapeError
+from .tensor import PadSpec, ShapeError
 
 TASK_KINDS = (
     "binary_shapes_segmentation",
@@ -318,9 +318,7 @@ class ToyNet:
         rng = ShuffledLcg(seed)
 
         def conv(out_c, in_c, k):
-            return ConvWeights(
-                init_conv_weights(rng, out_c, in_c, k, dtype), np.zeros(out_c, dtype)
-            )
+            return init_conv_weights(rng, out_c, in_c, k, dtype)
 
         self.enc0 = conv(features, in_channels, 3)
         self.enc1 = conv(features, features, 3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fadeup import assemble, autograd as ag, tensor as T
-from fadeup.assemble import ReassemblySpec, reassemble
+from fadeup.assemble import reassemble
 from fadeup.kernelgen import KernelMap
 from fadeup.tensor import ShapeError
 
@@ -208,11 +208,6 @@ class TestReassemble:
         with pytest.raises(ShapeError, match="match"):
             reassemble(x, uniform_kernels(1, 3, 6, 6))
 
-    def test_spec_mismatch(self):
-        x = np.zeros((1, 1, 2, 2))
-        with pytest.raises(ShapeError, match="K="):
-            reassemble(x, uniform_kernels(1, 3, 4, 4), ReassemblySpec(k=5))
-
 
 class TestBaselineOperators:
     def test_nearest_delegates_bit_exact(self):
@@ -237,13 +232,3 @@ class TestBaselineOperators:
         x = np.full((1, 2, 3, 3), 1.5)
         np.testing.assert_allclose(assemble.upsample_nearest(x), 1.5)
         np.testing.assert_allclose(assemble.upsample_bilinear(x), 1.5)
-
-
-class TestSpecValidation:
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ShapeError, match="odd"):
-            ReassemblySpec(k=4)
-
-    def test_scale_fixed(self):
-        with pytest.raises(ShapeError, match="x2"):
-            ReassemblySpec(k=5, scale=4)

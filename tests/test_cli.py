@@ -80,6 +80,35 @@ class TestUpsample:
         assert code == 3
         assert "impl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["env", "config"])
+    def test_gate_from_env_or_config_matches_flag(self, tmp_path, monkeypatch, source):
+        en_path, de_path, _, _ = write_pair(tmp_path, seed=4)
+        argv = ["upsample", "--variant", "fade", "--decoder", str(de_path),
+                "--encoder", str(en_path), "--d", "4"]
+        flagged, resolved = tmp_path / "flag.ften", tmp_path / "resolved.ften"
+        assert main(argv + ["--gate", "none", "--out", str(flagged)]) == 0
+        if source == "env":
+            monkeypatch.setenv("FADEUP_GATE", "none")
+            prefix = []
+        else:
+            cfg = tmp_path / "gate.cfg"
+            cfg.write_text("gate=none\n")
+            prefix = ["--config", str(cfg)]
+        assert main(prefix + argv + ["--out", str(resolved)]) == 0
+        np.testing.assert_array_equal(T.read_ften(resolved), T.read_ften(flagged))
+        manifest = json.loads((tmp_path / "resolved.ften.manifest.json").read_text())
+        assert manifest["config"]["gate"] == "none"
+
+    def test_bogus_gate_env_exit_3(self, tmp_path, monkeypatch, capsys):
+        en_path, de_path, _, _ = write_pair(tmp_path)
+        monkeypatch.setenv("FADEUP_GATE", "bogus")
+        code = main(
+            ["upsample", "--variant", "fade", "--decoder", str(de_path),
+             "--encoder", str(en_path), "--out", str(tmp_path / "x.ften")]
+        )
+        assert code == 3
+        assert "gate" in capsys.readouterr().err
+
     def test_bad_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ften"
         bad.write_bytes(b"JUNK")
@@ -113,6 +142,18 @@ class TestUpsample:
         )
         assert code == 0
         np.testing.assert_array_equal(T.read_ften(out), op.forward(en, de))
+
+    def test_corrupt_weights_exit_2(self, tmp_path, capsys):
+        _, de_path, _, _ = write_pair(tmp_path)
+        ckpt = tmp_path / "w.fckp"
+        # a valid empty-checkpoint header followed by bytes no entry accounts for
+        ckpt.write_bytes(b"FCKP\x01\x00\x00\x00\x00\x00\x00\x00" + bytes(70))
+        code = main(
+            ["upsample", "--variant", "nearest", "--decoder", str(de_path),
+             "--weights", str(ckpt), "--out", str(tmp_path / "x.ften")]
+        )
+        assert code == 2
+        assert "checkpoint" in capsys.readouterr().err
 
 
 class TestDeterminism:

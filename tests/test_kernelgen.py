@@ -360,6 +360,11 @@ class TestParamValidation:
         with pytest.raises(ShapeError, match="channels"):
             kg.KernelMap(np.zeros((1, 24, 2, 2)), 5)
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_kernel_map_size_odd(self, k):
+        with pytest.raises(ShapeError, match="odd"):
+            kg.KernelMap(np.zeros((1, k * k, 2, 2)), k)
+
 
 class TestSeededInit:
     def test_same_seed_identical(self):
@@ -377,3 +382,53 @@ class TestSeededInit:
         gbound = np.sqrt(6.0 / (16 * 9))
         assert np.abs(p.generator.weights).max() <= gbound
         assert p.compressor_de.bias.max() == 0.0
+
+
+class TestConvCallsReachAutograd:
+    """Every generator conv goes through the autograd module attribute, so
+    a wrapper installed there (as the benchmark's tracer does) counts it."""
+
+    # calls of (conv1x1, conv2d, conv2d_depthwise) per generator forward
+    @pytest.mark.parametrize(
+        "generator,expected",
+        [("l2h", (2, 2, 0)), ("h2l", (2, 5, 0)), ("lite", (2, 0, 2)),
+         ("naive", (1, 1, 0)), ("carafe", (1, 1, 0)), ("encoder_only", (1, 1, 0))],
+        ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)),
+    )
+    def test_call_counts(self, monkeypatch, generator, expected):
+        c, d, k = 3, 4, 3
+        x_en, x_de = random_pair(5, 1, c, 2, 3)
+        rng = ShuffledLcg(1)
+        run = {
+            "l2h": lambda: kg.semishift_l2h(
+                x_en, x_de, kg.make_semishift_params(rng, c, d, k, np.float64)
+            ),
+            "h2l": lambda: kg.semishift_h2l(
+                x_en, x_de, kg.make_semishift_params(rng, c, d, k, np.float64)
+            ),
+            "lite": lambda: kg.semishift_lite(
+                x_en, x_de, kg.make_semishift_lite_params(rng, c, k, np.float64)
+            ),
+            "naive": lambda: kg.naive_kernelgen(
+                x_en, x_de, kg.make_naive_params(rng, c, d, k, np.float64)
+            ),
+            "carafe": lambda: kg.carafe_kernelgen(
+                x_de, kg.make_carafe_params(rng, c, d, k, np.float64)
+            ),
+            "encoder_only": lambda: kg.encoder_only_kernelgen(
+                x_en, kg.make_encoder_only_params(rng, c, d, k, np.float64)
+            ),
+        }[generator]
+        names = ("conv1x1", "conv2d", "conv2d_depthwise")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(ag, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ag, name, counted)
+        kmap = run()
+        assert tuple(calls[n] for n in names) == expected
+        assert kmap.data.shape == (1, k * k, 4, 6)

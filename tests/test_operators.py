@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -290,13 +291,22 @@ class TestCheckpoint:
             read_checkpoint(path)
 
     def test_header_byte_flips_load_or_raise_format_error(self, tmp_path):
-        """0x00, 0xFF and a high-bit flip at every header and manifest byte."""
+        """0x00, 0xFF and a high-bit flip at every header and manifest byte.
+
+        A flip that changes a reserved header byte or a blob offset must raise.
+        """
         cfg = OperatorConfig("carafe", channels=2, compressed=2, kernel_size=3, seed=0)
         op = build_operator(cfg)
         path = tmp_path / "c.fckp"
         save_checkpoint(op, path)
         raw = path.read_bytes()
-        manifest_end = 12 + sum(2 + len(n) + 24 for n, _ in op.named_parameters())
+        must_raise = {5, 6, 7}
+        pos = 12
+        for name, _ in op.named_parameters():
+            pos += 2 + len(name) + 16  # name length, name, four uint32 dims
+            must_raise.update(range(pos, pos + 8))  # uint64 blob offset
+            pos += 8
+        manifest_end = pos
         assert manifest_end == 151
         flipped = tmp_path / "flipped.fckp"
         outcomes = {"loaded": 0, "rejected": 0}
@@ -308,9 +318,48 @@ class TestCheckpoint:
                 try:
                     load_checkpoint(build_operator(cfg), flipped)
                     outcomes["loaded"] += 1
+                    assert i not in must_raise or value == raw[i], (i, value)
                 except FormatError:
                     outcomes["rejected"] += 1
         assert outcomes["loaded"] and outcomes["rejected"]
+
+    @pytest.mark.parametrize(
+        "case", ["empty_with_trailing_bytes", "trailing_bytes", "gap_before_first_blob",
+                 "control_character_name"]
+    )
+    def test_rejects_malformed_layout(self, tmp_path, case):
+        """Every byte belongs to the header, the manifest or a blob; names are printable."""
+        path = tmp_path / "c.fckp"
+        if case == "empty_with_trailing_bytes":
+            save_checkpoint(build_operator(OperatorConfig("nearest")), path)
+            assert len(path.read_bytes()) == 12
+            path.write_bytes(path.read_bytes() + bytes(range(70)))
+            with pytest.raises(FormatError, match="bytes after"):
+                load_checkpoint(build_operator(OperatorConfig("nearest")), path)
+            return
+        cfg = OperatorConfig("carafe", channels=2, compressed=2, kernel_size=3, seed=0)
+        save_checkpoint(build_operator(cfg), path)
+        raw = bytearray(path.read_bytes())
+        if case == "trailing_bytes":
+            raw += b"\x00"
+        elif case == "gap_before_first_blob":
+            # one byte between manifest and blobs, every offset moved to match
+            (count,) = struct.unpack_from("<I", raw, 8)
+            pos = 12
+            for _ in range(count):
+                (nlen,) = struct.unpack_from("<H", raw, pos)
+                pos += 2 + nlen + 16
+                (offset,) = struct.unpack_from("<Q", raw, pos)
+                struct.pack_into("<Q", raw, pos, offset + 1)
+                pos += 8
+            raw[pos:pos] = b"\x00"
+        else:
+            name = b"compressor.weights"
+            at = raw.index(name)
+            raw[at + 4] = 0x07  # compressor -> comp\x07essor
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            read_checkpoint(path)
 
     # sha256 of save_checkpoint output (channels=3, compressed=4, K=3, seed=5, f32);
     # a new digest means the RNG draw order, slot names or slot order moved
