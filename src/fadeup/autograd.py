@@ -465,22 +465,35 @@ def _by_position(a):
     return a.reshape(n, ch, h2 // 2, 2, w2 // 2, 2).transpose(0, 2, 4, 3, 1, 5)
 
 
-def _window_matrices(xd, k, dtype):
-    """(n, c, h, w) decoder -> view (n, h, w, 1, c, K^2) of every zero-padded K x K window.
+_BAND = 8  # adjacent decoder positions per reassembly GEMM
+_STRIP = 4  # decoder rows per row-shifted copy in the reassembly forward
 
-    The one copy is xs[n, c, y, X, dy], the K row-shifted copies of the padded
-    decoder; in it the window of (y, x) is the K^2 consecutive entries
-    xs[n, c, y, x : x + K, :] in (dx, dy) order, so the rest is a view.
+
+def _shifted_rows(xd, k, y0, xs):
+    """Fill xs[n, c, s, X, dy] with the zero-padded decoder at (y0 + s + dy - K//2, X - K//2).
+
+    ``xs`` is (n, c, rows, w + 2 (K//2), K) and its pad columns must already
+    be zero; rows that fall outside the decoder are zeroed here.  In xs the
+    K x K window of decoder position (y0 + s, x) is the K^2 consecutive
+    entries xs[n, c, s, x : x + K, :] in (dx, dy) order.
     """
-    n, c, h, w = xd.shape
+    h, w = xd.shape[2:]
     r = k // 2
-    xp = np.zeros((n, c, h + 2 * r, w + 2 * r), dtype)
-    xp[:, :, r : r + h, r : r + w] = xd
-    # K slice copies; one copy of sliding_window_view(xp, k, axis=2) builds
-    # the same array but ran 1.3-4x slower at the toy and C=256 planes
-    xs = np.empty((n, c, h, w + 2 * r, k), dtype)
+    rows = xs.shape[2]
     for dy in range(k):
-        xs[..., dy] = xp[:, :, dy : dy + h]
+        top = y0 + dy - r  # decoder row read at s = 0
+        lo = min(max(-top, 0), rows)
+        hi = max(min(h - top, rows), lo)
+        xs[:, :, :lo, r : r + w, dy] = 0
+        xs[:, :, hi:, r : r + w, dy] = 0
+        xs[:, :, lo:hi, r : r + w, dy] = xd[:, :, top + lo : top + hi]
+    return xs
+
+
+def _window_matrices(xd, k, dtype):
+    """(n, c, h, w) decoder -> view (n, h, w, 1, c, K^2) of every zero-padded K x K window."""
+    n, c, h, w = xd.shape
+    xs = _shifted_rows(xd, k, 0, np.zeros((n, c, h, w + k - 1, k), dtype))
     return (
         sliding_window_view(xs, k, axis=3)
         .transpose(0, 2, 3, 1, 5, 4)
@@ -493,6 +506,13 @@ def reassemble(x_de, kernels, k: int):
 
     ``kernels`` has K^2 channels at twice the resolution of ``x_de``; tap m
     addresses window offset (m // K - K//2, m % K - K//2), zero outside.
+
+    Non-finite values: a NaN or inf in decoder row y stays in its batch
+    item, its channel and the 2K output rows 2 (y - K//2) .. 2 (y + K//2) + 1
+    whose windows reach row y.  Every output whose window holds it is
+    non-finite; which other columns of those rows turn NaN is unspecified,
+    because the banded GEMM below multiplies neighbouring windows by zero
+    and 0 * inf is NaN.
     """
     xd, kd = value_of(x_de), value_of(kernels)
     n, c, h, w = xd.shape
@@ -502,20 +522,46 @@ def reassemble(x_de, kernels, k: int):
         )
     k2, r = k * k, k // 2
     dtype = np.result_type(xd, kd)
-    # One (C, K^2) @ (K^2, 2) GEMM per decoder position (y, x) and output row
-    # phase p: out[c, 2y+p, 2x+q] = sum_m window[c, m] * kern[m, 2y+p, 2x+q].
-    # The window matrices are a view of one K-fold copy of the decoder
-    # (_window_matrices).  The kernel map is permuted once to
-    # (n, h, w, p, K^2, q) in the same (dx, dy) tap order, and matmul writes
-    # through a view straight into the NCHW output.  Every GEMM has the same
-    # shape whatever n, h and w are, so results do not depend on batch or
-    # plane size.
-    win = _window_matrices(xd, k, dtype)
-    kq = np.ascontiguousarray(
-        kd.reshape(n, k, k, h, 2, w, 2).transpose(0, 3, 5, 4, 2, 1, 6), dtype=dtype
-    ).reshape(n, h, w, 2, k2, 2)
+    # One banded GEMM per _BAND adjacent decoder positions x0..x0+B-1 of row
+    # y and output row phase p:
+    #   (C, K (B+K-1)) @ (K (B+K-1), 2B) -> out[c, 2y+p, 2x0 : 2x0+2B].
+    # The left matrix is the K (B+K-1) consecutive entries of the row-shifted
+    # copy xs that cover the band's windows, so it is a view.  The right one
+    # holds position b's K^2 taps, in xs's (dx, dy) order, at rows
+    # K b .. K (b+K) of columns 2b and 2b+1, and zeros elsewhere.  The copy
+    # xs exists for one strip of _STRIP decoder rows at a time, and matmul
+    # writes each strip straight into its rows of the NCHW output.  The GEMM
+    # shapes depend only on w, so results do not depend on batch or height.
     out = np.empty((n, c, 2 * h, 2 * w), dtype)
-    np.matmul(win, kq, out=_by_position(out))
+    kd7 = kd.reshape(n, k, k, h, 2, w, 2)  # [n, dy, dx, y, p, x, q]
+    out5 = out.reshape(n, c, h, 2, 2 * w)
+    full = w // _BAND
+    groups = [(0, full, _BAND)] if full else []
+    if w % _BAND:
+        groups.append((full * _BAND, 1, w % _BAND))  # the narrower remainder band
+    strip = min(_STRIP, h)
+    blocks = [
+        np.zeros((n, strip, nb, 2, bw + k - 1, k, bw, 2), dtype) for _, nb, bw in groups
+    ]
+    xs = np.zeros((n, c, strip, w + 2 * r, k), dtype)
+    for y0 in range(0, h, strip):
+        rows = min(strip, h - y0)
+        flat = _shifted_rows(xd, k, y0, xs[:, :, :rows]).reshape(n, c, rows, -1)
+        for (x0, nb, bw), block in zip(groups, blocks):
+            kb = block[:, :rows]
+            for b in range(bw):
+                kb[:, :, :, :, b : b + k, :, b, :] = kd7[
+                    :, :, :, y0 : y0 + rows, :, x0 + b : x0 + nb * bw : bw, :
+                ].transpose(0, 3, 5, 4, 2, 1, 6)
+            span = k * (bw + k - 1)
+            win = sliding_window_view(flat[..., k * x0 :], span, axis=3)
+            win = win[:, :, :, : k * bw * nb : k * bw].transpose(0, 2, 3, 1, 4)
+            dst = out5[:, :, y0 : y0 + rows, :, 2 * x0 : 2 * (x0 + nb * bw)]
+            np.matmul(
+                win[:, :, :, None],
+                kb.reshape(n, rows, nb, 2, span, 2 * bw),
+                out=dst.reshape(n, c, rows, 2, nb, 2 * bw).transpose(0, 2, 4, 3, 1, 5),
+            )
     if not _any_node(x_de, kernels):
         return out
 
@@ -556,10 +602,26 @@ def reassemble(x_de, kernels, k: int):
     return _emit(out, [(x_de, vjp_x), (kernels, vjp_k)], name="reassemble")
 
 
+_BLEND_CHUNK = 16  # channels per chunk of the gate blend
+
+
 def blend(f_en, f_up, g):
-    """Convex gate blend f_en * g + f_up * (1 - g); g broadcasts over channels."""
+    """Convex gate blend f_en * g + f_up * (1 - g); f_en and f_up are
+    (n, C, h, w) and g is (n, 1, h, w).
+
+    The blend runs over _BLEND_CHUNK channels at a time into one output, so
+    no full-size temporary exists; each chunk rounds the same two products
+    and the same sum as the one-line expression, so the result is equal to
+    it bit for bit.
+    """
     fe, fu, gd = value_of(f_en), value_of(f_up), value_of(g)
-    out = fe * gd + fu * (1.0 - gd)
+    og = 1.0 - gd
+    shape = np.broadcast_shapes(fe.shape, fu.shape, gd.shape)
+    out = np.empty(shape, np.result_type(fe, fu, gd))
+    for c0 in range(0, out.shape[1], _BLEND_CHUNK):
+        chunk = slice(c0, c0 + _BLEND_CHUNK)
+        np.multiply(fe[:, chunk], gd, out=out[:, chunk])
+        out[:, chunk] += fu[:, chunk] * og
     if not _any_node(f_en, f_up, g):
         return out
 

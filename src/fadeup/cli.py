@@ -42,14 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliConfigError(message)
 
 
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise CliConfigError(f"not a boolean: {s!r}")
-
-
 def _read_config_file(path) -> dict:
     values = {}
     try:
@@ -108,6 +100,14 @@ def _write_manifest(path, command: str, config: dict, inputs, outputs) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _read_finite(path, role: str) -> np.ndarray:
+    """Read an FTEN input, rejecting NaN and inf: reassembly would spread them."""
+    x = T.read_ften(path)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{role} {path} holds non-finite values")
+    return x
+
+
 def _cmd_upsample(args) -> int:
     variant = _resolve(args, "variant", "fade", str)
     seed = _resolve(args, "seed", 0, int)
@@ -117,8 +117,8 @@ def _cmd_upsample(args) -> int:
     precision = _resolve(args, "precision", None, str)
     gate_mode = _resolve(args, "gate", None, str)
 
-    x_de = T.read_ften(args.decoder)
-    x_en = T.read_ften(args.encoder) if args.encoder else None
+    x_de = _read_finite(args.decoder, "decoder")
+    x_en = _read_finite(args.encoder, "encoder") if args.encoder else None
     if precision is None:
         precision = "f64" if x_de.dtype == np.float64 else "f32"
 

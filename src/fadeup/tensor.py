@@ -285,11 +285,13 @@ def ften_bytes(x: np.ndarray) -> bytes:
 def ften_from_bytes(blob: bytes) -> np.ndarray:
     if len(blob) < _FTEN_HEADER.size:
         raise FormatError("truncated FTEN header")
-    magic, version, code, _reserved, n, c, h, w = _FTEN_HEADER.unpack_from(blob)
+    magic, version, code, reserved, n, c, h, w = _FTEN_HEADER.unpack_from(blob)
     if magic != _FTEN_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {_FTEN_MAGIC!r}")
     if version != _FTEN_VERSION:
         raise FormatError(f"unsupported FTEN version {version}")
+    if reserved:
+        raise FormatError("FTEN header bytes 6-7 are reserved and must be zero")
     if code not in _FTEN_CODE_DTYPE:
         raise FormatError(f"unknown dtype code {code}")
     if min(n, c, h, w) < 1:

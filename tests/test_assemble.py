@@ -98,6 +98,13 @@ _GATHER_CASES = [
     # decoders with fewer rows than K // 2, where most taps fall outside
     pytest.param(k, np.float64, np.float64, f"rows{h}", id=f"{k}-rows{h}")
     for k, h in ((7, 1), (7, 2), (9, 2), (9, 3))
+] + [
+    # 6x19: two full bands, a 3-column remainder band and two row strips;
+    # 9x16: whole bands only and a one-row last strip
+    pytest.param(k, dtype, dtype, f"plane{plane}", id=f"{k}-{dtype.__name__}-{plane}")
+    for plane in ("6x19", "9x16")
+    for k in (3, 5)
+    for dtype in (np.float32, np.float64)
 ]
 
 
@@ -108,6 +115,8 @@ class TestReassemble:
         n, c, h, w = 2, 3, 3, 4
         if layout.startswith("rows"):
             h = int(layout[4:])
+        elif layout.startswith("plane"):
+            h, w = map(int, layout[5:].split("x"))
         if layout == "decoder_sliced":
             x = rng.normal(size=(n, c + 1, h, 2 * w)).astype(x_dtype)[:, 1:, :, ::2]
         elif layout == "decoder_transposed":
@@ -128,13 +137,26 @@ class TestReassemble:
         np.testing.assert_allclose(out, want, rtol=0, atol=atol)
 
     @pytest.mark.parametrize(
-        "k, dtype, h",
-        [(k, dtype, 3) for k in (3, 5) for dtype in (np.float32, np.float64)]
-        + [(7, np.float64, 1), (7, np.float64, 2), (9, np.float64, 2)],
+        "k, dtype, h, w",
+        [
+            pytest.param(k, dtype, 3, 4, id=f"{k}-{dtype.__name__}-3")
+            for k in (3, 5)
+            for dtype in (np.float32, np.float64)
+        ]
+        + [
+            pytest.param(k, np.float64, h, 4, id=f"{k}-float64-{h}")
+            for k, h in ((7, 1), (7, 2), (9, 2))
+        ]
+        + [
+            pytest.param(k, dtype, h, w, id=f"{k}-{dtype.__name__}-{h}x{w}")
+            for h, w in ((6, 19), (9, 16))
+            for k in (3, 5)
+            for dtype in (np.float32, np.float64)
+        ],
     )
-    def test_kernel_grad_matches_literal(self, k, dtype, h):
+    def test_kernel_grad_matches_literal(self, k, dtype, h, w):
         rng = np.random.default_rng(20 + k)
-        n, c, w = 2, 3, 4
+        n, c = 2, 3
         x = rng.normal(size=(n, c, h, w)).astype(dtype)
         kn = ag.Node(phase_varying_kernels(rng, n, k, h, w, dtype))
         g = rng.normal(size=(n, c, 2 * h, 2 * w)).astype(dtype)
@@ -196,6 +218,27 @@ class TestReassemble:
         lhs = reassemble(a * x + b * y, kmap)
         rhs = a * reassemble(x, kmap) + b * reassemble(y, kmap)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-6)
+
+    def test_non_finite_decoder_stays_in_its_channel_and_rows(self):
+        """An inf taints every output whose window holds it; which other
+        columns of those rows turn NaN is unspecified, but every other
+        channel, batch item and row is bit-equal to the all-finite run."""
+        rng = np.random.default_rng(4)
+        n, c, h, w, k = 2, 3, 9, 19, 5
+        r = k // 2
+        x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+        kmap = KernelMap(phase_varying_kernels(rng, n, k, h, w, np.float32), k, normalized=True)
+        clean = reassemble(x, kmap)
+        b, ch, y, xx = 1, 2, 4, 9
+        x[b, ch, y, xx] = np.inf
+        with np.errstate(invalid="ignore"):  # the documented 0 * inf NaNs
+            out = reassemble(x, kmap)
+        rows = slice(2 * (y - r), 2 * (y + r + 1))
+        cols = slice(2 * (xx - r), 2 * (xx + r + 1))
+        assert not np.isfinite(out[b, ch, rows, cols]).any()
+        tainted = np.zeros(out.shape, bool)
+        tainted[b, ch, rows] = True
+        np.testing.assert_array_equal(out[~tainted], clean[~tainted])
 
     def test_rejects_unnormalized(self):
         x = np.zeros((1, 1, 2, 2))

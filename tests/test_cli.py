@@ -119,6 +119,34 @@ class TestUpsample:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_reserved_bytes_in_decoder_exit_2(self, tmp_path, capsys):
+        _, de_path, _, _ = write_pair(tmp_path)
+        raw = bytearray(de_path.read_bytes())
+        raw[6] = 0x01
+        de_path.write_bytes(bytes(raw))
+        code = main(
+            ["upsample", "--variant", "nearest", "--decoder", str(de_path),
+             "--out", str(tmp_path / "x.ften")]
+        )
+        assert code == 2
+        assert "reserved" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role, value", [("decoder", np.nan), ("encoder", np.inf)])
+    def test_non_finite_input_exit_3(self, tmp_path, capsys, role, value):
+        en_path, de_path, en, de = write_pair(tmp_path, seed=3)
+        bad, path = (de, de_path) if role == "decoder" else (en, en_path)
+        bad[0, 1, 1, 2] = value
+        T.write_ften(path, bad)
+        out = tmp_path / "x.ften"
+        code = main(
+            ["upsample", "--variant", "fade", "--decoder", str(de_path),
+             "--encoder", str(en_path), "--d", "4", "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "non-finite" in err
+        assert not out.exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         code = main(
             ["upsample", "--variant", "nearest", "--decoder", str(tmp_path / "nope.ften"),

@@ -323,6 +323,27 @@ class TestCheckpoint:
                     outcomes["rejected"] += 1
         assert outcomes["loaded"] and outcomes["rejected"]
 
+    def test_truncations_raise_format_error(self, tmp_path):
+        cfg = OperatorConfig("carafe", channels=2, compressed=2, kernel_size=3, seed=0)
+        path = tmp_path / "c.fckp"
+        save_checkpoint(build_operator(cfg), path)
+        raw = path.read_bytes()
+        for length in range(len(raw)):
+            path.write_bytes(raw[:length])
+            with pytest.raises(FormatError):
+                load_checkpoint(build_operator(cfg), path)
+
+    def test_nonzero_ften_reserved_bytes_in_a_blob_raise(self, tmp_path):
+        cfg = OperatorConfig("carafe", channels=2, compressed=2, kernel_size=3, seed=0)
+        path = tmp_path / "c.fckp"
+        save_checkpoint(build_operator(cfg), path)
+        raw = bytearray(path.read_bytes())
+        first_blob = raw.index(b"FTEN")
+        raw[first_blob + 7] = 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="reserved"):
+            load_checkpoint(build_operator(cfg), path)
+
     @pytest.mark.parametrize(
         "case", ["empty_with_trailing_bytes", "trailing_bytes", "gap_before_first_blob",
                  "control_character_name"]

@@ -328,6 +328,40 @@ class TestFten:
         with pytest.raises(FormatError, match="size mismatch"):
             T.read_ften(path)
 
+    def test_header_byte_flips_and_truncations_load_or_raise_format_error(self, tmp_path):
+        """0x00, 0xFF and a high-bit flip at every header byte, and every
+        truncation; reserved-byte flips and truncations must raise."""
+        x = np.random.default_rng(2).normal(size=(1, 2, 2, 3)).astype(np.float32)
+        path = tmp_path / "t.ften"
+        T.write_ften(path, x)
+        raw = path.read_bytes()
+        outcomes = {"loaded": 0, "rejected": 0}
+        for i in range(24):
+            for value in (0x00, 0xFF, raw[i] ^ 0x80):
+                blob = bytearray(raw)
+                blob[i] = value
+                path.write_bytes(bytes(blob))
+                try:
+                    T.read_ften(path)
+                    outcomes["loaded"] += 1
+                    assert i not in (6, 7) or value == raw[i], (i, value)
+                except FormatError:
+                    outcomes["rejected"] += 1
+        assert outcomes["loaded"] and outcomes["rejected"]
+        for length in range(len(raw)):
+            path.write_bytes(raw[:length])
+            with pytest.raises(FormatError):
+                T.read_ften(path)
+
+    def test_rejects_nonzero_reserved_bytes(self, tmp_path):
+        path = tmp_path / "t.ften"
+        T.write_ften(path, np.zeros((1, 1, 2, 2), dtype=np.float32))
+        raw = bytearray(path.read_bytes())
+        raw[6:8] = b"\x7f\xff"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="reserved"):
+            T.read_ften(path)
+
     def test_rejects_bad_dtype_code(self, tmp_path):
         x = np.zeros((1, 1, 1, 1), dtype=np.float32)
         path = tmp_path / "t.ften"
