@@ -223,84 +223,81 @@ def softmax_channel(a):
 # ---------------------------------------------------------------------------
 
 
+def _conv(x, w, bias, k, stride, pad, groups, name):
+    """The one convolution: a grouped GEMM over the k x k windows of x.
+
+    The c input and o output channels split into ``groups`` equal groups,
+    and output group j reads input group j only.  Per batch item and group
+    the forward is (o/g, c/g k^2) @ (c/g k^2, oh ow) over the im2col windows,
+    whose adjoints give ``vjp_x`` (the transposed GEMM, then col2im) and
+    ``vjp_w`` (the batched GEMM summed over the batch).  A 1 x 1 kernel at
+    stride 1 without padding reads the plane itself as its windows, so it
+    unfolds and folds nothing.  ``pad`` None means k // 2 on every side.
+    """
+    xd, wd = value_of(x), value_of(w)
+    pad = PadSpec.same(k // 2) if pad is None else pad
+    n, c = xd.shape[:2]
+    o, g = wd.shape[0], groups
+    plain = k == 1 and stride == 1 and pad == PadSpec.same(0)
+    if plain:
+        oh, ow = xd.shape[2:]
+        cols = xd.reshape(n, g, c // g, oh * ow)
+    else:
+        cols = T.im2col(xd, k, stride, pad)
+        oh, ow = cols.shape[4:]
+        cols = cols.reshape(n, g, c // g * k * k, oh * ow)
+    wm = wd.reshape(g, o // g, -1)
+    out = np.matmul(wm, cols).reshape(n, o, oh, ow)
+    if bias is not None:
+        out = out + value_of(bias)[None, :, None, None]
+    if not _any_node(x, w, bias):
+        return out
+
+    def vjp_x(grad):
+        dcols = np.matmul(wm.swapaxes(1, 2), grad.reshape(n, g, o // g, oh * ow))
+        if plain:
+            return dcols.reshape(xd.shape)
+        return T.col2im(
+            dcols.reshape(n, c, k, k, oh, ow), xd.shape[2:], k, stride, pad
+        )
+
+    def vjp_w(grad):
+        gm = grad.reshape(n, g, o // g, oh * ow)
+        return np.matmul(gm, cols.swapaxes(2, 3)).sum(axis=0).reshape(wd.shape)
+
+    def vjp_b(grad):
+        return grad.sum(axis=(0, 2, 3))
+
+    return _emit(out, [(x, vjp_x), (w, vjp_w), (bias, vjp_b)], name=name)
+
+
 def conv2d(x, w, bias=None, *, stride: int = 1, pad: PadSpec | None = None):
     """Dense cross-correlation; w is (out, in, k, k), bias (out,) or None."""
     xd, wd = value_of(x), value_of(w)
-    bd = value_of(bias) if bias is not None else None
     k = wd.shape[2]
-    if pad is None:
-        pad = PadSpec.same(k // 2)
     if xd.shape[1] != wd.shape[1]:
         raise ShapeError(
             f"conv2d channel mismatch: input has {xd.shape[1]}, "
             f"weights expect {wd.shape[1]}"
         )
-    cols = T.im2col(xd, k, stride, pad)
-    out = T.conv_cols_matmul(cols, wd)
-    if bd is not None:
-        out = out + bd[None, :, None, None]
-    if not _any_node(x, w, bias):
-        return out
-    n, c = xd.shape[0], xd.shape[1]
-    o, oh, ow = out.shape[1], out.shape[2], out.shape[3]
-    spatial = xd.shape[2:]
-
-    def vjp_x(g):
-        gm = g.reshape(n, o, oh * ow)
-        dcols = np.matmul(wd.reshape(o, -1).T, gm)  # (n, c*k*k, oh*ow)
-        return T.col2im(
-            dcols.reshape(n, c, k, k, oh, ow), spatial, k, stride, pad
-        )
-
-    def vjp_w(g):
-        gm = g.reshape(n, o, oh * ow)
-        colsm = cols.reshape(n, c * k * k, oh * ow)
-        dw = np.matmul(gm, colsm.transpose(0, 2, 1)).sum(axis=0)
-        return dw.reshape(o, c, k, k)
-
-    def vjp_b(g):
-        return g.sum(axis=(0, 2, 3))
-
-    return _emit(out, [(x, vjp_x), (w, vjp_w), (bias, vjp_b)], name="conv2d")
+    return _conv(x, w, bias, k, stride, pad, 1, "conv2d")
 
 
 def conv2d_depthwise(x, w, bias=None, *, stride: int = 1, pad: PadSpec | None = None):
     """Per-channel convolution; w is (c, k, k), bias (c,) or None."""
     xd, wd = value_of(x), value_of(w)
-    bd = value_of(bias) if bias is not None else None
     k = wd.shape[1]
-    if pad is None:
-        pad = PadSpec.same(k // 2)
     if xd.shape[1] != wd.shape[0]:
         raise ShapeError(
             f"depthwise channel mismatch: input has {xd.shape[1]}, "
             f"weights expect {wd.shape[0]}"
         )
-    cols = T.im2col(xd, k, stride, pad)
-    out = np.einsum("ncijhw,cij->nchw", cols, wd, optimize=True)
-    if bd is not None:
-        out = out + bd[None, :, None, None]
-    if not _any_node(x, w, bias):
-        return out
-    spatial = xd.shape[2:]
-
-    def vjp_x(g):
-        dcols = np.einsum("cij,nchw->ncijhw", wd, g, optimize=True)
-        return T.col2im(dcols, spatial, k, stride, pad)
-
-    def vjp_w(g):
-        return np.einsum("ncijhw,nchw->cij", cols, g, optimize=True)
-
-    def vjp_b(g):
-        return g.sum(axis=(0, 2, 3))
-
-    return _emit(out, [(x, vjp_x), (w, vjp_w), (bias, vjp_b)], name="dwconv2d")
+    return _conv(x, w, bias, k, stride, pad, xd.shape[1], "dwconv2d")
 
 
 def conv1x1(x, w, bias=None):
-    """Per-pixel channel map as one (o, c) @ (n, c, h*w) matmul; w is (o, c, 1, 1)."""
+    """Per-pixel channel map; w is (o, c, 1, 1), bias (o,) or None."""
     xd, wd = value_of(x), value_of(w)
-    bd = value_of(bias) if bias is not None else None
     if wd.shape[2] != 1 or wd.shape[3] != 1:
         raise ShapeError(f"conv1x1 requires k=1 weights, got {wd.shape[2:]}")
     if xd.shape[1] != wd.shape[1]:
@@ -308,27 +305,7 @@ def conv1x1(x, w, bias=None):
             f"conv1x1 channel mismatch: input has {xd.shape[1]}, "
             f"weights expect {wd.shape[1]}"
         )
-    n, c, h, wi = xd.shape
-    o = wd.shape[0]
-    wm = wd.reshape(o, c)
-    xm = xd.reshape(n, c, h * wi)
-    out = np.matmul(wm, xm).reshape(n, o, h, wi)
-    if bd is not None:
-        out = out + bd[None, :, None, None]
-    if not _any_node(x, w, bias):
-        return out
-
-    def vjp_x(g):
-        return np.matmul(wm.T, g.reshape(n, o, h * wi)).reshape(n, c, h, wi)
-
-    def vjp_w(g):
-        gm = g.reshape(n, o, h * wi)
-        return np.matmul(gm, xm.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, 1, 1)
-
-    def vjp_b(g):
-        return g.sum(axis=(0, 2, 3))
-
-    return _emit(out, [(x, vjp_x), (w, vjp_w), (bias, vjp_b)], name="conv1x1")
+    return _conv(x, w, bias, 1, 1, None, 1, "conv1x1")
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,14 @@ def _resolve(args, name: str, default, convert):
     return default
 
 
+def _resolve_seeds(args, default: int) -> int:
+    """The seed count, checked whichever source set it: zero seeds check nothing."""
+    seeds = _resolve(args, "seeds", default, int)
+    if seeds < 1:
+        raise CliConfigError(f"seeds must be >= 1, got {seeds}")
+    return seeds
+
+
 def _resolve_impl(args, allowed: tuple) -> str:
     """The semi-shift form, checked whichever source set it."""
     impl = _resolve(args, "impl", "l2h", str)
@@ -411,7 +419,7 @@ _SUITES = {
 
 def _cmd_verify(args) -> int:
     suite_fn, default_seeds = _SUITES[args.suite]
-    seeds = _resolve(args, "seeds", default_seeds, int)
+    seeds = _resolve_seeds(args, default_seeds)
     ok, lines = suite_fn(seeds)
     for line in lines:
         print(line)
@@ -533,7 +541,7 @@ ABLATION_VARIANTS = (
 
 
 def _cmd_ablate(args) -> int:
-    seeds = _resolve(args, "seeds", 5, int)
+    seeds = _resolve_seeds(args, 5)
     epochs = _resolve(args, "epochs", 60, int)
     size = _resolve(args, "size", 48, int)
     count = _resolve(args, "count", 16, int)

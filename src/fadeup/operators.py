@@ -255,23 +255,6 @@ class UpsampleOperator:
                 raise ShapeError(f"shape mismatch for parameter {s.name}")
             setattr(s.owner, s.attr, v)
 
-    def load_state(self, state: dict) -> None:
-        names = [s.name for s in self._slots]
-        missing = [n for n in names if n not in state]
-        extra = [n for n in state if n not in names]
-        if missing or extra:
-            raise FormatError(
-                f"state mismatch: missing {missing or 'none'}, unexpected {extra or 'none'}"
-            )
-        for s in self._slots:
-            cur = value_of(getattr(s.owner, s.attr))
-            new = np.asarray(state[s.name])
-            if new.shape != cur.shape:
-                raise ShapeError(
-                    f"checkpoint tensor {s.name} has shape {new.shape}, expected {cur.shape}"
-                )
-            setattr(s.owner, s.attr, new.astype(cur.dtype, copy=True))
-
     # -- forward -------------------------------------------------------------
 
     def _check_inputs(self, x_en, x_de):
@@ -470,12 +453,21 @@ def read_checkpoint(path) -> dict:
 def load_checkpoint(op: UpsampleOperator, path) -> None:
     """Load weights saved by :func:`save_checkpoint` into ``op`` (strict)."""
     stored = read_checkpoint(path)
-    state = {}
-    for name, v in op.named_parameters():
-        if name not in stored:
-            raise FormatError(f"checkpoint is missing tensor {name}")
-        state[name] = stored[name].reshape(value_of(v).shape)
-    unexpected = [n for n in stored if n not in state]
-    if unexpected:
-        raise FormatError(f"checkpoint holds unexpected tensors: {unexpected}")
-    op.load_state(state)
+    live = dict(op.named_parameters())
+    missing = [n for n in live if n not in stored]
+    extra = [n for n in stored if n not in live]
+    if missing or extra:
+        raise FormatError(
+            f"checkpoint does not match the operator: missing {missing or 'none'}, "
+            f"unexpected {extra or 'none'}"
+        )
+    values = []
+    for name, v in live.items():
+        cur = value_of(v)
+        want = _as_rank4(cur).shape
+        if stored[name].shape != want:
+            raise ShapeError(
+                f"checkpoint tensor {name} has shape {stored[name].shape}, expected {want}"
+            )
+        values.append(stored[name].reshape(cur.shape).astype(cur.dtype, copy=True))
+    op.install_parameters(values)

@@ -128,7 +128,7 @@ def _out_dim(size: int, pad_lo: int, pad_hi: int, k: int, stride: int) -> int:
 def im2col(x: np.ndarray, k: int, stride: int, pad: PadSpec) -> np.ndarray:
     """Unfold k x k windows into an (n, c, k, k, oh, ow) array.
 
-    Shared by the dense and depthwise k x k convolutions and their gradients.
+    Used by the convolution core in :mod:`fadeup.autograd` and its gradients.
     """
     n, c, h, w = x.shape
     oh = _out_dim(h, pad.top, pad.bottom, k, stride)
@@ -158,14 +158,6 @@ def col2im(
                 cols[:, :, i, j]
             )
     return acc[:, :, pad.top : pad.top + h, pad.left : pad.left + w]
-
-
-def conv_cols_matmul(cols: np.ndarray, w4: np.ndarray) -> np.ndarray:
-    """Contract unfolded windows (n,c,k,k,oh,ow) with weights (o,c,k,k)."""
-    n, c, k, _, oh, ow = cols.shape
-    o = w4.shape[0]
-    out = np.matmul(w4.reshape(o, c * k * k), cols.reshape(n, c * k * k, oh * ow))
-    return out.reshape(n, o, oh, ow)
 
 
 def interp_nearest_x2(x: np.ndarray) -> np.ndarray:

@@ -276,18 +276,7 @@ def metric_band_iou(
     band = _boundary_band(pred, classes, radius) | _boundary_band(target, classes, radius)
     if not band.any():
         return 1.0 if np.array_equal(pred, target) else 0.0
-    scores = []
-    for c in range(classes):
-        p = (pred == c) & band
-        t = (target == c) & band
-        in_p, in_t = bool(p.any()), bool(t.any())
-        if not in_p and not in_t:
-            continue
-        if not in_t:
-            scores.append(0.0)
-            continue
-        scores.append(np.logical_and(p, t).sum() / np.logical_or(p, t).sum())
-    return float(np.mean(scores)) if scores else 1.0
+    return metric_miou(pred[band], target[band], classes)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,26 @@ class TestGradcheckExamples:
         err = ag.gradcheck(lambda X, W: ag.sum_all(ag.conv2d(X, W)), [x, w])
         assert err < 1e-7
 
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_s2", "dwconv2d", "conv1x1"])
+    def test_convs_at_batch_two(self, op):
+        """The battery's conv checks run at n=1, where a weight gradient that
+        drops batch items still passes; n=2 here, with a probe and a bias."""
+        fn, w_shape = {
+            "conv2d": (ag.conv2d, (3, 2, 3, 3)),
+            "conv2d_s2": (
+                lambda X, W, B: ag.conv2d(X, W, B, stride=2, pad=T.PadSpec(1, 0, 1, 0)),
+                (3, 2, 3, 3),
+            ),
+            "dwconv2d": (ag.conv2d_depthwise, (2, 3, 3)),
+            "conv1x1": (ag.conv1x1, (3, 2, 1, 1)),
+        }[op]
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 2, 4, 5))
+        w, b = rng.normal(size=w_shape), rng.normal(size=w_shape[0])
+        probe = rng.normal(size=fn(x, w, b).shape)
+        err = ag.gradcheck(lambda X, W, B: ag.sum_all(ag.mul(fn(X, W, B), probe)), [x, w, b])
+        assert err < 1e-7
+
     def test_maxpool_tie_free(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         err = ag.gradcheck(lambda X: ag.sum_all(ag.maxpool2x2(X)), [x])

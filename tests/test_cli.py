@@ -183,6 +183,21 @@ class TestUpsample:
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_weights_from_another_config_exit_3(self, tmp_path, capsys):
+        from fadeup.operators import OperatorConfig, build_operator, save_checkpoint
+
+        en_path, de_path, _, _ = write_pair(tmp_path, seed=2)
+        ckpt = tmp_path / "w.fckp"
+        save_checkpoint(build_operator(OperatorConfig("fade", channels=3, compressed=8)), ckpt)
+        code = main(
+            ["upsample", "--variant", "fade", "--decoder", str(de_path),
+             "--encoder", str(en_path), "--d", "6", "--weights", str(ckpt),
+             "--out", str(tmp_path / "x.ften")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "compressor_en.weights" in err and "(8, 3, 1, 1)" in err
+
 
 class TestDeterminism:
     def test_upsample_rerun_byte_identical(self, tmp_path):
@@ -227,6 +242,20 @@ class TestVerify:
     def test_gradcheck_small(self, capsys):
         assert main(["verify", "--suite", "gradcheck", "--seeds", "1"]) == 0
         assert "worst rel err" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["equivalence", "gradcheck"])
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seeds_flag_exit_3(self, capsys, suite, seeds):
+        assert main(["verify", "--suite", suite, "--seeds", seeds]) == 3
+        captured = capsys.readouterr()
+        assert "seeds" in captured.err and "PASS" not in captured.out
+
+    @pytest.mark.parametrize("suite", ["equivalence", "gradcheck"])
+    def test_no_seeds_env_exit_3(self, monkeypatch, capsys, suite):
+        monkeypatch.setenv("FADEUP_SEEDS", "0")
+        assert main(["verify", "--suite", suite]) == 3
+        captured = capsys.readouterr()
+        assert "seeds" in captured.err and "PASS" not in captured.out
 
 
 class TestCost:
@@ -286,6 +315,19 @@ class TestTrainCli:
             ) == 0
             blobs.append((outdir / "metrics.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestAblateCli:
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_no_seeds_exit_3(self, tmp_path, capsys, seeds):
+        outdir = tmp_path / "abl"
+        code = main(
+            ["ablate", "--seeds", seeds, "--epochs", "1", "--size", "16", "--count", "1",
+             "--outdir", str(outdir)]
+        )
+        assert code == 3
+        assert "seeds" in capsys.readouterr().err
+        assert not (outdir / "summary.csv").exists()
 
 
 class TestConfigPrecedence:

@@ -284,6 +284,20 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(other, path)
 
+    def test_shape_mismatch_names_tensor(self, tmp_path):
+        """A checkpoint from another config raises before any parameter changes."""
+        path = tmp_path / "d8.fckp"
+        save_checkpoint(build_operator(OperatorConfig("fade", channels=3, compressed=8)), path)
+        other = build_operator(OperatorConfig("fade", channels=3, compressed=6, seed=1))
+        before = [ag.value_of(v).copy() for _, v in other.named_parameters()]
+        with pytest.raises(ShapeError) as err:
+            load_checkpoint(other, path)
+        message = str(err.value)
+        assert "compressor_en.weights" in message
+        assert "(8, 3, 1, 1)" in message and "(6, 3, 1, 1)" in message
+        for want, (_, v) in zip(before, other.named_parameters()):
+            np.testing.assert_array_equal(ag.value_of(v), want)
+
     def test_rejects_corrupt_magic(self, tmp_path):
         path = tmp_path / "bad.fckp"
         path.write_bytes(b"JUNKJUNKJUNKJUNK")

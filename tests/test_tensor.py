@@ -109,14 +109,22 @@ class TestDepthwise:
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_matches_per_channel_conv2d(self):
+        """Forward, dx and dw of each group equal a one-channel conv2d, at n=2."""
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(1, 4, 6, 6))
+        x = rng.normal(size=(2, 4, 6, 6))
         w = rng.normal(size=(4, 3, 3))
         b = rng.normal(size=4)
-        got = ag.conv2d_depthwise(x, w, b)
+        probe = rng.normal(size=(2, 4, 6, 6))
+        xn, wn = ag.Node(x), ag.Node(w)
+        got = ag.conv2d_depthwise(xn, wn, b)
+        ag.backward(ag.sum_all(ag.mul(got, probe)))
         for c in range(4):
-            want = ag.conv2d(x[:, c : c + 1], w[c][None, None], b[c : c + 1])
-            np.testing.assert_allclose(got[:, c : c + 1], want, rtol=1e-12)
+            xc, wc = ag.Node(x[:, c : c + 1]), ag.Node(w[c][None, None])
+            want = ag.conv2d(xc, wc, b[c : c + 1])
+            ag.backward(ag.sum_all(ag.mul(want, probe[:, c : c + 1])))
+            np.testing.assert_allclose(got.data[:, c : c + 1], want.data, rtol=1e-12)
+            np.testing.assert_allclose(xn.grad[:, c : c + 1], xc.grad, rtol=1e-12)
+            np.testing.assert_allclose(wn.grad[c], wc.grad[0, 0], rtol=1e-12)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channel"):
