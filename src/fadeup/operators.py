@@ -134,7 +134,7 @@ class OperatorConfig:
         if self.precision not in _DTYPES:
             raise ShapeError(f"precision must be f32 or f64, got {self.precision!r}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ShapeError(f"kernel size must be odd, got {self.kernel_size}")
+            raise ShapeError(f"kernel size must be odd and positive, got {self.kernel_size}")
         if spec.source is not None:
             if self.channels < 1:
                 raise ShapeError(f"variant {self.variant!r} needs channels >= 1")

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -147,6 +149,28 @@ class TestUpsample:
         assert str(path) in err and "non-finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exit_3(self, tmp_path, capsys, seed):
+        # masking to 64 bits would alias 2^64 to seed 0 and -1 to 2^64 - 1
+        en_path, de_path, _, _ = write_pair(tmp_path)
+        out = tmp_path / "x.ften"
+        code = main(
+            ["upsample", "--variant", "fade", "--decoder", str(de_path),
+             "--encoder", str(en_path), "--d", "4", "--seed", seed, "--out", str(out)]
+        )
+        assert code == 3
+        assert f"seed must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_kernel_size_exit_3(self, tmp_path, capsys):
+        en_path, de_path, _, _ = write_pair(tmp_path)
+        code = main(
+            ["upsample", "--variant", "fade", "--decoder", str(de_path),
+             "--encoder", str(en_path), "--K", "-5", "--out", str(tmp_path / "x.ften")]
+        )
+        assert code == 3
+        assert "kernel size must be odd and positive, got -5" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         code = main(
             ["upsample", "--variant", "nearest", "--decoder", str(tmp_path / "nope.ften"),
@@ -273,6 +297,18 @@ class TestCost:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "row,gflops,flops,params,extras"
         assert len(lines) == 3
+
+
+    def test_python_dash_m(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fadeup", "cost",
+             "--C", "256", "--d", "64", "--K", "5", "--H", "112", "--W", "112"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "4.56" in proc.stdout
 
 
 class TestTrainCli:
