@@ -1,10 +1,12 @@
 """Command-line surface: run operators on tensor files, verify the
 property suites, compute cost tables, train toy tasks, dump figures.
 
-Option precedence: command-line flags > ``FADEUP_*`` environment
-variables > ``--config`` file (key=value lines, ``#`` comments) >
-built-in defaults.  Every command writes a JSON run manifest beside its
-outputs; identical manifests reproduce byte-identical output files.
+Option precedence, for every setting in a command's ``_Opt`` table:
+command-line flags > ``FADEUP_*`` environment variables > ``--config``
+file (key=value lines, ``#`` comments) > built-in defaults.  ``upsample``,
+``train``, ``ablate`` and ``cost --csv`` write a JSON run manifest beside
+their outputs (``verify`` writes none); identical manifests reproduce
+byte-identical output files.
 
 Exit codes: 0 success, 1 property-suite failure, 2 I/O or file-format
 error, 3 shape or configuration error.
@@ -18,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,33 +61,32 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _resolve(args, name: str, default, convert):
-    """flags > environment > config file > default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    env = os.environ.get(ENV_PREFIX + name.upper())
-    if env is not None:
-        return convert(env)
-    if getattr(args, "_config_values", None) and name in args._config_values:
-        return convert(args._config_values[name])
-    return default
+@dataclass(frozen=True)
+class _Opt:
+    """Setting ``name`` of a command: ``--name``, ``FADEUP_NAME``, config key ``name``."""
+
+    type: type
+    default: object = None
+    choices: tuple | None = None
+    minimum: int | None = None
+    help: str | None = None
 
 
-def _resolve_seeds(args, default: int) -> int:
-    """The seed count, checked whichever source set it: zero seeds check nothing."""
-    seeds = _resolve(args, "seeds", default, int)
-    if seeds < 1:
-        raise CliConfigError(f"seeds must be >= 1, got {seeds}")
-    return seeds
-
-
-def _resolve_impl(args, allowed: tuple) -> str:
-    """The semi-shift form, checked whichever source set it."""
-    impl = _resolve(args, "impl", "l2h", str)
-    if impl not in allowed:
-        raise CliConfigError(f"impl must be one of {allowed}, got {impl!r}")
-    return impl
+def _settings(args, opts: dict, config: dict) -> dict:
+    """Each setting from flag > environment > config file > default,
+    checked against its choices and minimum whatever the source."""
+    settings = {}
+    for name, opt in opts.items():
+        value = getattr(args, name)
+        if value is None:
+            raw = os.environ.get(ENV_PREFIX + name.upper(), config.get(name))
+            value = opt.default if raw is None else opt.type(raw)
+        if value is not None and opt.choices is not None and value not in opt.choices:
+            raise CliConfigError(f"{name} must be one of {opt.choices}, got {value!r}")
+        if value is not None and opt.minimum is not None and value < opt.minimum:
+            raise CliConfigError(f"{name} must be >= {opt.minimum}, got {value}")
+        settings[name] = value
+    return settings
 
 
 def _write_manifest(path, command: str, config: dict, inputs, outputs) -> None:
@@ -116,47 +117,42 @@ def _read_finite(path, role: str) -> np.ndarray:
     return x
 
 
-def _cmd_upsample(args) -> int:
-    variant = _resolve(args, "variant", "fade", str)
-    seed = _resolve(args, "seed", 0, int)
-    impl = _resolve_impl(args, tuple(kernelgen.SEMISHIFT_FORMS))
-    compressed = _resolve(args, "d", 64, int)
-    kernel_size = _resolve(args, "K", 5, int)
-    precision = _resolve(args, "precision", None, str)
-    gate_mode = _resolve(args, "gate", None, str)
+_UPSAMPLE_OPTS = {
+    "variant": _Opt(str, "fade", choices=ops.VARIANTS),
+    "seed": _Opt(int, 0),
+    "impl": _Opt(str, "l2h", choices=tuple(kernelgen.SEMISHIFT_FORMS)),
+    "d": _Opt(int, 64, help="compressed channels"),
+    "K": _Opt(int, 5, help="kernel size"),
+    "precision": _Opt(str, choices=("f32", "f64")),  # default: the decoder's dtype
+    "gate": _Opt(str, choices=ops._GATE_MODES),  # default: the variant's
+}
 
+
+def _cmd_upsample(args) -> int:
+    s = args.settings
     x_de = _read_finite(args.decoder, "decoder")
     x_en = _read_finite(args.encoder, "encoder") if args.encoder else None
-    if precision is None:
-        precision = "f64" if x_de.dtype == np.float64 else "f32"
+    if s["precision"] is None:
+        s["precision"] = "f64" if x_de.dtype == np.float64 else "f32"
 
     cfg = ops.OperatorConfig(
-        variant,
+        s["variant"],
         channels=x_de.shape[1],
-        compressed=compressed,
-        kernel_size=kernel_size,
-        seed=seed,
-        precision=precision,
-        gate_mode=gate_mode,
+        compressed=s["d"],
+        kernel_size=s["K"],
+        seed=s["seed"],
+        precision=s["precision"],
+        gate_mode=s["gate"],
     )
     op = ops.build_operator(cfg)
     if args.weights:
         ops.load_checkpoint(op, args.weights)
-    out = ag.value_of(op.forward(x_en, x_de, impl=impl))
+    out = ag.value_of(op.forward(x_en, x_de, impl=s["impl"]))
     T.write_ften(args.out, out)
-    config = {
-        "variant": variant,
-        "seed": seed,
-        "impl": impl,
-        "d": compressed,
-        "K": kernel_size,
-        "precision": precision,
-        "gate": gate_mode,
-    }
     inputs = [args.decoder] + ([args.encoder] if args.encoder else [])
     if args.weights:
         inputs.append(args.weights)
-    _write_manifest(str(args.out) + ".manifest.json", "upsample", config, inputs, [args.out])
+    _write_manifest(str(args.out) + ".manifest.json", "upsample", s, inputs, [args.out])
     return 0
 
 
@@ -418,10 +414,13 @@ _SUITES = {
 }
 
 
+_VERIFY_OPTS = {"seeds": _Opt(int, minimum=1)}  # default: the suite's
+
+
 def _cmd_verify(args) -> int:
     suite_fn, default_seeds = _SUITES[args.suite]
-    seeds = _resolve_seeds(args, default_seeds)
-    ok, lines = suite_fn(seeds)
+    seeds = args.settings["seeds"]
+    ok, lines = suite_fn(default_seeds if seeds is None else seeds)
     for line in lines:
         print(line)
     print(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
@@ -494,40 +493,36 @@ def _dump_run_figures(outdir: str, result: toy.TrainResult, cfg: toy.TrainConfig
     return written
 
 
+_TRAIN_OPTS = {
+    "variant": _Opt(str, "fade", choices=ops.VARIANTS),
+    "epochs": _Opt(int, 60, minimum=1),
+    "lr": _Opt(float, 0.1),
+    "size": _Opt(int, 48),
+    "classes": _Opt(int),  # default: the task's
+    "count": _Opt(int, 16),
+    "seed": _Opt(int, 0),
+    "impl": _Opt(str, "l2h", choices=_TRAIN_IMPLS),
+}
+
+
 def _cmd_train(args) -> int:
     kind, default_classes = _TASK_ALIASES[args.task]
-    seed = _resolve(args, "seed", 0, int)
-    epochs = _resolve(args, "epochs", 60, int)
-    lr = _resolve(args, "lr", 0.1, float)
-    size = _resolve(args, "size", 48, int)
-    classes = _resolve(args, "classes", default_classes, int)
-    count = _resolve(args, "count", 16, int)
-    variant = _resolve(args, "variant", "fade", str)
-    impl = _resolve_impl(args, _TRAIN_IMPLS)
-
-    task = toy.ToyTask(kind, size=size, classes=classes, seed=seed, count=count)
-    cfg = toy.TrainConfig(variant, epochs=epochs, lr=lr, seed=seed, impl=impl)
+    s = args.settings
+    if s["classes"] is None:
+        s["classes"] = default_classes
+    task = toy.ToyTask(kind, s["size"], s["classes"], s["seed"], s["count"])
+    cfg = toy.TrainConfig(s["variant"], s["epochs"], s["lr"], seed=s["seed"], impl=s["impl"])
     os.makedirs(args.outdir, exist_ok=True)
     result = toy.train_toy(cfg, task)
     csv_path = os.path.join(args.outdir, "metrics.csv")
     _history_csv(csv_path, result.history)
     outputs = [csv_path] + _dump_run_figures(args.outdir, result, cfg)
-    config = {
-        "task": args.task,
-        "variant": variant,
-        "epochs": epochs,
-        "lr": lr,
-        "size": size,
-        "classes": classes,
-        "count": count,
-        "seed": seed,
-        "impl": impl,
-    }
     _write_manifest(
-        os.path.join(args.outdir, "manifest.json"), "train", config, [], outputs
+        os.path.join(args.outdir, "manifest.json"), "train", {"task": args.task, **s}, [],
+        outputs,
     )
     final = " ".join(f"{k}={v:.4f}" for k, v in result.final.items())
-    print(f"{variant} on {args.task}: {final}")
+    print(f"{s['variant']} on {args.task}: {final}")
     return 0
 
 
@@ -541,11 +536,17 @@ ABLATION_VARIANTS = (
 )
 
 
+_ABLATE_OPTS = {
+    "seeds": _Opt(int, 5, minimum=1),
+    "epochs": _Opt(int, 60, minimum=1),
+    "size": _Opt(int, 48),
+    "count": _Opt(int, 16),
+}
+
+
 def _cmd_ablate(args) -> int:
-    seeds = _resolve_seeds(args, 5)
-    epochs = _resolve(args, "epochs", 60, int)
-    size = _resolve(args, "size", 48, int)
-    count = _resolve(args, "count", 16, int)
+    s = args.settings
+    seeds, size = s["seeds"], s["size"]
     os.makedirs(args.outdir, exist_ok=True)
     table = {}
     for variant, _label in ABLATION_VARIANTS:
@@ -553,9 +554,9 @@ def _cmd_ablate(args) -> int:
         for seed in range(seeds):
             task = toy.ToyTask(
                 "multiclass_shapes_segmentation", size=size, classes=3, seed=seed,
-                count=count,
+                count=s["count"],
             )
-            cfg = toy.TrainConfig(variant, epochs=epochs, seed=seed)
+            cfg = toy.TrainConfig(variant, epochs=s["epochs"], seed=seed)
             try:
                 result = toy.train_toy(cfg, task)
                 miou = result.final["miou"]
@@ -581,9 +582,9 @@ def _cmd_ablate(args) -> int:
         row = table[variant]
         cells = " ".join("   div" if v is None else f"{v:.4f}" for v in row)
         print(f"  {label:<{widths}}  {cells}")
-    config = {"seeds": seeds, "epochs": epochs, "size": size, "count": count, "seed": 0}
     _write_manifest(
-        os.path.join(args.outdir, "manifest.json"), "ablate", config, [], [summary_path]
+        os.path.join(args.outdir, "manifest.json"), "ablate", {**s, "seed": 0}, [],
+        [summary_path],
     )
     return 0
 
@@ -593,12 +594,18 @@ def _cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_COST_OPTS = {
+    "C": _Opt(int, 256),
+    "d": _Opt(int, 64),
+    "K": _Opt(int, 5),
+    "H": _Opt(int, 112),
+    "W": _Opt(int, 112),
+}
+
+
 def _cmd_cost(args) -> int:
-    C = _resolve(args, "C", 256, int)
-    d = _resolve(args, "d", 64, int)
-    K = _resolve(args, "K", 5, int)
-    H = _resolve(args, "H", 112, int)
-    W = _resolve(args, "W", 112, int)
+    s = args.settings
+    C, d, K, H, W = s["C"], s["d"], s["K"], s["H"], s["W"]
     gate_flag = not args.no_gate
     rows = args.rows.split(",") if args.rows else list(costmodel.ROWS)
     reports = []
@@ -625,8 +632,7 @@ def _cmd_cost(args) -> int:
                     [r.row, costmodel.format_gflops(r.flops), r.flops,
                      r.params_counted, r.extras_total]
                 )
-        config = {"C": C, "d": d, "K": K, "H": H, "W": W, "gate": gate_flag,
-                  "rows": ",".join(rows), "seed": 0}
+        config = {**s, "gate": gate_flag, "rows": ",".join(rows), "seed": 0}
         _write_manifest(str(args.csv) + ".manifest.json", "cost", config, [], [args.csv])
     return 0
 
@@ -641,56 +647,35 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", help="key=value config file", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("upsample", help="run an upsampling operator on FTEN files")
-    p.add_argument("--variant", choices=ops.VARIANTS, default=None)
+    def command(name, run, opts, help):
+        p = sub.add_parser(name, help=help)
+        for key, opt in opts.items():
+            p.add_argument(f"--{key}", type=opt.type, choices=opt.choices, help=opt.help)
+        p.set_defaults(run=run, opts=opts)
+        return p
+
+    p = command(
+        "upsample", _cmd_upsample, _UPSAMPLE_OPTS, "run an upsampling operator on FTEN files"
+    )
     p.add_argument("--decoder", required=True, help="low-res FTEN input")
     p.add_argument("--encoder", default=None, help="x2 guide FTEN input")
     p.add_argument("--weights", default=None, help="checkpoint to load")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--impl", choices=tuple(kernelgen.SEMISHIFT_FORMS), default=None)
-    p.add_argument("--d", type=int, default=None, help="compressed channels")
-    p.add_argument("--K", type=int, default=None, help="kernel size")
-    p.add_argument("--precision", choices=("f32", "f64"), default=None)
-    p.add_argument("--gate", choices=ops._GATE_MODES, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(run=_cmd_upsample)
 
-    p = sub.add_parser("verify", help="run a property suite")
+    p = command("verify", _cmd_verify, _VERIFY_OPTS, "run a property suite")
     p.add_argument("--suite", choices=tuple(_SUITES), required=True)
-    p.add_argument("--seeds", type=int, default=None)
-    p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser("train", help="train a toy task with a chosen upsampler")
+    p = command("train", _cmd_train, _TRAIN_OPTS, "train a toy task with a chosen upsampler")
     p.add_argument("--task", choices=tuple(_TASK_ALIASES), required=True)
-    p.add_argument("--variant", choices=ops.VARIANTS, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--size", type=int, default=None)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--impl", choices=_TRAIN_IMPLS, default=None)
     p.add_argument("--outdir", required=True)
-    p.set_defaults(run=_cmd_train)
 
-    p = sub.add_parser("ablate", help="run the six-variant ablation study")
-    p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--size", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
+    p = command("ablate", _cmd_ablate, _ABLATE_OPTS, "run the six-variant ablation study")
     p.add_argument("--outdir", required=True)
-    p.set_defaults(run=_cmd_ablate)
 
-    p = sub.add_parser("cost", help="closed-form FLOPs/parameter table")
-    p.add_argument("--C", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--H", type=int, default=None)
-    p.add_argument("--W", type=int, default=None)
+    p = command("cost", _cmd_cost, _COST_OPTS, "closed-form FLOPs/parameter table")
     p.add_argument("--rows", default=None, help="comma-separated row names")
     p.add_argument("--no-gate", action="store_true")
     p.add_argument("--csv", default=None, help="also write the table as CSV")
-    p.set_defaults(run=_cmd_cost)
     return parser
 
 
@@ -698,7 +683,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args._config_values = _read_config_file(args.config) if args.config else {}
+        config = _read_config_file(args.config) if args.config else {}
+        args.settings = _settings(args, args.opts, config)
         return args.run(args)
     except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -49,6 +49,8 @@ class CostQuery:
         for name in ("channels", "compressed", "kernel_size", "height", "width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.kernel_size % 2 == 0:
+            raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
 
 
 @dataclass

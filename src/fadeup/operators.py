@@ -259,19 +259,23 @@ class UpsampleOperator:
 
     def _check_inputs(self, x_en, x_de):
         cfg = self.config
-        check_nchw(value_of(x_de), "decoder feature")
-        if value_of(x_de).dtype != cfg.dtype:
-            raise ShapeError(
-                f"decoder dtype {value_of(x_de).dtype} does not match operator "
-                f"precision {cfg.precision}"
-            )
+
+        def check_feature(x, role):
+            check_nchw(value_of(x), f"{role} feature")
+            if value_of(x).dtype != cfg.dtype:
+                raise ShapeError(
+                    f"{role} dtype {value_of(x).dtype} does not match operator "
+                    f"precision {cfg.precision}"
+                )
+
+        check_feature(x_de, "decoder")
         spec = VARIANT_SPECS[cfg.variant]
         if spec.guided:
             if x_en is None:
                 raise ShapeError(
                     f"variant {cfg.variant!r} requires the high-res encoder guide"
                 )
-            check_nchw(value_of(x_en), "encoder feature")
+            check_feature(x_en, "encoder")
             kernelgen.check_x2_pair(x_en, x_de)
             expect_c = (
                 cfg.encoder_channels if cfg.encoder_channels is not None else cfg.channels

@@ -12,8 +12,9 @@ parameter tensors from the same seed:
   draw:  i = y >> 59; y = table[i]; table[i] = next state; emit y.
 
 The seed must lie in [0, 2^64).  ``uniform_array`` maps each draw to
-[0, 1) as y / 2^64.  Weight tensors are filled in row-major order with
-values uniform in +/- sqrt(6 / fan_in); biases start at zero.
+[0, 1] as y / 2^64 rounded to the nearest float64 (y >= 2^64 - 2^10
+gives 1.0).  Weight tensors are filled in row-major order with values
+uniform in the closed range +/- sqrt(6 / fan_in); biases start at zero.
 
 Draws are made in bulk: the LCG states come from jump-ahead doubling
 over a uint64 array, and the shuffle chases table indices only, then
@@ -98,7 +99,11 @@ class ShuffledLcg:
         return int(self._draw(1)[0])
 
     def uniform_array(self, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """Draws in row-major order as y / 2^64; scaling by 2^-64 is exact."""
+        """Draws in row-major order as y / 2^64, in [0, 1].
+
+        The float64 conversion of y rounds to nearest; scaling by 2^-64 is
+        exact.  A float32 ``dtype`` rounds again, so u >= 1 - 2^-25 gives 1.0.
+        """
         u = self._draw(int(np.prod(shape))).astype(np.float64) * 2.0**-64
         return u.reshape(shape).astype(dtype)
 

@@ -149,6 +149,30 @@ class TestUpsample:
         assert str(path) in err and "non-finite" in err
         assert not out.exists()
 
+    def test_encoder_dtype_mismatch_exit_3(self, tmp_path, capsys):
+        en_path, de_path, en, _ = write_pair(tmp_path)
+        T.write_ften(en_path, en.astype(np.float64))
+        out = tmp_path / "x.ften"
+        code = main(
+            ["upsample", "--variant", "fade", "--decoder", str(de_path),
+             "--encoder", str(en_path), "--d", "4", "--out", str(out)]
+        )
+        assert code == 3
+        assert "encoder dtype float64" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_precision_env_exit_3(self, tmp_path, monkeypatch, capsys):
+        en_path, de_path, _, _ = write_pair(tmp_path)
+        monkeypatch.setenv("FADEUP_PRECISION", "f16")
+        out = tmp_path / "x.ften"
+        code = main(
+            ["upsample", "--variant", "fade", "--decoder", str(de_path),
+             "--encoder", str(en_path), "--out", str(out)]
+        )
+        assert code == 3
+        assert "precision" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exit_3(self, tmp_path, capsys, seed):
         # masking to 64 bits would alias 2^64 to seed 0 and -1 to 2^64 - 1
@@ -299,6 +323,22 @@ class TestCost:
         assert len(lines) == 3
 
 
+    def test_even_kernel_exit_3(self, capsys):
+        assert main(["cost", "--K", "4"]) == 3
+        captured = capsys.readouterr()
+        assert "kernel_size must be odd, got 4" in captured.err
+        assert "GFLOPs" not in captured.out
+
+    def test_settings_from_env_and_config(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cost.cfg"
+        cfg.write_text("K=3\n")
+        monkeypatch.setenv("FADEUP_H", "56")
+        out = tmp_path / "cost.csv"
+        assert main(["--config", str(cfg), "cost", "--rows", "fade", "--csv", str(out)]) == 0
+        assert "K=3 H=56 W=112" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "cost.csv.manifest.json").read_text())
+        assert manifest["config"]["K"] == 3 and manifest["config"]["H"] == 56
+
     def test_python_dash_m(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -340,6 +380,47 @@ class TestTrainCli:
         assert code == 3
         assert "impl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,env", [("0", None), ("-2", None), (None, "0")])
+    def test_epochs_below_one_exit_3(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is not None:
+            monkeypatch.setenv("FADEUP_EPOCHS", env)
+        outdir = tmp_path / "run"
+        code = main(
+            ["train", "--task", "binary_shapes", "--variant", "nearest", "--size", "16",
+             "--count", "1", "--outdir", str(outdir)]
+            + ([] if flag is None else ["--epochs", flag])
+        )
+        assert code == 3
+        assert "epochs must be >= 1" in capsys.readouterr().err
+        assert not (outdir / "metrics.csv").exists()
+
+    def test_bogus_variant_env_leaves_no_outdir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FADEUP_VARIANT", "bogus")
+        outdir = tmp_path / "run"
+        code = main(
+            ["train", "--task", "binary_shapes", "--epochs", "1", "--size", "16",
+             "--count", "1", "--outdir", str(outdir)]
+        )
+        assert code == 3
+        assert "variant" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_settings_from_env_and_config(self, tmp_path, monkeypatch):
+        argv = ["train", "--task", "binary_shapes", "--variant", "fade_lite", "--epochs", "2",
+                "--count", "2"]
+        assert main(argv + ["--lr", "0.05", "--size", "16", "--outdir",
+                            str(tmp_path / "flag")]) == 0
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("size=16\n")
+        monkeypatch.setenv("FADEUP_LR", "0.05")
+        resolved = tmp_path / "resolved"
+        assert main(["--config", str(cfg)] + argv + ["--outdir", str(resolved)]) == 0
+        assert (resolved / "metrics.csv").read_bytes() == (
+            tmp_path / "flag" / "metrics.csv"
+        ).read_bytes()
+        manifest = json.loads((resolved / "manifest.json").read_text())
+        assert manifest["config"]["lr"] == 0.05 and manifest["config"]["size"] == 16
+
     def test_train_rerun_byte_identical_csv(self, tmp_path):
         blobs = []
         for run in range(2):
@@ -364,6 +445,36 @@ class TestAblateCli:
         assert code == 3
         assert "seeds" in capsys.readouterr().err
         assert not (outdir / "summary.csv").exists()
+
+
+    @pytest.mark.parametrize("flag,env", [("0", None), ("-2", None), (None, "0")])
+    def test_epochs_below_one_exit_3(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is not None:
+            monkeypatch.setenv("FADEUP_EPOCHS", env)
+        outdir = tmp_path / "abl"
+        code = main(
+            ["ablate", "--seeds", "1", "--size", "16", "--count", "1", "--outdir", str(outdir)]
+            + ([] if flag is None else ["--epochs", flag])
+        )
+        assert code == 3
+        assert "epochs must be >= 1" in capsys.readouterr().err
+        assert not (outdir / "summary.csv").exists()
+
+    def test_settings_from_env_and_config(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "abl.cfg"
+        cfg.write_text("seeds=1\n")
+        monkeypatch.setenv("FADEUP_EPOCHS", "2")
+        outdir = tmp_path / "abl"
+        assert main(
+            ["--config", str(cfg), "ablate", "--size", "16", "--count", "1",
+             "--outdir", str(outdir)]
+        ) == 0
+        header = (outdir / "summary.csv").read_text().splitlines()[0]
+        assert header == "variant,label,seed0,mean"
+        history = (outdir / "b6_full_seed0.csv").read_text().splitlines()
+        assert len(history) == 1 + 2
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["config"]["seeds"] == 1 and manifest["config"]["epochs"] == 2
 
 
 class TestConfigPrecedence:

@@ -99,6 +99,12 @@ class TestStructure:
         with pytest.raises(cm.UnknownRowError, match="unknown row"):
             cm.CostQuery("deconv", channels=4)
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_even_kernel_size_raises(self, k):
+        # no operator can build an even kernel, so its cost is not defined
+        with pytest.raises(ValueError, match=f"kernel_size must be odd, got {k}"):
+            cm.CostQuery("fade", channels=4, kernel_size=k)
+
     def test_extras_itemized(self):
         q = cm.CostQuery("fade", gate=True, **GOLD)
         rep = cm.flops_of(q)

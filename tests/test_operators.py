@@ -197,6 +197,13 @@ class TestForward:
         with pytest.raises(ShapeError, match="precision"):
             op.forward(x_en, x_de)
 
+    @pytest.mark.parametrize("variant", ["fade", "fade_g1"])
+    def test_encoder_precision_mismatch_raises(self, variant):
+        op = build_operator(OperatorConfig(variant, channels=2, seed=0, precision="f32"))
+        x_en, x_de = rnd_pair(9, 1, 2, 2, 2)
+        with pytest.raises(ShapeError, match="encoder dtype float64 .* precision f32"):
+            op.forward(x_en.astype(np.float64), x_de)
+
     def test_deterministic_forward(self):
         x_en, x_de = rnd_pair(10, 1, 3, 3, 3)
         op = build_operator(OperatorConfig("fade", channels=3, seed=12))

@@ -98,6 +98,15 @@ class TestUniformConversion:
         assert u.tobytes() == np.array([v / 2**64 for v in values]).astype(dtype).tobytes()
 
 
+    def test_draws_reach_one(self, monkeypatch):
+        # y / 2^64 rounds to the nearest float64, so the top 2^10 draws give 1.0
+        draws = np.array([2**64 - 2**10, 2**64 - 2**10 - 1], dtype=np.uint64)
+        monkeypatch.setattr(ShuffledLcg, "_draw", lambda self, count: draws[:count])
+        top, below = ShuffledLcg(0).uniform_array((2,))
+        assert top == 1.0
+        assert below < 1.0
+
+
 class TestSeedRange:
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_out_of_range_raises(self, seed):
