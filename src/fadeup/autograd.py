@@ -722,8 +722,8 @@ class MomentumSGD:
     """Stateful momentum SGD over parameter Nodes (updates data in place)."""
 
     def __init__(self, params, lr: float, momentum: float = 0.0):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (np.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         self.params = list(params)

@@ -9,7 +9,7 @@ their outputs (``verify`` writes none); identical manifests reproduce
 byte-identical output files.
 
 Exit codes: 0 success, 1 property-suite failure, 2 I/O or file-format
-error, 3 shape or configuration error.
+error, 3 shape or configuration error, or a diverging training run.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,8 +79,15 @@ def _settings(args, opts: dict, config: dict) -> dict:
     for name, opt in opts.items():
         value = getattr(args, name)
         if value is None:
-            raw = os.environ.get(ENV_PREFIX + name.upper(), config.get(name))
-            value = opt.default if raw is None else opt.type(raw)
+            env = ENV_PREFIX + name.upper()
+            raw = os.environ.get(env, config.get(name))
+            try:
+                value = opt.default if raw is None else opt.type(raw)
+            except ValueError:
+                source = env if env in os.environ else f"config key {name}"
+                raise CliConfigError(
+                    f"{name} from {source}: {raw!r} is not a valid {opt.type.__name__}"
+                ) from None
         if value is not None and opt.choices is not None and value not in opt.choices:
             raise CliConfigError(f"{name} must be one of {opt.choices}, got {value!r}")
         if value is not None and opt.minimum is not None and value < opt.minimum:
@@ -454,43 +461,26 @@ def _history_csv(path, history) -> None:
             writer.writerow([repr(row[c]) if c in row else "" for c in columns])
 
 
-def _labels_to_plane(labels: np.ndarray, classes: int) -> np.ndarray:
-    return (labels.astype(np.float64) / max(classes - 1, 1))[None, None]
-
-
-def _dump_run_figures(outdir: str, result: toy.TrainResult, cfg: toy.TrainConfig) -> list:
-    """PGM dumps of the first validation prediction (and gate maps)."""
-    written = []
+def _dump_run_figures(outdir: str, result: toy.TrainResult) -> list:
+    """PGM dumps of the first validation sample: prediction, target, input, gate maps."""
     task = result.task
-    val_task = replace(task, seed=task.seed + toy._VAL_SEED_OFFSET, count=1)
-    x, y = toy.make_toy_task(val_task)
-    dtype = np.float32 if cfg.precision == "f32" else np.float64
-    xin = (x - 0.5).astype(dtype)
-    out, parts = result.net.forward(xin, want_parts=True)
-    out = ag.value_of(out)
+    x, y = toy.make_toy_task(toy.validation_task(task, 1))
+    out, parts = result.net.forward(toy.net_inputs(x), want_parts=True)
+    pred = toy.predict(task, ag.value_of(out))
     if task.is_segmentation:
-        pred = out.argmax(axis=1)
-        pred_path = os.path.join(outdir, "prediction.pgm")
-        T.write_pgm(pred_path, _labels_to_plane(pred[0], task.classes))
-        target_path = os.path.join(outdir, "target.pgm")
-        T.write_pgm(target_path, _labels_to_plane(y[0], task.classes))
-        written += [pred_path, target_path]
+        grey = max(task.classes - 1, 1)  # labels as grey levels in [0, 1]
+        planes = {"prediction": pred[:1, None] / grey, "target": y[:1, None] / grey}
     else:
-        pred_path = os.path.join(outdir, "reconstruction.pgm")
-        T.write_pgm(pred_path, np.clip(out[:1], 0.0, 1.0).astype(np.float64))
-        target_path = os.path.join(outdir, "target.pgm")
-        T.write_pgm(target_path, y[:1])
-        written += [pred_path, target_path]
-    input_path = os.path.join(outdir, "input.pgm")
-    T.write_pgm(input_path, x[:1])
-    written.append(input_path)
+        planes = {"reconstruction": pred[:1], "target": y[:1]}
+    planes["input"] = x[:1]
     for stage in ("stage1", "stage2"):
-        g = parts.get(stage, {}).get("gate")
+        g = parts[stage].get("gate")
         if g is not None:
-            gpath = os.path.join(outdir, f"gate_{stage}.pgm")
-            T.write_pgm(gpath, ag.value_of(g)[:1].astype(np.float64))
-            written.append(gpath)
-    return written
+            planes[f"gate_{stage}"] = ag.value_of(g)[:1]
+    paths = [os.path.join(outdir, f"{name}.pgm") for name in planes]
+    for path, plane in zip(paths, planes.values()):
+        T.write_pgm(path, plane)
+    return paths
 
 
 _TRAIN_OPTS = {
@@ -512,11 +502,11 @@ def _cmd_train(args) -> int:
         s["classes"] = default_classes
     task = toy.ToyTask(kind, s["size"], s["classes"], s["seed"], s["count"])
     cfg = toy.TrainConfig(s["variant"], s["epochs"], s["lr"], seed=s["seed"], impl=s["impl"])
-    os.makedirs(args.outdir, exist_ok=True)
     result = toy.train_toy(cfg, task)
+    os.makedirs(args.outdir, exist_ok=True)
     csv_path = os.path.join(args.outdir, "metrics.csv")
     _history_csv(csv_path, result.history)
-    outputs = [csv_path] + _dump_run_figures(args.outdir, result, cfg)
+    outputs = [csv_path] + _dump_run_figures(args.outdir, result)
     _write_manifest(
         os.path.join(args.outdir, "manifest.json"), "train", {"task": args.task, **s}, [],
         outputs,
@@ -547,15 +537,15 @@ _ABLATE_OPTS = {
 def _cmd_ablate(args) -> int:
     s = args.settings
     seeds, size = s["seeds"], s["size"]
+    tasks = [
+        toy.ToyTask("multiclass_shapes_segmentation", size, 3, seed, s["count"])
+        for seed in range(seeds)
+    ]
     os.makedirs(args.outdir, exist_ok=True)
     table = {}
     for variant, _label in ABLATION_VARIANTS:
         row = []
-        for seed in range(seeds):
-            task = toy.ToyTask(
-                "multiclass_shapes_segmentation", size=size, classes=3, seed=seed,
-                count=s["count"],
-            )
+        for seed, task in enumerate(tasks):
             cfg = toy.TrainConfig(variant, epochs=s["epochs"], seed=seed)
             try:
                 result = toy.train_toy(cfg, task)
@@ -689,7 +679,8 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ShapeError, CliConfigError, costmodel.UnknownRowError, ValueError) as e:
+    except (ShapeError, CliConfigError, costmodel.UnknownRowError, ValueError,
+            ag.DivergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -298,16 +298,14 @@ class ToyNet:
         compressed: int = 16,
         kernel_size: int = 5,
         seed: int = 0,
-        precision: str = "f32",
         impl: str = "l2h",
     ):
         self.variant = variant
         self.impl = impl
-        dtype = np.float32 if precision == "f32" else np.float64
         rng = ShuffledLcg(seed)
 
         def conv(out_c, in_c, k):
-            return init_conv_weights(rng, out_c, in_c, k, dtype)
+            return init_conv_weights(rng, out_c, in_c, k, np.float32)
 
         self.enc0 = conv(features, in_channels, 3)
         self.enc1 = conv(features, features, 3)
@@ -319,7 +317,6 @@ class ToyNet:
             channels=features,
             compressed=compressed,
             kernel_size=kernel_size,
-            precision=precision,
         )
         self.up1 = build_operator(
             OperatorConfig(variant, seed=rng.next_u64(), **base)
@@ -364,23 +361,23 @@ class ToyNet:
 # ---------------------------------------------------------------------------
 
 
+# the lr is multiplied by _LR_DECAY once, when _LR_DECAY_AT of the epochs are done
+_LR_DECAY = 0.3
+_LR_DECAY_AT = 0.6
+
+
 @dataclass
 class TrainConfig:
     variant: str
     epochs: int = 60
     lr: float = 0.1
     momentum: float = 0.9
-    lr_decay: float = 0.3  # multiplier applied once, at lr_decay_at * epochs
-    lr_decay_at: float = 0.6
     clip_norm: float = 5.0  # global gradient-norm clip; 0 disables
     features: int = 12
     compressed: int = 16
-    kernel_size: int = 5
     batch: int = 4
     seed: int = 0
     impl: str = "l2h"
-    precision: str = "f32"
-    val_count: int = 12
     metrics_every: int = 1
 
 
@@ -396,19 +393,31 @@ class TrainResult:
         return [row["loss"] for row in self.history]
 
 
-def _evaluate(net: ToyNet, task: ToyTask, inputs, targets) -> dict:
-    out = value_of(net.forward(inputs))
+def validation_task(task: ToyTask, count: int = 12) -> ToyTask:
+    """The held-out split: the first ``count`` samples drawn at seed + 7919."""
+    return replace(task, seed=task.seed + 7919, count=count)
+
+
+def net_inputs(images: np.ndarray) -> np.ndarray:
+    """Toy-net inputs: the [0, 1] images centered on 0, as f32."""
+    return (images - 0.5).astype(np.float32)
+
+
+def predict(task: ToyTask, out: np.ndarray) -> np.ndarray:
+    """Argmax labels for segmentation, else the f64 output clipped to [0, 1]."""
     if task.is_segmentation:
-        pred = out.argmax(axis=1)
+        return out.argmax(axis=1)
+    return np.clip(out.astype(np.float64), 0.0, 1.0)
+
+
+def _evaluate(net: ToyNet, task: ToyTask, inputs, targets) -> dict:
+    pred = predict(task, value_of(net.forward(inputs)))
+    if task.is_segmentation:
         return {
             "miou": metric_miou(pred, targets, task.classes),
             "band_iou": metric_band_iou(pred, targets, task.classes),
         }
-    pred = np.clip(out.astype(np.float64), 0.0, 1.0)
     return {"mse": metric_mse(pred, targets), "psnr": metric_psnr(pred, targets)}
-
-
-_VAL_SEED_OFFSET = 7919
 
 
 def _clip_gradients(params, max_norm: float) -> None:
@@ -430,16 +439,13 @@ def train_toy(cfg: TrainConfig, task: ToyTask) -> TrainResult:
     Raises :class:`fadeup.autograd.DivergenceError` on non-finite loss or
     gradients instead of swallowing them.
     """
-    dtype = np.float32 if cfg.precision == "f32" else np.float64
     x_train, y_train = make_toy_task(task)
-    val_task = replace(task, seed=task.seed + _VAL_SEED_OFFSET, count=cfg.val_count)
+    val_task = validation_task(task)
     x_val, y_val = make_toy_task(val_task)
-    # center the net inputs; targets keep the raw [0, 1] range
-    x_train = (x_train - 0.5).astype(dtype)
-    x_val = (x_val - 0.5).astype(dtype)
+    x_train, x_val = net_inputs(x_train), net_inputs(x_val)
+    # targets keep the raw [0, 1] range
     if not task.is_segmentation:
-        y_train = y_train.astype(dtype)
-        y_val = y_val.astype(np.float64)
+        y_train = y_train.astype(np.float32)
 
     out_channels = task.classes if task.is_segmentation else x_train.shape[1]
     net = ToyNet(
@@ -448,18 +454,16 @@ def train_toy(cfg: TrainConfig, task: ToyTask) -> TrainResult:
         out_channels=out_channels,
         features=cfg.features,
         compressed=cfg.compressed,
-        kernel_size=cfg.kernel_size,
         seed=cfg.seed,
-        precision=cfg.precision,
         impl=cfg.impl,
     )
     opt = MomentumSGD(net.parameters(), cfg.lr, cfg.momentum)
     n = x_train.shape[0]
-    decay_epoch = int(cfg.lr_decay_at * cfg.epochs)
+    decay_epoch = int(_LR_DECAY_AT * cfg.epochs)
     history = []
     for epoch in range(cfg.epochs):
-        if epoch == decay_epoch and cfg.lr_decay != 1.0:
-            opt.lr = cfg.lr * cfg.lr_decay
+        if epoch == decay_epoch:
+            opt.lr = cfg.lr * _LR_DECAY
         total, batches = 0.0, 0
         for start in range(0, n, cfg.batch):
             xb = x_train[start : start + cfg.batch]

@@ -332,6 +332,11 @@ class TestSgd:
         with pytest.raises(ValueError, match="momentum"):
             MomentumSGD([], lr=0.1, momentum=1.0)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="positive"):
+            MomentumSGD([], lr=lr)
+
 
 class TestGradcheckBattery:
     def test_all_ops_pass_on_two_seeds(self):

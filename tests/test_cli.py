@@ -405,6 +405,19 @@ class TestTrainCli:
         assert "variant" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("lr", ["1e9", "nan", "-1"])
+    def test_bad_or_diverging_lr_exit_3_without_outdir(self, tmp_path, capsys, lr):
+        outdir = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            code = main(
+                ["train", "--task", "binary_shapes", "--variant", "nearest", "--epochs", "2",
+                 "--size", "16", "--count", "2", "--lr", lr, "--outdir", str(outdir)]
+            )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not outdir.exists()
+
     def test_settings_from_env_and_config(self, tmp_path, monkeypatch):
         argv = ["train", "--task", "binary_shapes", "--variant", "fade_lite", "--epochs", "2",
                 "--count", "2"]
@@ -446,6 +459,17 @@ class TestAblateCli:
         assert "seeds" in capsys.readouterr().err
         assert not (outdir / "summary.csv").exists()
 
+
+    @pytest.mark.parametrize("flag,value", [("--size", "18"), ("--count", "0")])
+    def test_bad_task_leaves_no_outdir(self, tmp_path, capsys, flag, value):
+        outdir = tmp_path / "abl"
+        code = main(
+            ["ablate", "--seeds", "1", "--epochs", "1", "--size", "16", "--count", "1",
+             flag, value, "--outdir", str(outdir)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("flag,env", [("0", None), ("-2", None), (None, "0")])
     def test_epochs_below_one_exit_3(self, tmp_path, monkeypatch, capsys, flag, env):
@@ -505,3 +529,19 @@ class TestConfigPrecedence:
 
     def test_bad_flag_exit_3(self):
         assert main(["cost", "--C", "notanint"]) == 3
+
+    def test_bad_env_value_names_setting_and_source(self, monkeypatch, capsys):
+        monkeypatch.setenv("FADEUP_K", "abc")
+        assert main(["cost", "--rows", "fade"]) == 3
+        err = capsys.readouterr().err
+        assert "K" in err and "FADEUP_K" in err and "'abc'" in err and "int" in err
+
+    def test_bad_config_value_names_setting_and_source(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed=x\n")
+        code = main(["--config", str(cfg), "train", "--task", "binary_shapes",
+                     "--outdir", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "config key seed" in err and "'x'" in err and "int" in err
+        assert not (tmp_path / "run").exists()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -338,7 +340,71 @@ class TestNormalize:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def _conv(o, i, k, bias=True):
+    return ConvWeights(np.zeros((o, i, k, k)), np.zeros(o) if bias else None)
+
+
+def _dw(c, k, bias=True):
+    return DepthwiseWeights(np.zeros((c, k, k)), np.zeros(c) if bias else None)
+
+
+# C=2 input channels, d=3 compressed, K=5: one invalid construction per rule
+_INVALID_PARAMS = [
+    pytest.param(lambda: kg.SemiShiftParams(_conv(3, 2, 3, False), _conv(3, 2, 1), _conv(25, 3, 3)),
+                 "compressors must be 1x1", id="semishift-compressor-1x1"),
+    pytest.param(lambda: kg.SemiShiftParams(_conv(3, 2, 1, False), _conv(3, 2, 1, False),
+                                            _conv(25, 3, 3)),
+                 "decoder compressor carries the affine bias", id="semishift-decoder-bias"),
+    pytest.param(lambda: kg.SemiShiftParams(_conv(3, 2, 1, False), _conv(3, 2, 1), _conv(25, 3, 5)),
+                 "generator window is fixed at 3x3", id="semishift-generator-3x3"),
+    pytest.param(lambda: kg.SemiShiftParams(_conv(3, 2, 1, False), _conv(3, 2, 1),
+                                            _conv(25, 3, 3, False)),
+                 "generator bias is required", id="semishift-generator-bias"),
+    pytest.param(lambda: kg.SemiShiftParams(_conv(3, 2, 1, False), _conv(3, 2, 1), _conv(25, 4, 3)),
+                 "compressor/generator channel mismatch", id="semishift-generator-channels"),
+    pytest.param(lambda: kg.SemiShiftParams(_conv(3, 2, 1, False), _conv(4, 2, 1), _conv(25, 3, 3)),
+                 "compressors must agree", id="semishift-compressors-agree"),
+    pytest.param(lambda: kg.SemiShiftLiteParams(_conv(25, 2, 1, False), _conv(25, 2, 3), _dw(25, 3)),
+                 "compressors must be 1x1", id="lite-compressor-1x1"),
+    pytest.param(lambda: kg.SemiShiftLiteParams(_conv(25, 2, 1), _conv(25, 2, 1), _dw(25, 3)),
+                 "encoder compressor must be bias-free", id="lite-encoder-bias-free"),
+    pytest.param(lambda: kg.SemiShiftLiteParams(_conv(25, 2, 1, False), _conv(25, 2, 1, False),
+                                                _dw(25, 3)),
+                 "decoder compressor carries the affine bias", id="lite-decoder-bias"),
+    pytest.param(lambda: kg.SemiShiftLiteParams(_conv(25, 2, 1, False), _conv(25, 2, 1), _dw(25, 5)),
+                 "generator window is fixed at 3x3", id="lite-generator-3x3"),
+    pytest.param(lambda: kg.SemiShiftLiteParams(_conv(25, 2, 1, False), _conv(25, 2, 1),
+                                                _dw(25, 3, False)),
+                 "generator bias is required", id="lite-generator-bias"),
+    pytest.param(lambda: kg.SemiShiftLiteParams(_conv(25, 2, 1, False), _conv(25, 2, 1), _dw(9, 3)),
+                 "depthwise generator must cover K^2 channels", id="lite-generator-channels"),
+    pytest.param(lambda: kg.NaiveParams(_conv(3, 4, 3), _conv(25, 3, 3)),
+                 "naive compressor must be 1x1", id="naive-compressor-1x1"),
+    pytest.param(lambda: kg.NaiveParams(_conv(3, 4, 1), _conv(25, 3, 1)),
+                 "generator window is fixed at 3x3", id="naive-generator-3x3"),
+    pytest.param(lambda: kg.CarafeParams(_conv(3, 2, 3, False), _conv(100, 3, 3)),
+                 "compressor must be 1x1", id="carafe-compressor-1x1"),
+    pytest.param(lambda: kg.CarafeParams(_conv(3, 2, 1), _conv(100, 3, 3)),
+                 "compressor is bias-free", id="carafe-compressor-bias-free"),
+    pytest.param(lambda: kg.CarafeParams(_conv(3, 2, 1, False), _conv(100, 3, 5)),
+                 "content encoder window is fixed at 3x3", id="carafe-encoder-3x3"),
+    pytest.param(lambda: kg.CarafeParams(_conv(3, 2, 1, False), _conv(25, 3, 3)),
+                 "content encoder must emit 4*K^2 channels", id="carafe-encoder-4k2"),
+    pytest.param(lambda: kg.EncoderOnlyParams(_conv(3, 2, 3, False), _conv(25, 3, 3)),
+                 "compressor must be 1x1", id="encoder-only-compressor-1x1"),
+    pytest.param(lambda: kg.EncoderOnlyParams(_conv(3, 2, 1), _conv(25, 3, 3)),
+                 "encoder compressor must be bias-free", id="encoder-only-compressor-bias-free"),
+    pytest.param(lambda: kg.EncoderOnlyParams(_conv(3, 2, 1, False), _conv(25, 3, 5)),
+                 "generator window is fixed at 3x3", id="encoder-only-generator-3x3"),
+]
+
+
 class TestParamValidation:
+    @pytest.mark.parametrize("build,message", _INVALID_PARAMS)
+    def test_invalid_construction(self, build, message):
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            build()
+
     def test_encoder_compressor_must_be_bias_free(self):
         d, c, k2 = 3, 2, 25
         with pytest.raises(ShapeError, match="bias-free"):

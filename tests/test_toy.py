@@ -155,3 +155,22 @@ class TestTraining:
         x, _ = make_toy_task(task)
         _, parts = res.net.forward((x - 0.5).astype(np.float32), want_parts=True)
         assert "gate" in parts["stage1"] and "gate" in parts["stage2"]
+
+
+class TestRecipeHelpers:
+    def test_one_sample_validation_split_is_a_prefix(self):
+        task = ToyTask("multiclass_shapes_segmentation", size=32, classes=3, seed=4, count=2)
+        x1, y1 = make_toy_task(toy.validation_task(task, 1))
+        x12, y12 = make_toy_task(toy.validation_task(task))
+        assert x12.shape[0] == 12
+        np.testing.assert_array_equal(x1[0], x12[0])
+        np.testing.assert_array_equal(y1[0], y12[0])
+
+    def test_predict_argmax_or_clip(self):
+        out = 3.0 * np.random.default_rng(0).normal(size=(2, 3, 4, 4)).astype(np.float32)
+        seg = ToyTask("multiclass_shapes_segmentation", classes=3)
+        np.testing.assert_array_equal(toy.predict(seg, out), out.argmax(axis=1))
+        recon = toy.predict(ToyTask("texture_reconstruction"), out[:, :1])
+        assert recon.dtype == np.float64
+        assert recon.min() == 0.0 and recon.max() == 1.0
+        np.testing.assert_array_equal(recon, np.clip(out[:, :1].astype(np.float64), 0.0, 1.0))
