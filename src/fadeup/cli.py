@@ -56,7 +56,7 @@ def _read_config_file(path) -> dict:
                     raise CliConfigError(f"{path}:{lineno}: expected key=value")
                 key, value = line.split("=", 1)
                 values[key.strip()] = value.strip()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read config file {path}: {e}") from e
     return values
 
@@ -127,7 +127,7 @@ def _read_finite(path, role: str) -> np.ndarray:
 _UPSAMPLE_OPTS = {
     "variant": _Opt(str, "fade", choices=ops.VARIANTS),
     "seed": _Opt(int, 0),
-    "impl": _Opt(str, "l2h", choices=tuple(kernelgen.SEMISHIFT_FORMS)),
+    "impl": _Opt(str, kernelgen.DEFAULT_FORM, choices=tuple(kernelgen.SEMISHIFT_FORMS)),
     "d": _Opt(int, 64, help="compressed channels"),
     "K": _Opt(int, 5, help="kernel size"),
     "precision": _Opt(str, choices=("f32", "f64")),  # default: the decoder's dtype
@@ -185,17 +185,19 @@ def _suite_equivalence(seeds: int):
         n = int(rng.integers(1, 3))
         d = int(rng.integers(1, 9))
         for prec, tol_key in ((np.float64, "f64"), (np.float32, "f32")):
-            p = kernelgen.make_semishift_params(ShuffledLcg(case), c, d, 5, prec)
             x_en = rng.normal(size=(n, c, 2 * h, 2 * w)).astype(prec)
             x_de = rng.normal(size=(n, c, h, w)).astype(prec)
-            ref = kernelgen.semishift_direct(x_en, x_de, p).data
-            for form in (kernelgen.semishift_h2l, kernelgen.semishift_l2h):
-                dev = _rel_dev(ref, ag.value_of(form(x_en, x_de, p).data))
-                worst[tol_key] = max(worst[tol_key], dev)
+            dense = kernelgen.make_semishift_params(ShuffledLcg(case), c, d, 5, prec)
+            lite = kernelgen.make_semishift_lite_params(ShuffledLcg(case), c, 5, prec)
+            for p in (dense, lite):
+                ref = kernelgen.semishift_direct(x_en, x_de, p).data
+                for form in (kernelgen.semishift_h2l, kernelgen.semishift_l2h):
+                    dev = _rel_dev(ref, ag.value_of(form(x_en, x_de, p).data))
+                    worst[tol_key] = max(worst[tol_key], dev)
     ok = worst["f64"] <= 1e-10 and worst["f32"] <= 1e-5
     lines.append(
-        f"semi-shift equivalence over {seeds} cases: worst rel dev "
-        f"f64={worst['f64']:.3e} (tol 1e-10), f32={worst['f32']:.3e} (tol 1e-5)"
+        f"semi-shift equivalence over {seeds} cases (dense and depthwise generators): "
+        f"worst rel dev f64={worst['f64']:.3e} (tol 1e-10), f32={worst['f32']:.3e} (tol 1e-5)"
     )
     return ok, lines
 
@@ -274,30 +276,29 @@ def _gradcheck_battery(seed: int):
     # semi-shift composites and full operator forwards
     x_en = rng.normal(size=(1, 2, 4, 4))
     x_de = rng.normal(size=(1, 2, 2, 2))
-    p = kernelgen.make_semishift_params(ShuffledLcg(seed), 2, 3, 3, np.float64)
-    flat = [
-        p.compressor_en.weights,
-        p.compressor_de.weights,
-        p.compressor_de.bias,
-        p.generator.weights,
-        p.generator.bias,
-    ]
+    dense = kernelgen.make_semishift_params(ShuffledLcg(seed), 2, 3, 3, np.float64)
+    lite = kernelgen.make_semishift_lite_params(ShuffledLcg(seed), 2, 3, np.float64)
+
+    def flat(p):
+        return [p.compressor_en.weights, p.compressor_de.weights, p.compressor_de.bias,
+                p.generator.weights, p.generator.bias]
 
     def rebuild(we, wde, bde, wg, bg):
+        generator = T.DepthwiseWeights if ag.value_of(wg).ndim == 3 else T.ConvWeights
         return kernelgen.SemiShiftParams(
-            T.ConvWeights(we), T.ConvWeights(wde, bde), T.ConvWeights(wg, bg)
+            T.ConvWeights(we), T.ConvWeights(wde, bde), generator(wg, bg)
         )
 
-    check(
-        "semishift_h2l",
-        lambda XE, XD, *ps: ag.sum_all(kernelgen.semishift_h2l(XE, XD, rebuild(*ps)).data),
-        [x_en, x_de] + flat,
-    )
-    check(
-        "semishift_l2h",
-        lambda XE, XD, *ps: ag.sum_all(kernelgen.semishift_l2h(XE, XD, rebuild(*ps)).data),
-        [x_en, x_de] + flat,
-    )
+    for name, form, p in (
+        ("semishift_h2l", kernelgen.semishift_h2l, dense),
+        ("semishift_l2h", kernelgen.semishift_l2h, dense),
+        ("semishift_h2l/lite", kernelgen.semishift_h2l, lite),
+    ):
+        check(
+            name,
+            lambda XE, XD, *ps, form=form: ag.sum_all(form(XE, XD, rebuild(*ps)).data),
+            [x_en, x_de] + flat(p),
+        )
     for variant in ("fade", "fade_lite"):
         op = ops.build_operator(
             ops.OperatorConfig(
@@ -491,7 +492,7 @@ _TRAIN_OPTS = {
     "classes": _Opt(int),  # default: the task's
     "count": _Opt(int, 16),
     "seed": _Opt(int, 0),
-    "impl": _Opt(str, "l2h", choices=_TRAIN_IMPLS),
+    "impl": _Opt(str, kernelgen.DEFAULT_FORM, choices=_TRAIN_IMPLS),
 }
 
 

@@ -52,7 +52,7 @@ _SEMISHIFT = KernelSource(
 )
 _LITE = KernelSource(
     lambda rng, C, d, K, dtype: kernelgen.make_semishift_lite_params(rng, C, K, dtype),
-    lambda guide, x_de, p, impl: kernelgen.semishift_lite(guide, x_de, p),
+    _SEMISHIFT.generate,  # each semi-shift form takes the depthwise generator too
     guided=True,
     counted=lambda C, d, K2: 2 * C * K2 + 9 * K2,
 )
@@ -293,8 +293,9 @@ class UpsampleOperator:
     def forward_parts(self, x_en, x_de, impl: str | None = None):
         """Run the pipeline and return (output, intermediates dict).
 
-        ``impl`` picks the semi-shift form; None means "l2h", and "direct"
-        is the test oracle.
+        ``impl`` picks the semi-shift form of ``fade``, ``fade_lite`` and
+        the semi-shift ablations; None means ``kernelgen.DEFAULT_FORM``,
+        and "direct" is the test oracle.  Other variants ignore it.
         """
         cfg = self.config
         spec = VARIANT_SPECS[cfg.variant]
@@ -304,7 +305,8 @@ class UpsampleOperator:
         guide = x_en
         if self.adapter is not None:
             guide = kernelgen.apply_channel_adapter(x_en, self.adapter)
-        kernels = spec.source.generate(guide, x_de, self.kernel_params, impl or "l2h")
+        impl = impl or kernelgen.DEFAULT_FORM
+        kernels = spec.source.generate(guide, x_de, self.kernel_params, impl)
         normalized = kernelgen.normalize_kernels(kernels)
         upsampled = assemble.reassemble(x_de, normalized)
         parts = {"kernels": normalized}

@@ -120,7 +120,5 @@ def init_conv_weights(
 
 def init_depthwise_weights(rng: ShuffledLcg, channels: int, k: int, dtype) -> DepthwiseWeights:
     """Depthwise filters see one input channel, so fan_in = k^2; zero bias."""
-    bound = math.sqrt(6.0 / (k * k))
-    u = rng.uniform_array((channels, k, k), dtype=np.float64)
-    w = ((2.0 * u - 1.0) * bound).astype(dtype)
-    return DepthwiseWeights(w, np.zeros(channels, dtype))
+    dense = init_conv_weights(rng, channels, 1, k, dtype)
+    return DepthwiseWeights(dense.weights[:, 0], dense.bias)

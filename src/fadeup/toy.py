@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import MomentumSGD, Node, backward, value_of
+from .kernelgen import DEFAULT_FORM
 from .operators import VARIANT_SPECS, OperatorConfig, build_operator
 from .rng import ShuffledLcg, init_conv_weights
 from .tensor import PadSpec, ShapeError
@@ -235,10 +236,13 @@ def metric_mse(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def metric_psnr(pred: np.ndarray, target: np.ndarray, cap: float = 99.0) -> float:
-    """PSNR in dB for signals in [0, 1]; exact matches report the cap."""
+    """PSNR in dB for signals in [0, 1]: the cap on an exact match, NaN or -inf
+    for a NaN or inf MSE."""
     mse = metric_mse(pred, target)
     if mse == 0.0:
         return cap
+    if not math.isfinite(mse):
+        return -mse
     return float(min(cap, 10.0 * math.log10(1.0 / mse)))
 
 
@@ -298,7 +302,7 @@ class ToyNet:
         compressed: int = 16,
         kernel_size: int = 5,
         seed: int = 0,
-        impl: str = "l2h",
+        impl: str = DEFAULT_FORM,
     ):
         self.variant = variant
         self.impl = impl
@@ -377,7 +381,7 @@ class TrainConfig:
     compressed: int = 16
     batch: int = 4
     seed: int = 0
-    impl: str = "l2h"
+    impl: str = DEFAULT_FORM
     metrics_every: int = 1
 
 
@@ -410,8 +414,13 @@ def predict(task: ToyTask, out: np.ndarray) -> np.ndarray:
     return np.clip(out.astype(np.float64), 0.0, 1.0)
 
 
-def _evaluate(net: ToyNet, task: ToyTask, inputs, targets) -> dict:
-    pred = predict(task, value_of(net.forward(inputs)))
+def _evaluate(net: ToyNet, task: ToyTask, inputs, targets, epoch: int) -> dict:
+    out = value_of(net.forward(inputs))
+    if not np.isfinite(out).all():
+        raise ag.DivergenceError(
+            f"non-finite validation output after epoch {epoch} (variant {net.variant})"
+        )
+    pred = predict(task, out)
     if task.is_segmentation:
         return {
             "miou": metric_miou(pred, targets, task.classes),
@@ -433,11 +442,12 @@ def _clip_gradients(params, max_norm: float) -> None:
                 p.grad *= scale
 
 
+@np.errstate(all="ignore")  # overflow shows as the DivergenceError below, not as warnings
 def train_toy(cfg: TrainConfig, task: ToyTask) -> TrainResult:
     """Train the toy net on the task; fully deterministic given the seeds.
 
-    Raises :class:`fadeup.autograd.DivergenceError` on non-finite loss or
-    gradients instead of swallowing them.
+    Raises :class:`fadeup.autograd.DivergenceError` on a non-finite loss,
+    gradient or validation output instead of swallowing it.
     """
     x_train, y_train = make_toy_task(task)
     val_task = validation_task(task)
@@ -487,7 +497,7 @@ def train_toy(cfg: TrainConfig, task: ToyTask) -> TrainResult:
             batches += 1
         row = {"epoch": epoch, "loss": total / batches}
         if cfg.metrics_every and (epoch % cfg.metrics_every == 0 or epoch == cfg.epochs - 1):
-            row.update(_evaluate(net, val_task, x_val, y_val))
+            row.update(_evaluate(net, val_task, x_val, y_val, epoch))
         history.append(row)
-    final = _evaluate(net, val_task, x_val, y_val)
+    final = _evaluate(net, val_task, x_val, y_val, cfg.epochs - 1)
     return TrainResult(history=history, final=final, net=net, task=task)

@@ -6,8 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from fadeup import kernelgen as kg
 from fadeup import tensor as T
 from fadeup.cli import main
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 def write_pair(tmp_path, seed=0, n=1, c=3, h=3, w=3, dtype=np.float32):
@@ -52,6 +55,26 @@ class TestUpsample:
             / np.maximum(1.0, np.maximum(np.abs(outs["h2l"]), np.abs(outs["l2h"])))
         )
         assert dev <= 1e-5
+
+    def test_fade_lite_runs_the_named_form(self, tmp_path, monkeypatch):
+        calls = []
+        original = kg.SEMISHIFT_FORMS["h2l"]
+
+        def spy(*args):
+            calls.append("h2l")
+            return original(*args)
+
+        monkeypatch.setitem(kg.SEMISHIFT_FORMS, "h2l", spy)
+        en_path, de_path, _, _ = write_pair(tmp_path, seed=2)
+        out = tmp_path / "out.ften"
+        code = main(
+            ["upsample", "--variant", "fade_lite", "--decoder", str(de_path),
+             "--encoder", str(en_path), "--impl", "h2l", "--out", str(out)]
+        )
+        assert code == 0
+        assert calls == ["h2l"]
+        manifest = json.loads((tmp_path / "out.ften.manifest.json").read_text())
+        assert manifest["config"]["impl"] == "h2l"
 
     def test_missing_encoder_exit_3(self, tmp_path, capsys):
         _, de_path, _, _ = write_pair(tmp_path)
@@ -418,6 +441,22 @@ class TestTrainCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "task,count,epochs", [("texture_recon", "1", "1"), ("multiclass_shapes", "2", "2")]
+    )
+    def test_divergence_is_one_error_line(self, tmp_path, task, count, epochs):
+        """A net that turns non-finite in the last step is caught by the
+        validation forward, and NumPy's overflow warnings stay off stderr."""
+        outdir = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fadeup", "train", "--task", task, "--size", "16",
+             "--count", count, "--epochs", epochs, "--lr", "1e9", "--outdir", str(outdir)],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: non-finite ") and proc.stderr.count("\n") == 1
+        assert not outdir.exists()
+
     def test_settings_from_env_and_config(self, tmp_path, monkeypatch):
         argv = ["train", "--task", "binary_shapes", "--variant", "fade_lite", "--epochs", "2",
                 "--count", "2"]
@@ -526,6 +565,13 @@ class TestConfigPrecedence:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not a pair\n")
         assert main(["--config", str(cfg), "cost"]) == 3
+
+    def test_config_not_utf8_exit_2_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"seed=\xff1\n")
+        assert main(["--config", str(cfg), "cost"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err and "utf-8" in err
 
     def test_bad_flag_exit_3(self):
         assert main(["cost", "--C", "notanint"]) == 3

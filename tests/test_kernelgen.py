@@ -24,6 +24,15 @@ def random_params(seed, channels, compressed, kernel_size=5, dtype=np.float64):
     return p
 
 
+def random_lite_params(seed, channels, kernel_size=5, dtype=np.float64):
+    p = kg.make_semishift_lite_params(ShuffledLcg(seed), channels, kernel_size, dtype)
+    rng = np.random.default_rng(seed + 1)
+    k2 = kernel_size * kernel_size
+    p.compressor_de.bias = rng.normal(size=k2).astype(dtype)
+    p.generator.bias = rng.normal(size=k2).astype(dtype)
+    return p
+
+
 def random_pair(seed, n, c, h, w, dtype=np.float64):
     rng = np.random.default_rng(seed)
     x_en = rng.normal(size=(n, c, 2 * h, 2 * w)).astype(dtype)
@@ -94,6 +103,35 @@ class TestEquivalenceTriangle:
 
     def test_edge_case_1x1_decoder(self):
         p = random_params(3, 2, 3)
+        x_en, x_de = random_pair(4, 2, 2, 1, 1)
+        ref = kg.semishift_direct(x_en, x_de, p).data
+        assert rel_dev(ref, kg.semishift_h2l(x_en, x_de, p).data) <= 1e-10
+        assert rel_dev(ref, kg.semishift_l2h(x_en, x_de, p).data) <= 1e-10
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_lite_triangle_f64(self, case):
+        rng = np.random.default_rng(case)
+        c, h, w = (int(rng.integers(1, 9)) for _ in range(3))
+        n = int(rng.integers(1, 3))
+        k = int(rng.choice([3, 5]))
+        p = random_lite_params(case, c, kernel_size=k)
+        x_en, x_de = random_pair(case + 1000, n, c, h, w)
+        ref = kg.semishift_direct(x_en, x_de, p).data
+        for form in (kg.semishift_h2l, kg.semishift_l2h):
+            assert rel_dev(ref, form(x_en, x_de, p).data) <= 1e-10
+
+    def test_lite_triangle_f32(self):
+        for case in range(10):
+            rng = np.random.default_rng(case)
+            c, h, w = (int(rng.integers(1, 9)) for _ in range(3))
+            p = random_lite_params(case, c, dtype=np.float32)
+            x_en, x_de = random_pair(case, 1, c, h, w, dtype=np.float32)
+            ref = kg.semishift_direct(x_en, x_de, p).data
+            assert rel_dev(ref, kg.semishift_h2l(x_en, x_de, p).data) <= 1e-5
+            assert rel_dev(ref, kg.semishift_l2h(x_en, x_de, p).data) <= 1e-5
+
+    def test_lite_edge_case_1x1_decoder(self):
+        p = random_lite_params(3, 2)
         x_en, x_de = random_pair(4, 2, 2, 1, 1)
         ref = kg.semishift_direct(x_en, x_de, p).data
         assert rel_dev(ref, kg.semishift_h2l(x_en, x_de, p).data) <= 1e-10
@@ -172,6 +210,15 @@ class TestSemiShiftStructure:
 
 
 class TestSemiShiftLite:
+    def test_lite_is_the_l2h_form(self):
+        assert kg.semishift_lite is kg.semishift_l2h is kg.SEMISHIFT_FORMS["l2h"]
+
+    def test_params_carry_a_depthwise_generator(self):
+        p = kg.make_semishift_lite_params(ShuffledLcg(0), 3, 5, np.float32)
+        assert isinstance(p, kg.SemiShiftParams)
+        assert isinstance(p.generator, DepthwiseWeights)
+        assert p.kernel_size == 5
+
     def test_parameter_count_formula(self):
         c, k = 256, 5
         p = kg.make_semishift_lite_params(ShuffledLcg(0), c, k, np.float32)
@@ -364,19 +411,19 @@ _INVALID_PARAMS = [
                  "compressor/generator channel mismatch", id="semishift-generator-channels"),
     pytest.param(lambda: kg.SemiShiftParams(_conv(3, 2, 1, False), _conv(4, 2, 1), _conv(25, 3, 3)),
                  "compressors must agree", id="semishift-compressors-agree"),
-    pytest.param(lambda: kg.SemiShiftLiteParams(_conv(25, 2, 1, False), _conv(25, 2, 3), _dw(25, 3)),
+    pytest.param(lambda: kg.SemiShiftParams(_conv(25, 2, 1, False), _conv(25, 2, 3), _dw(25, 3)),
                  "compressors must be 1x1", id="lite-compressor-1x1"),
-    pytest.param(lambda: kg.SemiShiftLiteParams(_conv(25, 2, 1), _conv(25, 2, 1), _dw(25, 3)),
+    pytest.param(lambda: kg.SemiShiftParams(_conv(25, 2, 1), _conv(25, 2, 1), _dw(25, 3)),
                  "encoder compressor must be bias-free", id="lite-encoder-bias-free"),
-    pytest.param(lambda: kg.SemiShiftLiteParams(_conv(25, 2, 1, False), _conv(25, 2, 1, False),
-                                                _dw(25, 3)),
+    pytest.param(lambda: kg.SemiShiftParams(_conv(25, 2, 1, False), _conv(25, 2, 1, False),
+                                            _dw(25, 3)),
                  "decoder compressor carries the affine bias", id="lite-decoder-bias"),
-    pytest.param(lambda: kg.SemiShiftLiteParams(_conv(25, 2, 1, False), _conv(25, 2, 1), _dw(25, 5)),
+    pytest.param(lambda: kg.SemiShiftParams(_conv(25, 2, 1, False), _conv(25, 2, 1), _dw(25, 5)),
                  "generator window is fixed at 3x3", id="lite-generator-3x3"),
-    pytest.param(lambda: kg.SemiShiftLiteParams(_conv(25, 2, 1, False), _conv(25, 2, 1),
-                                                _dw(25, 3, False)),
+    pytest.param(lambda: kg.SemiShiftParams(_conv(25, 2, 1, False), _conv(25, 2, 1),
+                                            _dw(25, 3, False)),
                  "generator bias is required", id="lite-generator-bias"),
-    pytest.param(lambda: kg.SemiShiftLiteParams(_conv(25, 2, 1, False), _conv(25, 2, 1), _dw(9, 3)),
+    pytest.param(lambda: kg.SemiShiftParams(_conv(25, 2, 1, False), _conv(25, 2, 1), _dw(9, 3)),
                  "depthwise generator must cover K^2 channels", id="lite-generator-channels"),
     pytest.param(lambda: kg.NaiveParams(_conv(3, 4, 3), _conv(25, 3, 3)),
                  "naive compressor must be 1x1", id="naive-compressor-1x1"),
@@ -457,7 +504,7 @@ class TestConvCallsReachAutograd:
     # calls of (conv1x1, conv2d, conv2d_depthwise) per generator forward
     @pytest.mark.parametrize(
         "generator,expected",
-        [("l2h", (2, 2, 0)), ("h2l", (2, 5, 0)), ("lite", (2, 0, 2)),
+        [("l2h", (2, 2, 0)), ("h2l", (2, 5, 0)), ("lite", (2, 0, 2)), ("lite-h2l", (2, 0, 5)),
          ("naive", (1, 1, 0)), ("carafe", (1, 1, 0)), ("encoder_only", (1, 1, 0))],
         ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)),
     )
@@ -473,6 +520,9 @@ class TestConvCallsReachAutograd:
                 x_en, x_de, kg.make_semishift_params(rng, c, d, k, np.float64)
             ),
             "lite": lambda: kg.semishift_lite(
+                x_en, x_de, kg.make_semishift_lite_params(rng, c, k, np.float64)
+            ),
+            "lite-h2l": lambda: kg.semishift_h2l(
                 x_en, x_de, kg.make_semishift_lite_params(rng, c, k, np.float64)
             ),
             "naive": lambda: kg.naive_kernelgen(

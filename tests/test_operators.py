@@ -157,7 +157,7 @@ class TestForward:
 
     @pytest.mark.parametrize(
         "variant,owner,key",
-        [("carafe", kg, "carafe_kernelgen"), ("fade_lite", kg, "semishift_lite"),
+        [("carafe", kg, "carafe_kernelgen"), ("fade_lite", kg.SEMISHIFT_FORMS, "l2h"),
          ("fade", kg.SEMISHIFT_FORMS, "l2h")],
     )
     def test_generator_reached_through_module_attribute(self, monkeypatch, variant, owner, key):
@@ -177,6 +177,35 @@ class TestForward:
         op = build_operator(OperatorConfig(variant, channels=3, compressed=4, seed=1))
         op.forward(None if variant == "carafe" else x_en, x_de)
         assert calls == [variant]
+
+    def test_semishift_variants_share_one_generate_path(self):
+        assert ops._LITE.generate is ops._SEMISHIFT.generate
+
+    @pytest.mark.parametrize("impl", ["direct", "h2l"])
+    def test_fade_lite_runs_the_named_form(self, monkeypatch, impl):
+        calls = []
+        original = kg.SEMISHIFT_FORMS[impl]
+
+        def spy(*args):
+            calls.append(impl)
+            return original(*args)
+
+        monkeypatch.setitem(kg.SEMISHIFT_FORMS, impl, spy)
+        x_en, x_de = rnd_pair(13, 1, 3, 2, 2, dtype=np.float64)
+        op = build_operator(
+            OperatorConfig("fade_lite", channels=3, seed=1, precision="f64")
+        )
+        got = op.forward(x_en, x_de, impl=impl)
+        assert calls == [impl]
+        dev = np.max(np.abs(got - op.forward(x_en, x_de)))
+        assert dev <= 1e-10
+
+    def test_no_impl_runs_the_default_form(self):
+        x_en, x_de = rnd_pair(14, 1, 3, 2, 2)
+        op = build_operator(OperatorConfig("fade", channels=3, compressed=4, seed=1))
+        np.testing.assert_array_equal(
+            op.forward(x_en, x_de), op.forward(x_en, x_de, impl=kg.DEFAULT_FORM)
+        )
 
     def test_missing_encoder_raises(self):
         _, x_de = rnd_pair(8, 1, 3, 2, 2)

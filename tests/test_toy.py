@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fadeup import toy
+from fadeup.autograd import DivergenceError
 from fadeup.tensor import ShapeError
 from fadeup.toy import (
     ToyTask,
@@ -100,6 +101,11 @@ class TestMetrics:
         t = np.full((1, 1, 2, 2), 0.5)
         assert metric_psnr(p, t) == pytest.approx(10 * np.log10(1 / 0.25))
 
+    def test_psnr_propagates_non_finite_mse(self):
+        t = np.zeros((1, 1, 2, 2))
+        assert np.isnan(metric_psnr(np.full_like(t, np.nan), t))
+        assert metric_psnr(np.full_like(t, np.inf), t) == -np.inf
+
     def test_band_iou_perfect_and_flat(self):
         y = np.zeros((8, 8), dtype=np.int64)
         y[2:6, 2:6] = 1
@@ -147,6 +153,20 @@ class TestTraining:
         cfg = TrainConfig("b4_semishift_nogate", epochs=10, seed=1, metrics_every=0)
         res = train_toy(cfg, task)
         assert res.losses[-1] < res.losses[0]
+
+    def test_divergence_in_the_last_step_raises(self):
+        """The loss check runs before each update, so only the validation
+        forward sees an update that turns the net non-finite in the last step."""
+        task = ToyTask("texture_reconstruction", size=16, seed=0, count=1)
+        cfg = TrainConfig("fade", epochs=1, lr=1e9)
+        with pytest.raises(DivergenceError, match="validation output after epoch 0"):
+            train_toy(cfg, task)
+
+    def test_divergence_prints_no_numpy_warnings(self, recwarn):
+        task = ToyTask("multiclass_shapes_segmentation", size=16, classes=3, count=2)
+        with pytest.raises(DivergenceError):
+            train_toy(TrainConfig("fade", epochs=2, lr=1e9), task)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_gate_parts_exposed(self):
         task = ToyTask("binary_shapes_segmentation", size=32, seed=0, count=2)
