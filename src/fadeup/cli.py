@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -94,6 +95,18 @@ def _settings(args, opts: dict, config: dict) -> dict:
             raise CliConfigError(f"{name} must be >= {opt.minimum}, got {value}")
         settings[name] = value
     return settings
+
+
+def _say(line: str) -> None:
+    """Print a line to stdout.  Once the reader has closed it (``fadeup cost |
+    head -1``), the rest goes to the null device, so the command still
+    finishes, writes its files and exits with its own status."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _write_manifest(path, command: str, config: dict, inputs, outputs) -> None:
@@ -273,45 +286,26 @@ def _gradcheck_battery(seed: int):
         lambda A, B, G: ag.sum_all(ag.blend(A, B, ag.sigmoid(G))),
         [fe, fu, gr],
     )
-    # semi-shift composites and full operator forwards
+    # semi-shift composites and full forwards, through each operator's own slots
     x_en = rng.normal(size=(1, 2, 4, 4))
     x_de = rng.normal(size=(1, 2, 2, 2))
-    dense = kernelgen.make_semishift_params(ShuffledLcg(seed), 2, 3, 3, np.float64)
-    lite = kernelgen.make_semishift_lite_params(ShuffledLcg(seed), 2, 3, np.float64)
-
-    def flat(p):
-        return [p.compressor_en.weights, p.compressor_de.weights, p.compressor_de.bias,
-                p.generator.weights, p.generator.bias]
-
-    def rebuild(we, wde, bde, wg, bg):
-        generator = T.DepthwiseWeights if ag.value_of(wg).ndim == 3 else T.ConvWeights
-        return kernelgen.SemiShiftParams(
-            T.ConvWeights(we), T.ConvWeights(wde, bde), generator(wg, bg)
-        )
-
-    for name, form, p in (
-        ("semishift_h2l", kernelgen.semishift_h2l, dense),
-        ("semishift_l2h", kernelgen.semishift_l2h, dense),
-        ("semishift_h2l/lite", kernelgen.semishift_h2l, lite),
-    ):
-        check(
-            name,
-            lambda XE, XD, *ps, form=form: ag.sum_all(form(XE, XD, rebuild(*ps)).data),
-            [x_en, x_de] + flat(p),
-        )
     for variant in ("fade", "fade_lite"):
         op = ops.build_operator(
             ops.OperatorConfig(
                 variant, channels=2, compressed=3, kernel_size=3, seed=seed, precision="f64"
             )
         )
-        arrays = [np.array(v) for _, v in op.named_parameters()]
+        arrays = [x_en, x_de] + [np.array(v) for _, v in op.named_parameters()]
 
-        def fwd(XE, XD, *params, _op=op):
+        def loss(XE, XD, *params, _op=op, form=None):
             _op.install_parameters(list(params))
-            return ag.sum_all(_op.forward(XE, XD))
+            if form is None:
+                return ag.sum_all(_op.forward(XE, XD))
+            return ag.sum_all(kernelgen.SEMISHIFT_FORMS[form](XE, XD, _op.kernel_params).data)
 
-        check(f"{variant} forward", fwd, [x_en, x_de] + arrays)
+        for form in ("h2l", "l2h"):
+            check(f"{variant} semishift_{form}", partial(loss, form=form), arrays)
+        check(f"{variant} forward", loss, arrays)
     return results
 
 
@@ -430,8 +424,8 @@ def _cmd_verify(args) -> int:
     seeds = args.settings["seeds"]
     ok, lines = suite_fn(default_seeds if seeds is None else seeds)
     for line in lines:
-        print(line)
-    print(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
+        _say(line)
+    _say(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -486,8 +480,8 @@ def _dump_run_figures(outdir: str, result: toy.TrainResult) -> list:
 
 _TRAIN_OPTS = {
     "variant": _Opt(str, "fade", choices=ops.VARIANTS),
-    "epochs": _Opt(int, 60, minimum=1),
-    "lr": _Opt(float, 0.1),
+    "epochs": _Opt(int, toy.TrainConfig.epochs, minimum=1),
+    "lr": _Opt(float, toy.TrainConfig.lr),
     "size": _Opt(int, 48),
     "classes": _Opt(int),  # default: the task's
     "count": _Opt(int, 16),
@@ -513,7 +507,7 @@ def _cmd_train(args) -> int:
         outputs,
     )
     final = " ".join(f"{k}={v:.4f}" for k, v in result.final.items())
-    print(f"{s['variant']} on {args.task}: {final}")
+    _say(f"{s['variant']} on {args.task}: {final}")
     return 0
 
 
@@ -529,7 +523,7 @@ ABLATION_VARIANTS = (
 
 _ABLATE_OPTS = {
     "seeds": _Opt(int, 5, minimum=1),
-    "epochs": _Opt(int, 60, minimum=1),
+    "epochs": _Opt(int, toy.TrainConfig.epochs, minimum=1),
     "size": _Opt(int, 48),
     "count": _Opt(int, 16),
 }
@@ -568,11 +562,11 @@ def _cmd_ablate(args) -> int:
             mean = repr(sum(valid) / len(valid)) if valid else "diverged"
             writer.writerow([variant, label] + cells + [mean])
     widths = max(len(label) for _, label in ABLATION_VARIANTS)
-    print(f"mIoU over {seeds} seeds (multiclass shapes, size {size}):")
+    _say(f"mIoU over {seeds} seeds (multiclass shapes, size {size}):")
     for variant, label in ABLATION_VARIANTS:
         row = table[variant]
         cells = " ".join("   div" if v is None else f"{v:.4f}" for v in row)
-        print(f"  {label:<{widths}}  {cells}")
+        _say(f"  {label:<{widths}}  {cells}")
     _write_manifest(
         os.path.join(args.outdir, "manifest.json"), "ablate", {**s, "seed": 0}, [],
         [summary_path],
@@ -607,10 +601,10 @@ def _cmd_cost(args) -> int:
         )
         reports.append(costmodel.flops_of(q))
     name_w = max(len(r.row) for r in reports)
-    print(f"C={C} d={d} K={K} H={H} W={W} gate={'on' if gate_flag else 'off'}")
-    print(f"{'row':<{name_w}}  {'GFLOPs':>8}  {'params':>10}  {'extras':>7}")
+    _say(f"C={C} d={d} K={K} H={H} W={W} gate={'on' if gate_flag else 'off'}")
+    _say(f"{'row':<{name_w}}  {'GFLOPs':>8}  {'params':>10}  {'extras':>7}")
     for r in reports:
-        print(
+        _say(
             f"{r.row:<{name_w}}  {costmodel.format_gflops(r.flops):>8}  "
             f"{r.params_counted:>10}  {r.extras_total:>7}"
         )

@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import assemble, gate, kernelgen
+from . import tensor as T
 from .autograd import Node, value_of
 from .rng import ShuffledLcg
 from .tensor import FormatError, ShapeError, check_nchw
@@ -295,8 +296,14 @@ class UpsampleOperator:
 
         ``impl`` picks the semi-shift form of ``fade``, ``fade_lite`` and
         the semi-shift ablations; None means ``kernelgen.DEFAULT_FORM``,
-        and "direct" is the test oracle.  Other variants ignore it.
+        and "direct" is the test oracle.  Other variants ignore a valid form;
+        an unknown one raises ShapeError for every variant.
         """
+        impl = impl or kernelgen.DEFAULT_FORM
+        if impl not in kernelgen.SEMISHIFT_FORMS:
+            raise ShapeError(
+                f"unknown semi-shift form {impl!r}; pick one of {tuple(kernelgen.SEMISHIFT_FORMS)}"
+            )
         cfg = self.config
         spec = VARIANT_SPECS[cfg.variant]
         self._check_inputs(x_en, x_de)
@@ -305,7 +312,6 @@ class UpsampleOperator:
         guide = x_en
         if self.adapter is not None:
             guide = kernelgen.apply_channel_adapter(x_en, self.adapter)
-        impl = impl or kernelgen.DEFAULT_FORM
         kernels = spec.source.generate(guide, x_de, self.kernel_params, impl)
         normalized = kernelgen.normalize_kernels(kernels)
         upsampled = assemble.reassemble(x_de, normalized)
@@ -319,7 +325,6 @@ class UpsampleOperator:
         else:
             g = gate.fixed_gate(guide, 1.0)
         parts["gate"] = g
-        parts["upsampled"] = upsampled
         return gate.fuse_gated(guide, upsampled, g), parts
 
     def forward(self, x_en, x_de, impl: str | None = None):
@@ -367,8 +372,6 @@ _CKPT_MAGIC = b"FCKP"
 _CKPT_VERSION = 1
 _CKPT_HEAD = struct.Struct("<4sBBHI")
 _CKPT_ENTRY_DIMS = struct.Struct("<4IQ")
-
-from . import tensor as T  # noqa: E402  (file helpers only)
 
 
 def _as_rank4(a: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ deterministic given the seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -298,8 +299,8 @@ class ToyNet:
         variant: str,
         in_channels: int,
         out_channels: int,
-        features: int = 12,
-        compressed: int = 16,
+        features: int,
+        compressed: int,
         kernel_size: int = 5,
         seed: int = 0,
         impl: str = DEFAULT_FORM,
@@ -372,23 +373,29 @@ _LR_DECAY_AT = 0.6
 
 @dataclass
 class TrainConfig:
+    """What ``fadeup train`` and ``ablate`` set; class constants fix the rest."""
+
     variant: str
     epochs: int = 60
     lr: float = 0.1
-    momentum: float = 0.9
-    clip_norm: float = 5.0  # global gradient-norm clip; 0 disables
-    features: int = 12
-    compressed: int = 16
-    batch: int = 4
     seed: int = 0
     impl: str = DEFAULT_FORM
-    metrics_every: int = 1
+
+    momentum: ClassVar[float] = 0.9
+    clip_norm: ClassVar[float] = 5.0  # global gradient-norm clip
+    features: ClassVar[int] = 12
+    compressed: ClassVar[int] = 16
+    batch: ClassVar[int] = 4
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass
 class TrainResult:
     history: list  # one dict per epoch: epoch, loss, metric columns
-    final: dict
+    final: dict  # the last row's metric columns
     net: ToyNet
     task: ToyTask
 
@@ -446,8 +453,9 @@ def _clip_gradients(params, max_norm: float) -> None:
 def train_toy(cfg: TrainConfig, task: ToyTask) -> TrainResult:
     """Train the toy net on the task; fully deterministic given the seeds.
 
-    Raises :class:`fadeup.autograd.DivergenceError` on a non-finite loss,
-    gradient or validation output instead of swallowing it.
+    Each epoch ends with one validation forward, whose metrics complete
+    its history row.  Raises :class:`fadeup.autograd.DivergenceError` on a
+    non-finite loss, gradient or validation output instead of swallowing it.
     """
     x_train, y_train = make_toy_task(task)
     val_task = validation_task(task)
@@ -490,14 +498,10 @@ def train_toy(cfg: TrainConfig, task: ToyTask) -> TrainResult:
                     f"non-finite loss at epoch {epoch} (variant {cfg.variant})"
                 )
             backward(loss)
-            if cfg.clip_norm:
-                _clip_gradients(net.parameters(), cfg.clip_norm)
+            _clip_gradients(net.parameters(), cfg.clip_norm)
             opt.step()
             total += lval
             batches += 1
-        row = {"epoch": epoch, "loss": total / batches}
-        if cfg.metrics_every and (epoch % cfg.metrics_every == 0 or epoch == cfg.epochs - 1):
-            row.update(_evaluate(net, val_task, x_val, y_val, epoch))
-        history.append(row)
-    final = _evaluate(net, val_task, x_val, y_val, cfg.epochs - 1)
-    return TrainResult(history=history, final=final, net=net, task=task)
+        metrics = _evaluate(net, val_task, x_val, y_val, epoch)
+        history.append({"epoch": epoch, "loss": total / batches, **metrics})
+    return TrainResult(history=history, final=metrics, net=net, task=task)

@@ -294,6 +294,29 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv", [["cost", "--csv", "cost.csv"], ["verify", "--suite", "equivalence", "--seeds", "3"]]
+    )
+    def test_command_finishes_silently(self, tmp_path, argv):
+        """A reader that is gone before the first line (``| head -c 0``)
+        changes neither the exit status nor the files, and leaves stderr empty."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fadeup", *argv], cwd=tmp_path, stdout=write_end,
+                stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC), text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if argv[0] == "cost":
+            assert (tmp_path / "cost.csv").read_text().startswith("row,gflops")
+            assert (tmp_path / "cost.csv.manifest.json").exists()
+
+
 class TestVerify:
     def test_cost_suite_prints_golden(self, capsys):
         assert main(["verify", "--suite", "cost"]) == 0

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from fadeup import autograd as ag
 from fadeup import costmodel as cm
+from fadeup import gate
 from fadeup.operators import OperatorConfig, build_operator
 
 GOLD = dict(channels=256, compressed=64, kernel_size=5, height=112, width=112)
@@ -114,6 +116,60 @@ class TestStructure:
             "gate.bias": 1,
         }
         assert rep.extras_total == 90
+
+
+class TestExecutedWork:
+    """The stage polynomials against the MACs a forward executes, counted
+    from the shapes of its convolutions, reassembly and gate blend."""
+
+    @pytest.mark.parametrize(
+        "row,impl", [("fade", "l2h"), ("fade", "h2l"), ("fade_lite", "l2h"),
+                     ("fade_lite", "h2l"), ("carafe", "l2h")]
+    )
+    def test_stage_macs_match_the_forward(self, monkeypatch, row, impl):
+        C, d, K, h, w = 6, 4, 5, 3, 5
+        macs = {}
+        in_gate = []
+
+        def count(stage, n):
+            macs[stage] = macs.get(stage, 0) + n
+
+        def conv(x, wt, bias, k, stride, pad, groups, name, _conv=ag._conv):
+            out = _conv(x, wt, bias, k, stride, pad, groups, name)
+            n, o, oh, ow = ag.value_of(out).shape
+            c = ag.value_of(x).shape[1]
+            count("gated fusion" if in_gate else "kernel generation",
+                  n * o * (c // groups) * k * k * oh * ow)
+            return out
+
+        def reassemble(x_de, kernels, k, _reassemble=ag.reassemble):
+            n, c, dh, dw = ag.value_of(x_de).shape
+            count("feature assembly", 4 * k * k * c * dh * dw * n)
+            return _reassemble(x_de, kernels, k)
+
+        def blend(f_en, f_up, g, _blend=ag.blend):
+            out = _blend(f_en, f_up, g)
+            count("gated fusion", 2 * ag.value_of(out).size)
+            return out
+
+        def generate_gate(x_de, p, _generate=gate.generate_gate):
+            in_gate.append(True)
+            try:
+                return _generate(x_de, p)
+            finally:
+                in_gate.pop()
+
+        monkeypatch.setattr(ag, "_conv", conv)
+        monkeypatch.setattr(ag, "reassemble", reassemble)
+        monkeypatch.setattr(ag, "blend", blend)
+        monkeypatch.setattr(gate, "generate_gate", generate_gate)
+        rng = np.random.default_rng(3)
+        x_de = rng.normal(size=(1, C, h, w)).astype(np.float32)
+        x_en = rng.normal(size=(1, C, 2 * h, 2 * w)).astype(np.float32)
+        op = build_operator(OperatorConfig(row, channels=C, compressed=d, kernel_size=K))
+        op.forward(None if row == "carafe" else x_en, x_de, impl=impl)
+        rep = cm.flops_of(cm.CostQuery(row, channels=C, compressed=d, kernel_size=K))
+        assert macs == {stage: m * h * w for stage, m in rep.stage_macs.items()}
 
 
 class TestReconcile:

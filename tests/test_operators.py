@@ -207,6 +207,23 @@ class TestForward:
             op.forward(x_en, x_de), op.forward(x_en, x_de, impl=kg.DEFAULT_FORM)
         )
 
+    @pytest.mark.parametrize("variant", ops.VARIANTS)
+    def test_unknown_impl_raises_for_every_variant(self, variant):
+        """Checked before the inputs: a variant without a semi-shift
+        generator ignores a valid form but not a misspelt one."""
+        op = build_operator(
+            OperatorConfig(variant)
+            if ops.VARIANT_SPECS[variant].source is None
+            else OperatorConfig(variant, channels=3, compressed=4, seed=5)
+        )
+        with pytest.raises(ShapeError, match=r"unknown semi-shift form 'bogus'.*'h2l'"):
+            op.forward(None, None, impl="bogus")
+
+    def test_valid_impl_ignored_without_a_semishift_generator(self):
+        x_en, x_de = rnd_pair(15, 1, 3, 2, 2)
+        op = build_operator(OperatorConfig("carafe", channels=3, compressed=4, seed=1))
+        np.testing.assert_array_equal(op.forward(None, x_de, impl="h2l"), op.forward(None, x_de))
+
     def test_missing_encoder_raises(self):
         _, x_de = rnd_pair(8, 1, 3, 2, 2)
         op = build_operator(OperatorConfig("fade", channels=3, seed=0))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,7 @@ class TestMetrics:
 class TestTraining:
     def test_bit_reproducible(self):
         task = ToyTask("binary_shapes_segmentation", size=32, seed=3, count=4)
-        cfg = TrainConfig("nearest", epochs=3, batch=2, seed=3, metrics_every=0)
+        cfg = TrainConfig("nearest", epochs=3, seed=3)
         a = train_toy(cfg, task)
         b = train_toy(cfg, task)
         assert a.losses == b.losses
@@ -137,20 +139,20 @@ class TestTraining:
 
     def test_history_columns(self):
         task = ToyTask("binary_shapes_segmentation", size=32, seed=0, count=4)
-        cfg = TrainConfig("bilinear", epochs=2, batch=2, seed=0, metrics_every=1)
+        cfg = TrainConfig("bilinear", epochs=2, seed=0)
         res = train_toy(cfg, task)
         assert len(res.history) == 2
         assert {"epoch", "loss", "miou", "band_iou"} <= set(res.history[-1])
 
     def test_reconstruction_metrics(self):
         task = ToyTask("texture_reconstruction", size=32, seed=0, count=4)
-        cfg = TrainConfig("nearest", epochs=2, batch=2, seed=0)
+        cfg = TrainConfig("nearest", epochs=2, seed=0)
         res = train_toy(cfg, task)
         assert {"mse", "psnr"} <= set(res.final)
 
     def test_trainable_variant_learns(self):
         task = ToyTask("binary_shapes_segmentation", size=32, seed=1, count=8)
-        cfg = TrainConfig("b4_semishift_nogate", epochs=10, seed=1, metrics_every=0)
+        cfg = TrainConfig("b4_semishift_nogate", epochs=10, seed=1)
         res = train_toy(cfg, task)
         assert res.losses[-1] < res.losses[0]
 
@@ -170,11 +172,46 @@ class TestTraining:
 
     def test_gate_parts_exposed(self):
         task = ToyTask("binary_shapes_segmentation", size=32, seed=0, count=2)
-        cfg = TrainConfig("b6_full", epochs=1, batch=2, seed=0, metrics_every=0)
+        cfg = TrainConfig("b6_full", epochs=1, seed=0)
         res = train_toy(cfg, task)
         x, _ = make_toy_task(task)
         _, parts = res.net.forward((x - 0.5).astype(np.float32), want_parts=True)
         assert "gate" in parts["stage1"] and "gate" in parts["stage2"]
+
+    def test_each_epoch_evaluated_once(self, monkeypatch):
+        """One validation forward per epoch, none after the loop, and
+        ``final`` is the last history row's metric columns."""
+        calls = []
+        evaluate = toy._evaluate
+
+        def spy(net, task, inputs, targets, epoch):
+            calls.append(epoch)
+            return evaluate(net, task, inputs, targets, epoch)
+
+        monkeypatch.setattr(toy, "_evaluate", spy)
+        task = ToyTask("binary_shapes_segmentation", size=16, seed=2, count=2)
+        res = train_toy(TrainConfig("nearest", epochs=3), task)
+        assert calls == [0, 1, 2]
+        last = res.history[-1]
+        assert res.final == {k: v for k, v in last.items() if k not in ("epoch", "loss")}
+        assert list(res.final) == ["miou", "band_iou"]
+
+
+class TestTrainConfig:
+    def test_fields_are_what_the_cli_sets(self):
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "variant", "epochs", "lr", "seed", "impl"
+        ]
+
+    def test_recipe_constants_readable_off_a_config(self):
+        cfg = TrainConfig("fade")
+        assert (cfg.momentum, cfg.clip_norm) == (0.9, 5.0)
+        assert (cfg.features, cfg.compressed, cfg.batch) == (12, 16, 4)
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one_rejected(self, epochs):
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            TrainConfig("fade", epochs=epochs)
 
 
 class TestRecipeHelpers:
