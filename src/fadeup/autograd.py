@@ -223,47 +223,123 @@ def softmax_channel(a):
 # ---------------------------------------------------------------------------
 
 
+# the most terms one GEMM sums.  OpenBLAS cuts a deeper inner dimension
+# into blocks that depend on its thread count, so the rounding would too
+# (OpenBLAS 0.3.31 did so above ~440 f32 or ~380 f64 terms)
+_DEPTH = 256
+
+
+def _gemm(a, b, out=None):
+    """a @ b, summed over the inner dimension in slices of at most _DEPTH
+    and in slice order, so the result does not depend on BLAS threads."""
+    acc = np.matmul(a[..., :_DEPTH], b[..., :_DEPTH, :], out=out)
+    for k0 in range(_DEPTH, a.shape[-1], _DEPTH):
+        acc += np.matmul(a[..., k0 : k0 + _DEPTH], b[..., k0 : k0 + _DEPTH, :])
+    return acc
+
+
+def _tap_run(size, lo, s, tap, count):
+    """The grid entries u < count whose plane position s u + tap - lo lies
+    in [0, size), as (plane slice, grid slice); the others read padding."""
+    u0 = min(max(-((tap - lo) // s), 0), count)
+    u1 = max(min((size - 1 - tap + lo) // s + 1, count), u0)
+    p0 = s * u0 + tap - lo
+    return slice(p0, p0 + s * (u1 - u0), s), slice(u0, u1)
+
+
 def _conv(x, w, bias, k, stride, pad, groups, name):
-    """The one convolution: a grouped GEMM over the k x k windows of x.
+    """The one convolution: one GEMM per kernel row over a column-shifted copy of x.
 
     The c input and o output channels split into ``groups`` equal groups,
-    and output group j reads input group j only.  Per batch item and group
-    the forward is (o/g, c/g k^2) @ (c/g k^2, oh ow) over the im2col windows,
-    whose adjoints give ``vjp_x`` (the transposed GEMM, then col2im) and
-    ``vjp_w`` (the batched GEMM summed over the batch).  A 1 x 1 kernel at
-    stride 1 without padding reads the plane itself as its windows, so it
-    unfolds and folds nothing.  ``pad`` None means k // 2 on every side.
+    and output group j reads input group j only.  ``pad`` None means
+    k // 2 on every side; s is the stride.
+
+    The copy S[n, a, c, j, u, v] holds the zero-padded plane at
+    (s u + a, s v + j): row phase a < min(s, k), column tap j < k.  Its
+    grid is ph x pw, where pw is ow plus (k-1)//s junk columns, and the
+    output uses the same pitch: output (y, x) is flat position y pw + x,
+    and an output with x >= ow, which reads across a row end, is junk.
+    Flattened, kernel row i is then the view of row phase i % s at offset
+    (i // s) pw.  Per batch item and group that row is one
+    (o/g, c/g k) @ (c/g k, oh pw) GEMM, and the k products sum into the
+    output in row order; the junk columns are dropped at the end.  A 1 x 1 kernel at stride 1 without padding takes
+    S as a view of x, so nothing is copied.
+
+    The gradients see the junk columns as zeros.  ``vjp_w`` is the
+    transposed GEMM per kernel row, summed over the batch.  ``vjp_x``
+    stacks one copy of the gradient per kernel row of a row phase, shifted
+    down by i // s rows, so each phase of dS is one GEMM with inner
+    dimension (rows) o/g; adding S's k column shifts back onto the plane
+    gives dx.  Every product goes through :func:`_gemm`.
     """
     xd, wd = value_of(x), value_of(w)
     pad = PadSpec.same(k // 2) if pad is None else pad
-    n, c = xd.shape[:2]
-    o, g = wd.shape[0], groups
-    plain = k == 1 and stride == 1 and pad == PadSpec.same(0)
-    if plain:
-        oh, ow = xd.shape[2:]
-        cols = xd.reshape(n, g, c // g, oh * ow)
+    n, c, h, wid = xd.shape
+    o, g, s = wd.shape[0], groups, stride
+    oh = T._out_dim(h, pad.top, pad.bottom, k, s)
+    ow = T._out_dim(wid, pad.left, pad.right, k, s)
+    ph, pw, phases = oh + (k - 1) // s, ow + (k - 1) // s, min(s, k)
+    rows = [_tap_run(h, pad.top, s, a, ph) for a in range(phases)]
+    cols = [_tap_run(wid, pad.left, s, j, pw) for j in range(k)]
+    # (plane index, S index) of every block of S that x fills
+    runs = [
+        ((..., pr, pc), (slice(None), a, slice(None), j, ur, uc))
+        for a, (pr, ur) in enumerate(rows)
+        for j, (pc, uc) in enumerate(cols)
+    ]
+    if k == 1 and s == 1 and pad == PadSpec.same(0):
+        taps = xd
     else:
-        cols = T.im2col(xd, k, stride, pad)
-        oh, ow = cols.shape[4:]
-        cols = cols.reshape(n, g, c // g * k * k, oh * ow)
-    wm = wd.reshape(g, o // g, -1)
-    out = np.matmul(wm, cols).reshape(n, o, oh, ow)
+        taps = np.zeros((n, phases, c, k, ph, pw), xd.dtype)
+        for plane, grid in runs:
+            taps[grid] = xd[plane]
+    taps = taps.reshape(n, phases, g, c // g * k, ph * pw)
+    # kernel row i as (g, o/g, c/g k) in S's (channel, column tap) order
+    wr = np.ascontiguousarray(
+        wd.reshape(g, o // g, c // g, k, k).transpose(3, 0, 1, 2, 4)
+    ).reshape(k, g, o // g, c // g * k)
+
+    def row(a, i):
+        return a[:, i % s, :, :, i // s * pw : (i // s + oh) * pw]
+
+    out = _gemm(wr[0], row(taps, 0))
+    for i in range(1, k):
+        out += _gemm(wr[i], row(taps, i))
+    out = out.reshape(n, o, oh, pw)[..., :ow]
     if bias is not None:
         out = out + value_of(bias)[None, :, None, None]
+    else:
+        out = np.ascontiguousarray(out)
     if not _any_node(x, w, bias):
         return out
 
+    def shifted(grad, kept):
+        """The gradient on the (ph, pw) grid, once per kernel row in ``kept``,
+        shifted down by i // s rows: (n, g, len(kept) o/g, ph pw)."""
+        gs = np.zeros((n, g, len(kept), o // g, ph, pw), grad.dtype)
+        for m, i in enumerate(kept):
+            gs[:, :, m, :, i // s : i // s + oh, :ow] = grad.reshape(n, g, o // g, oh, ow)
+        return gs.reshape(n, g, -1, ph * pw)
+
     def vjp_x(grad):
-        dcols = np.matmul(wm.swapaxes(1, 2), grad.reshape(n, g, o // g, oh * ow))
-        if plain:
-            return dcols.reshape(xd.shape)
-        return T.col2im(
-            dcols.reshape(n, c, k, k, oh, ow), xd.shape[2:], k, stride, pad
-        )
+        dtaps = np.empty(taps.shape, np.result_type(wr, grad))
+        for a in range(phases):
+            kept = range(a, k, s)
+            wt = wr[a::s].transpose(1, 3, 0, 2).reshape(g, c // g * k, -1)
+            _gemm(wt, shifted(grad, kept), out=dtaps[:, a])
+        dtaps = dtaps.reshape(n, phases, c, k, ph, pw)
+        dx = np.zeros(xd.shape, dtaps.dtype)
+        for plane, grid in runs:
+            dx[plane] += dtaps[grid]
+        return dx
 
     def vjp_w(grad):
-        gm = grad.reshape(n, g, o // g, oh * ow)
-        return np.matmul(gm, cols.swapaxes(2, 3)).sum(axis=0).reshape(wd.shape)
+        gm = shifted(grad, [0])
+        dw = np.empty((g, o // g, c // g, k, k), np.result_type(gm, taps))
+        for i in range(k):
+            prod = _gemm(gm[..., : oh * pw], row(taps, i).swapaxes(2, 3))
+            dw[:, :, :, i] = prod.sum(axis=0).reshape(g, o // g, c // g, k)
+        return dw.reshape(wd.shape)
 
     def vjp_b(grad):
         return grad.sum(axis=(0, 2, 3))
@@ -582,23 +658,31 @@ def reassemble(x_de, kernels, k: int):
 _BLEND_CHUNK = 16  # channels per chunk of the gate blend
 
 
-def blend(f_en, f_up, g):
+def blend(f_en, f_up, g, *, overwrite_up: bool = False):
     """Convex gate blend f_en * g + f_up * (1 - g); f_en and f_up are
     (n, C, h, w) and g is (n, 1, h, w).
 
-    The blend runs over _BLEND_CHUNK channels at a time into one output, so
-    no full-size temporary exists; each chunk rounds the same two products
-    and the same sum as the one-line expression, so the result is equal to
-    it bit for bit.
+    The blend runs over _BLEND_CHUNK channels at a time, each chunk as
+    out = f_up * (1 - g), then out += f_en * g, so no full-size temporary
+    exists; each chunk rounds the same two products and the same sum as
+    the one-line expression, so the result is equal to it bit for bit.
+    ``overwrite_up`` says that the caller gives up f_up, an array that no
+    other argument views: the result is written into it when its shape
+    and dtype fit, so the blend allocates no output.  The VJPs read f_up,
+    so a taped blend cannot overwrite it and raises ValueError.
     """
     fe, fu, gd = value_of(f_en), value_of(f_up), value_of(g)
+    if overwrite_up and _any_node(f_en, f_up, g):
+        raise ValueError("a taped blend keeps f_up for its gradients; it cannot overwrite it")
     og = 1.0 - gd
     shape = np.broadcast_shapes(fe.shape, fu.shape, gd.shape)
-    out = np.empty(shape, np.result_type(fe, fu, gd))
+    dtype = np.result_type(fe, fu, gd)
+    fits = overwrite_up and fu.shape == shape and fu.dtype == dtype
+    out = fu if fits else np.empty(shape, dtype)
     for c0 in range(0, out.shape[1], _BLEND_CHUNK):
         chunk = slice(c0, c0 + _BLEND_CHUNK)
-        np.multiply(fe[:, chunk], gd, out=out[:, chunk])
-        out[:, chunk] += fu[:, chunk] * og
+        np.multiply(fu[:, chunk], og, out=out[:, chunk])
+        out[:, chunk] += fe[:, chunk] * gd
     if not _any_node(f_en, f_up, g):
         return out
 

@@ -433,9 +433,6 @@ def _cmd_verify(args) -> int:
 # train / ablate
 # ---------------------------------------------------------------------------
 
-# the direct form is an inference-only oracle and refuses autograd nodes
-_TRAIN_IMPLS = tuple(f for f in kernelgen.SEMISHIFT_FORMS if f != "direct")
-
 _TASK_ALIASES = {
     "binary_shapes": ("binary_shapes_segmentation", 2),
     "multiclass_shapes": ("multiclass_shapes_segmentation", 3),
@@ -486,7 +483,7 @@ _TRAIN_OPTS = {
     "classes": _Opt(int),  # default: the task's
     "count": _Opt(int, 16),
     "seed": _Opt(int, 0),
-    "impl": _Opt(str, kernelgen.DEFAULT_FORM, choices=_TRAIN_IMPLS),
+    "impl": _Opt(str, kernelgen.DEFAULT_FORM, choices=toy.TRAIN_IMPLS),
 }
 
 

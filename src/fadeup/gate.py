@@ -47,8 +47,12 @@ def fixed_gate(f_en, value: float = 1.0) -> np.ndarray:
     return np.full((fe.shape[0], 1, fe.shape[2], fe.shape[3]), value, dtype=fe.dtype)
 
 
-def fuse_gated(f_en, f_up, g):
-    """Convex blend of encoder and upsampled features under the gate."""
+def fuse_gated(f_en, f_up, g, *, overwrite_up: bool = False):
+    """Convex blend of encoder and upsampled features under the gate.
+
+    ``overwrite_up`` lets the blend write its result into ``f_up``, which
+    the caller must own (see :func:`autograd.blend`).
+    """
     fe, fu, gd = value_of(f_en), value_of(f_up), value_of(g)
     if fe.shape != fu.shape:
         raise ShapeError(f"feature dims differ: {fe.shape} vs {fu.shape}")
@@ -57,4 +61,4 @@ def fuse_gated(f_en, f_up, g):
             f"gate must be (n, 1, h, w) = {(fe.shape[0], 1, fe.shape[2], fe.shape[3])}, "
             f"got {gd.shape}"
         )
-    return ag.blend(f_en, f_up, g)
+    return ag.blend(f_en, f_up, g, overwrite_up=overwrite_up)

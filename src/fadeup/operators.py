@@ -325,7 +325,10 @@ class UpsampleOperator:
         else:
             g = gate.fixed_gate(guide, 1.0)
         parts["gate"] = g
-        return gate.fuse_gated(guide, upsampled, g), parts
+        # the reassembly output is this call's own array, so an untaped
+        # blend writes into it instead of allocating a second output
+        untaped = not any(isinstance(a, Node) for a in (guide, upsampled, g))
+        return gate.fuse_gated(guide, upsampled, g, overwrite_up=untaped), parts
 
     def forward(self, x_en, x_de, impl: str | None = None):
         out, _ = self.forward_parts(x_en, x_de, impl)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import MomentumSGD, Node, backward, value_of
-from .kernelgen import DEFAULT_FORM
+from .kernelgen import DEFAULT_FORM, SEMISHIFT_FORMS
 from .operators import VARIANT_SPECS, OperatorConfig, build_operator
 from .rng import ShuffledLcg, init_conv_weights
 from .tensor import PadSpec, ShapeError
@@ -371,6 +371,11 @@ _LR_DECAY = 0.3
 _LR_DECAY_AT = 0.6
 
 
+# the semi-shift forms a net trains through; direct is an inference-only
+# oracle and refuses autograd nodes
+TRAIN_IMPLS = tuple(f for f in SEMISHIFT_FORMS if f != "direct")
+
+
 @dataclass
 class TrainConfig:
     """What ``fadeup train`` and ``ablate`` set; class constants fix the rest."""
@@ -390,6 +395,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.impl not in TRAIN_IMPLS:
+            raise ValueError(f"impl must be one of {TRAIN_IMPLS}, got {self.impl!r}")
 
 
 @dataclass

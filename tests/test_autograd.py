@@ -10,6 +10,7 @@ import pytest
 from fadeup import autograd as ag
 from fadeup import tensor as T
 from fadeup.autograd import DivergenceError, MomentumSGD, Node, backward
+from fadeup.kernelgen import _H2L_PADS
 
 
 class TestBackwardBasics:
@@ -202,6 +203,167 @@ class TestBlend:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
+
+    def test_caller_arrays_are_not_written(self):
+        rng = np.random.default_rng(10)
+        fe = rng.normal(size=(1, 20, 4, 6)).astype(np.float32)
+        fu = rng.normal(size=(1, 20, 4, 6)).astype(np.float32)
+        g = rng.random(size=(1, 1, 4, 6)).astype(np.float32)
+        before = fu.copy()
+        out = ag.blend(fe, fu, g)
+        assert out is not fu
+        np.testing.assert_array_equal(fu, before)
+
+    def test_overwrite_writes_the_same_bits_into_f_up(self):
+        rng = np.random.default_rng(11)
+        fe = rng.normal(size=(2, 40, 6, 10)).astype(np.float32)
+        fu = rng.normal(size=(2, 40, 6, 10)).astype(np.float32)
+        g = rng.random(size=(2, 1, 6, 10)).astype(np.float32)
+        expect = ag.blend(fe, fu, g)
+        out = ag.blend(fe, fu, g, overwrite_up=True)
+        assert out is fu
+        np.testing.assert_array_equal(out, expect)
+
+    @pytest.mark.parametrize("taped", ["f_en", "f_up", "g"])
+    def test_overwrite_with_a_taped_input_raises(self, taped):
+        rng = np.random.default_rng(12)
+        args = {
+            "f_en": rng.normal(size=(1, 3, 2, 2)),
+            "f_up": rng.normal(size=(1, 3, 2, 2)),
+            "g": rng.random(size=(1, 1, 2, 2)),
+        }
+        before = args["f_up"].copy()
+        args[taped] = Node(args[taped])
+        with pytest.raises(ValueError, match="taped"):
+            ag.blend(args["f_en"], args["f_up"], args["g"], overwrite_up=True)
+        np.testing.assert_array_equal(ag.value_of(args["f_up"]), before)
+
+
+def _im2col_conv(x, w, b, gout, k, stride, pad, groups):
+    """The literal im2col GEMM and its adjoints: forward, dx, dw and db."""
+    n, c = x.shape[:2]
+    o, g = w.shape[0], groups
+    cols = T.im2col(x, k, stride, pad)
+    oh, ow = cols.shape[4:]
+    cm = cols.reshape(n, g, c // g * k * k, oh * ow)
+    wm = w.reshape(g, o // g, -1)
+    gm = gout.reshape(n, g, o // g, oh * ow)
+    out = np.matmul(wm, cm).reshape(n, o, oh, ow) + b[None, :, None, None]
+    dcols = np.matmul(wm.swapaxes(1, 2), gm).reshape(n, c, k, k, oh, ow)
+    dx = T.col2im(dcols, x.shape[2:], k, stride, pad)
+    dw = np.matmul(gm, cm.swapaxes(2, 3)).sum(axis=0).reshape(w.shape)
+    return out, dx, dw, gout.sum(axis=(0, 2, 3))
+
+
+def _conv_run(x, w, b, gout, k, stride, pad, groups):
+    xn, wn, bn = Node(x), Node(w), Node(b)
+    out = ag._conv(xn, wn, bn, k, stride, pad, groups, "conv")
+    backward(ag.sum_all(ag.mul(out, gout)))
+    return out.data, xn.grad, wn.grad, bn.grad
+
+
+# (stride, pad): "same" padding, a valid conv, the h2l branch's four corner
+# pads and one lopsided pad
+_CONV_PADS = [
+    (s, pad)
+    for s in (1, 2)
+    for pad in (
+        None,
+        T.PadSpec.same(0),
+        *_H2L_PADS.values(),
+        T.PadSpec(2, 0, 1, 3),
+    )
+]
+
+
+class TestConvAgainstIm2col:
+    """``_conv`` (no im2col) against the im2col GEMM kept in ``tensor`` as
+    the reference, for every stride, pad, group kind and kernel size."""
+
+    # (input channels, output channels, groups)
+    GROUPS = {"dense": (3, 4, 1), "depthwise": (3, 3, 3), "one_input": (1, 4, 1)}
+
+    @pytest.mark.parametrize("stride,pad", _CONV_PADS)
+    @pytest.mark.parametrize("kind", sorted(GROUPS))
+    def test_forward_and_gradients(self, stride, pad, kind):
+        c, o, g = self.GROUPS[kind]
+        rng = np.random.default_rng(13)
+        for k in (1, 3, 5):
+            p = T.PadSpec.same(k // 2) if pad is None else pad
+            one_row = max(1, k - p.top - p.bottom)  # the fewest rows that give an output
+            for n, h, w in ((2, 5, 7), (2, one_row, 6), (1, 8, 5)):
+                for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
+                    x = rng.normal(size=(n, c, h, w)).astype(dtype)
+                    wt = rng.normal(size=(o, c // g, k, k)).astype(dtype)
+                    b = rng.normal(size=o).astype(dtype)
+                    oh = (h + p.top + p.bottom - k) // stride + 1
+                    ow = (w + p.left + p.right - k) // stride + 1
+                    gout = rng.normal(size=(n, o, oh, ow)).astype(dtype)
+                    args = (x, wt, b, gout, k, stride, pad, g)
+                    got = _conv_run(*args)
+                    ref_all = _im2col_conv(x, wt, b, gout, k, stride, p, g)
+                    for name, a, ref in zip(("out", "dx", "dw", "db"), got, ref_all):
+                        assert a.dtype == dtype and a.shape == ref.shape, name
+                        scale = max(float(np.abs(ref).max()), 1.0)
+                        np.testing.assert_allclose(
+                            a, ref, rtol=tol, atol=tol * scale,
+                            err_msg=f"{name} k={k} n={n} {h}x{w} {dtype.__name__}",
+                        )
+                    for a, again in zip(got, _conv_run(*args)):
+                        np.testing.assert_array_equal(a, again)
+                    for i in range(n):
+                        alone = _conv_run(x[i : i + 1], wt, b, gout[i : i + 1], k, stride, pad, g)
+                        np.testing.assert_array_equal(got[0][i : i + 1], alone[0])
+                        np.testing.assert_array_equal(got[1][i : i + 1], alone[1])
+
+    def test_one_by_one_reads_the_plane_without_a_copy(self):
+        """A 1x1 stride-1 unpadded conv allocates its output and nothing of
+        the input's size."""
+        x = np.random.default_rng(14).normal(size=(1, 64, 32, 32)).astype(np.float32)
+        w = np.ones((4, 64, 1, 1), np.float32)
+        tracemalloc.start()
+        try:
+            out = ag.conv1x1(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 2, f"peak {peak / out.nbytes:.2f}x the output"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bit_identical_across_blas_threads(self, threads):
+        """Forward, dx and dw at one h2l and one l2h generator shape hash the
+        same in this process and in one whose BLAS runs ``threads`` threads."""
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(
+                [os.path.dirname(os.path.dirname(ag.__file__)), os.path.dirname(__file__)]
+            ),
+        )
+        script = "import test_autograd as t; print(t.conv_digest())"
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert run.stdout.strip() == conv_digest()
+
+
+def conv_digest() -> str:
+    """sha256 of ``_conv``'s forward, dx and dw, f32, 64 -> 25 channels,
+    k=3: stride 2 with the top-left corner pad on a 40x40 plane (h2l) and
+    stride 1 on a 36x44 plane (l2h)."""
+    rng = np.random.default_rng(15)
+    digest = hashlib.sha256()
+    for stride, pad, h, w in ((2, T.PadSpec(1, 0, 1, 0), 40, 40), (1, None, 36, 44)):
+        x = rng.normal(size=(1, 64, h, w)).astype(np.float32)
+        wt = rng.normal(size=(25, 64, 3, 3)).astype(np.float32)
+        b = rng.normal(size=25).astype(np.float32)
+        oh, ow = (h - 1) // stride + 1, (w - 1) // stride + 1
+        gout = rng.normal(size=(1, 25, oh, ow)).astype(np.float32)
+        for a in _conv_run(x, wt, b, gout, 3, stride, pad, 1)[:3]:
+            digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
 
 
 class TestGradcheckExamples:

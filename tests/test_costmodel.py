@@ -147,8 +147,8 @@ class TestExecutedWork:
             count("feature assembly", 4 * k * k * c * dh * dw * n)
             return _reassemble(x_de, kernels, k)
 
-        def blend(f_en, f_up, g, _blend=ag.blend):
-            out = _blend(f_en, f_up, g)
+        def blend(f_en, f_up, g, _blend=ag.blend, **kwargs):
+            out = _blend(f_en, f_up, g, **kwargs)
             count("gated fusion", 2 * ag.value_of(out).size)
             return out
 

@@ -81,6 +81,17 @@ class TestFuseGated:
         g = rng.uniform(size=(1, 1, 3, 3))
         np.testing.assert_allclose(fuse_gated(f, f, g), f, rtol=1e-15)
 
+    def test_caller_arrays_are_not_written(self):
+        rng = np.random.default_rng(4)
+        f_en = rng.normal(size=(1, 20, 3, 3)).astype(np.float32)
+        f_up = rng.normal(size=(1, 20, 3, 3)).astype(np.float32)
+        g = rng.uniform(size=(1, 1, 3, 3)).astype(np.float32)
+        en_before, up_before = f_en.copy(), f_up.copy()
+        out = fuse_gated(f_en, f_up, g)
+        assert out is not f_up
+        np.testing.assert_array_equal(f_up, up_before)
+        np.testing.assert_array_equal(f_en, en_before)
+
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError, match="differ"):
             fuse_gated(np.zeros((1, 2, 2, 2)), np.zeros((1, 3, 2, 2)), np.ones((1, 1, 2, 2)))

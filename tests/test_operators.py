@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,36 @@ class TestForward:
         assert out.shape == (1, 3, 4, 4)
         counts = op.parameter_counts()
         assert counts["adapter"] == 6 * 3 + 3
+
+
+class TestForwardMemory:
+    """An untaped gated forward holds little beyond its output: the convs
+    unfold nothing and the gate blend writes into the reassembly output."""
+
+    @pytest.mark.parametrize(
+        "variant,impl", [("fade", "l2h"), ("fade", "h2l"), ("fade_lite", "l2h")]
+    )
+    def test_untaped_peak_is_under_one_and_a_half_outputs(self, variant, impl):
+        op = build_operator(OperatorConfig(variant, channels=256, compressed=64, kernel_size=5))
+        x_en, x_de = rnd_pair(20, 1, 256, 32, 32)
+        tracemalloc.start()
+        try:
+            out = op.forward(x_en, x_de, impl=impl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
+
+    @pytest.mark.parametrize("variant", ["fade", "fade_lite", "fade_g1", "b6_full"])
+    @pytest.mark.parametrize("impl", ["l2h", "h2l"])
+    def test_untaped_output_equals_taped_bit_for_bit(self, variant, impl):
+        op = build_operator(OperatorConfig(variant, channels=6, compressed=4, seed=3))
+        x_en, x_de = rnd_pair(21, 2, 6, 3, 5)
+        en_before = x_en.copy()
+        taped = op.forward(ag.Node(x_en), x_de, impl=impl)
+        assert isinstance(taped, ag.Node)
+        np.testing.assert_array_equal(op.forward(x_en, x_de, impl=impl), taped.data)
+        np.testing.assert_array_equal(x_en, en_before)
 
 
 class TestCompose:

@@ -213,6 +213,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="epochs must be >= 1"):
             TrainConfig("fade", epochs=epochs)
 
+    @pytest.mark.parametrize("impl", ["direct", "bogus"])
+    def test_untrainable_impl_rejected_naming_the_forms(self, impl):
+        """direct is an inference-only oracle; the config refuses it before
+        any dataset or net is built, naming the forms the CLI offers."""
+        with pytest.raises(ValueError, match=r"impl must be one of \('h2l', 'l2h'\)"):
+            TrainConfig("fade", impl=impl)
+        assert toy.TRAIN_IMPLS == ("h2l", "l2h")
+
 
 class TestRecipeHelpers:
     def test_one_sample_validation_split_is_a_prefix(self):
