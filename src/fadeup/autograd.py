@@ -5,9 +5,14 @@ reachable from the loss is the tape.  :func:`backward` replays it in
 exact reverse topological order, accumulating gradients additively into
 ``node.grad``.  Leaves wrapped explicitly in :class:`Node` are the
 trainable parameters; plain ndarrays flowing through the same ops are
-treated as constants, and an op applied to ndarrays only skips recording
-entirely and returns an ndarray.  That lets the upsampling pipelines be
-written once and used both for inference and for training.
+treated as constants.  That lets the upsampling pipelines be written once
+and used both for inference and for training.
+
+The tape rule: every op computes its forward and returns
+``_emit(out, [(input, vjp), ...])``.  :func:`_emit` alone decides whether
+to record; when no input is a Node it returns ``out`` itself, a bare
+ndarray.  Work that only a gradient needs lives inside the VJPs, so an
+untaped call does none of it.
 """
 
 from __future__ import annotations
@@ -58,13 +63,12 @@ def value_of(x):
     return x.data if isinstance(x, Node) else x
 
 
-def _any_node(*xs) -> bool:
-    return any(isinstance(x, Node) for x in xs)
-
-
 def _emit(out_data, pairs, name=None):
-    """Build a Node from (parent, vjp) pairs; non-Node parents are dropped."""
+    """The op's result from its (parent, vjp) pairs: non-Node parents are
+    dropped, and with none left this is ``out_data`` itself, else a Node."""
     links = [(p, vjp) for p, vjp in pairs if isinstance(p, Node)]
+    if not links:
+        return out_data
     parents = tuple(p for p, _ in links)
 
     def backprop(g):
@@ -127,8 +131,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b):
     out = value_of(a) + value_of(b)
-    if not _any_node(a, b):
-        return out
     return _emit(
         out,
         [
@@ -141,8 +143,6 @@ def add(a, b):
 
 def sub(a, b):
     out = value_of(a) - value_of(b)
-    if not _any_node(a, b):
-        return out
     return _emit(
         out,
         [
@@ -156,8 +156,6 @@ def sub(a, b):
 def mul(a, b):
     ad, bd = value_of(a), value_of(b)
     out = ad * bd
-    if not _any_node(a, b):
-        return out
     return _emit(
         out,
         [
@@ -170,31 +168,23 @@ def mul(a, b):
 
 def scale(a, s: float):
     out = value_of(a) * s
-    if not _any_node(a):
-        return out
     return _emit(out, [(a, lambda g: g * s)], name="scale")
 
 
 def one_minus(a):
     out = 1.0 - value_of(a)
-    if not _any_node(a):
-        return out
     return _emit(out, [(a, lambda g: -g)], name="one_minus")
 
 
 def relu(a):
     ad = value_of(a)
     out = np.maximum(ad, 0)
-    if not _any_node(a):
-        return out
     return _emit(out, [(a, lambda g: g * (ad > 0))], name="relu")
 
 
 def leaky_relu(a, slope: float = 0.1):
     ad = value_of(a)
     out = np.where(ad > 0, ad, slope * ad)
-    if not _any_node(a):
-        return out
     return _emit(
         out, [(a, lambda g: g * np.where(ad > 0, 1.0, slope))], name="leaky_relu"
     )
@@ -202,15 +192,11 @@ def leaky_relu(a, slope: float = 0.1):
 
 def sigmoid(a):
     s = T.sigmoid(value_of(a))
-    if not _any_node(a):
-        return s
     return _emit(s, [(a, lambda g: g * s * (1.0 - s))], name="sigmoid")
 
 
 def softmax_channel(a):
     s = T.softmax_channel(value_of(a))
-    if not _any_node(a):
-        return s
 
     def vjp(g):
         return s * (g - (g * s).sum(axis=1, keepdims=True))
@@ -310,8 +296,6 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
         out = out + value_of(bias)[None, :, None, None]
     else:
         out = np.ascontiguousarray(out)
-    if not _any_node(x, w, bias):
-        return out
 
     def shifted(grad, kept):
         """The gradient on the (ph, pw) grid, once per kernel row in ``kept``,
@@ -391,8 +375,6 @@ def conv1x1(x, w, bias=None):
 
 def interp_nearest_x2(x):
     out = T.interp_nearest_x2(value_of(x))
-    if not _any_node(x):
-        return out
     n, c, h, w = value_of(x).shape
 
     def vjp(g):
@@ -404,14 +386,12 @@ def interp_nearest_x2(x):
 def interp_bilinear_x2(x, align_corners: bool = False):
     xd = value_of(x)
     out = T.interp_bilinear_x2(xd, align_corners)
-    if not _any_node(x):
-        return out
     n, c, h, w = xd.shape
-    y0, y1, ty = T._bilinear_axis(h, align_corners, xd.dtype)
-    x0, x1, tx = T._bilinear_axis(w, align_corners, xd.dtype)
 
     def vjp(g):
         # adjoint of the separable gather: scatter along rows, then cols
+        y0, y1, ty = T._bilinear_axis(h, align_corners, xd.dtype)
+        x0, x1, tx = T._bilinear_axis(w, align_corners, xd.dtype)
         drows = np.zeros((n, c, h, 2 * w), dtype=g.dtype)
         gy = g.transpose(2, 0, 1, 3)
         dr = drows.transpose(2, 0, 1, 3)
@@ -430,18 +410,16 @@ def interp_bilinear_x2(x, align_corners: bool = False):
 def maxpool2x2(x):
     xd = value_of(x)
     out = T.maxpool2x2(xd)
-    if not _any_node(x):
-        return out
     n, c, h, w = xd.shape
-    win = (
-        xd.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h // 2, w // 2, 4)
-    )
-    # argmax picks the first maximum in row-major (r, s) window order
-    sel = win.argmax(axis=-1)
 
     def vjp(g):
+        win = (
+            xd.reshape(n, c, h // 2, 2, w // 2, 2)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(n, c, h // 2, w // 2, 4)
+        )
+        # argmax picks the first maximum in row-major (r, s) window order
+        sel = win.argmax(axis=-1)
         d = np.zeros((n, c, h // 2, w // 2, 4), dtype=g.dtype)
         np.put_along_axis(d, sel[..., None], g[..., None], axis=-1)
         return (
@@ -455,8 +433,6 @@ def maxpool2x2(x):
 
 def pixel_shuffle_x2(x):
     out = T.pixel_shuffle_x2(value_of(x))
-    if not _any_node(x):
-        return out
     return _emit(out, [(x, T.pixel_unshuffle_x2)], name="pixel_shuffle_x2")
 
 
@@ -468,8 +444,6 @@ def interleave2x2(tl, tr, bl, br):
     phases = ((0, 0), (0, 1), (1, 0), (1, 1))
     for (r, s), sub in zip(phases, subs):
         out[:, :, r::2, s::2] = sub
-    if not _any_node(tl, tr, bl, br):
-        return out
 
     def make_vjp(r, s):
         return lambda g: g[:, :, r::2, s::2]
@@ -483,8 +457,6 @@ def interleave2x2(tl, tr, bl, br):
 def concat_channels(a, b):
     ad, bd = value_of(a), value_of(b)
     out = np.concatenate([ad, bd], axis=1)
-    if not _any_node(a, b):
-        return out
     ca = ad.shape[1]
     return _emit(
         out,
@@ -615,8 +587,6 @@ def reassemble(x_de, kernels, k: int):
                 kb.reshape(n, rows, nb, 2, span, 2 * bw),
                 out=dst.reshape(n, c, rows, 2, nb, 2 * bw).transpose(0, 2, 4, 3, 1, 5),
             )
-    if not _any_node(x_de, kernels):
-        return out
 
     def vjp_x(g):
         # A tap loop, not the transposed GEMM: that would scatter K^2
@@ -672,7 +642,7 @@ def blend(f_en, f_up, g, *, overwrite_up: bool = False):
     so a taped blend cannot overwrite it and raises ValueError.
     """
     fe, fu, gd = value_of(f_en), value_of(f_up), value_of(g)
-    if overwrite_up and _any_node(f_en, f_up, g):
+    if overwrite_up and any(isinstance(a, Node) for a in (f_en, f_up, g)):
         raise ValueError("a taped blend keeps f_up for its gradients; it cannot overwrite it")
     og = 1.0 - gd
     shape = np.broadcast_shapes(fe.shape, fu.shape, gd.shape)
@@ -683,8 +653,6 @@ def blend(f_en, f_up, g, *, overwrite_up: bool = False):
         chunk = slice(c0, c0 + _BLEND_CHUNK)
         np.multiply(fu[:, chunk], og, out=out[:, chunk])
         out[:, chunk] += fe[:, chunk] * gd
-    if not _any_node(f_en, f_up, g):
-        return out
 
     def vjp_g(grad):
         return _unbroadcast(grad * (fe - fu), gd.shape)
@@ -708,16 +676,12 @@ def blend(f_en, f_up, g, *, overwrite_up: bool = False):
 def sum_all(a):
     ad = value_of(a)
     out = np.asarray(ad.sum(), dtype=ad.dtype)
-    if not _any_node(a):
-        return out
     return _emit(out, [(a, lambda g: np.full_like(ad, g))], name="sum")
 
 
 def mean_all(a):
     ad = value_of(a)
     out = np.asarray(ad.mean(), dtype=ad.dtype)
-    if not _any_node(a):
-        return out
     return _emit(out, [(a, lambda g: np.full_like(ad, g / ad.size))], name="mean")
 
 
@@ -725,8 +689,6 @@ def mse_loss(pred, target):
     pd, td = value_of(pred), value_of(target)
     diff = pd - td
     out = np.asarray((diff * diff).mean(), dtype=pd.dtype)
-    if not _any_node(pred, target):
-        return out
     return _emit(
         out,
         [
@@ -746,8 +708,6 @@ def softmax_cross_entropy(logits, labels: np.ndarray):
     logp = z - lse
     picked = np.take_along_axis(logp, labels[:, None, :, :], axis=1)[:, 0]
     out = np.asarray(-picked.mean(), dtype=zd.dtype)
-    if not _any_node(logits):
-        return out
 
     def vjp(g):
         soft = np.exp(logp)

@@ -306,6 +306,42 @@ def _gradcheck_battery(seed: int):
         for form in ("h2l", "l2h"):
             check(f"{variant} semishift_{form}", partial(loss, form=form), arrays)
         check(f"{variant} forward", loss, arrays)
+    # the remaining ops, each against a probe so every entry's gradient counts.
+    # A (2, 1, 4) operand broadcasts against x, so add/sub/mul's VJPs sum
+    # over a leading axis and a size-1 axis
+    px = rng.normal(size=x.shape)
+    row = rng.normal(size=(2, 1, 4))
+    for name, fn in (("add", ag.add), ("sub", ag.sub), ("mul", ag.mul)):
+        check(
+            f"{name}/broadcast",
+            lambda A, B, fn=fn: ag.sum_all(ag.mul(fn(A, B), px)),
+            [x, row],
+        )
+    # the unary ops at inputs at least 0.5 away from relu's kink at 0
+    z = rng.normal(size=x.shape)
+    away = np.sign(z) * (0.5 + np.abs(z))
+    for name, fn in (
+        ("scale", lambda X: ag.scale(X, 0.7)),
+        ("one_minus", ag.one_minus),
+        ("relu", ag.relu),
+        ("leaky_relu", ag.leaky_relu),
+    ):
+        check(name, lambda X, fn=fn: ag.sum_all(ag.mul(fn(X), px)), [away])
+    check("mean_all", lambda X: ag.mean_all(ag.mul(X, px)), [x])
+    check("mse_loss", ag.mse_loss, [x, rng.normal(size=x.shape)])
+    labels = rng.integers(0, 3, size=(2, 2, 3))
+    check(
+        "softmax_cross_entropy",
+        lambda Z: ag.softmax_cross_entropy(Z, labels),
+        [rng.normal(size=(2, 3, 2, 3))],
+    )
+    wide = rng.normal(size=(2, 3, 4, 4))
+    probe_cat = rng.normal(size=(2, 5, 4, 4))
+    check(
+        "concat_channels",
+        lambda A, B: ag.sum_all(ag.mul(ag.concat_channels(A, B), probe_cat)),
+        [x, wide],
+    )
     return results
 
 

@@ -450,6 +450,8 @@ def read_checkpoint(path) -> dict:
         raise FormatError(f"first checkpoint blob at byte {offsets[0]}, expected {pos}")
     out = {}
     for (name, dims, offset), end in zip(manifest, ends):
+        if name in out:
+            raise FormatError(f"checkpoint entry {name!r} appears more than once")
         if end <= offset:
             raise FormatError(
                 f"checkpoint blob {name} would span bytes {offset}..{end}: offsets out of "

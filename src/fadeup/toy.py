@@ -444,10 +444,11 @@ def _evaluate(net: ToyNet, task: ToyTask, inputs, targets, epoch: int) -> dict:
 
 
 def _clip_gradients(params, max_norm: float) -> None:
+    # squares sum in float64: in float32 a finite entry above ~1.8e19 makes
+    # the norm inf and the scale 0, which would zero the gradient
     total = 0.0
     for p in params:
-        g = ag.grad_of(p)
-        total += float((g * g).sum())
+        total += float(np.square(ag.grad_of(p), dtype=np.float64).sum())
     norm = math.sqrt(total)
     if norm > max_norm:
         scale = max_norm / norm

@@ -13,6 +13,46 @@ from fadeup.autograd import DivergenceError, MomentumSGD, Node, backward
 from fadeup.kernelgen import _H2L_PADS
 
 
+def _tape_cases():
+    """Every public op as (fn of its array inputs, those inputs)."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(1, 2, 4, 4))
+
+    def r(*shape):
+        return rng.normal(size=shape)
+
+    labels = rng.integers(0, 2, size=(1, 4, 4))
+    return {
+        "add": (ag.add, [x, r(1, 2, 4, 4)]),
+        "sub": (ag.sub, [x, r(1, 2, 4, 4)]),
+        "mul": (ag.mul, [x, r(1, 2, 4, 4)]),
+        "scale": (lambda a: ag.scale(a, 0.5), [x]),
+        "one_minus": (ag.one_minus, [x]),
+        "relu": (ag.relu, [x]),
+        "leaky_relu": (ag.leaky_relu, [x]),
+        "sigmoid": (ag.sigmoid, [x]),
+        "softmax_channel": (ag.softmax_channel, [x]),
+        "conv2d": (ag.conv2d, [x, r(3, 2, 3, 3), r(3)]),
+        "conv2d_depthwise": (ag.conv2d_depthwise, [x, r(2, 3, 3), r(2)]),
+        "conv1x1": (ag.conv1x1, [x, r(3, 2, 1, 1), r(3)]),
+        "interp_nearest_x2": (ag.interp_nearest_x2, [x]),
+        "interp_bilinear_x2": (ag.interp_bilinear_x2, [x]),
+        "maxpool2x2": (ag.maxpool2x2, [x]),
+        "pixel_shuffle_x2": (ag.pixel_shuffle_x2, [r(1, 4, 2, 2)]),
+        "interleave2x2": (ag.interleave2x2, [x] + [r(1, 2, 4, 4) for _ in range(3)]),
+        "concat_channels": (ag.concat_channels, [x, r(1, 3, 4, 4)]),
+        "reassemble": (lambda a, k: ag.reassemble(a, k, 3), [x, r(1, 9, 8, 8)]),
+        "blend": (ag.blend, [x, r(1, 2, 4, 4), r(1, 1, 4, 4)]),
+        "sum_all": (ag.sum_all, [x]),
+        "mean_all": (ag.mean_all, [x]),
+        "mse_loss": (ag.mse_loss, [x, r(1, 2, 4, 4)]),
+        "softmax_cross_entropy": (lambda z: ag.softmax_cross_entropy(z, labels), [x]),
+    }
+
+
+TAPE_CASES = _tape_cases()
+
+
 class TestBackwardBasics:
     def test_sigmoid_derivative_at_zero(self):
         x = Node(np.zeros((1, 1, 1, 1)))
@@ -52,10 +92,21 @@ class TestBackwardBasics:
         with pytest.raises(TypeError, match="tracked forward"):
             backward(np.zeros(3))
 
-    def test_untracked_ops_return_arrays(self):
-        x = np.random.default_rng(0).normal(size=(1, 2, 4, 4))
-        assert isinstance(ag.sigmoid(x), np.ndarray)
-        assert isinstance(ag.conv2d(x, np.zeros((1, 2, 3, 3))), np.ndarray)
+    @pytest.mark.parametrize("op", list(TAPE_CASES))
+    def test_untracked_ops_return_arrays(self, op):
+        """All-ndarray inputs give a bare ndarray with the bits of the taped
+        call's data; one Node among ndarrays gives a Node whose only parent
+        is that Node."""
+        fn, arrays = TAPE_CASES[op]
+        out = fn(*arrays)
+        assert type(out) is np.ndarray
+        for i in range(len(arrays)):
+            node = Node(arrays[i])
+            taped = fn(*arrays[:i], node, *arrays[i + 1 :])
+            assert isinstance(taped, Node)
+            assert taped._parents == (node,)
+            assert (taped.dtype, taped.shape) == (out.dtype, out.shape)
+            assert taped.data.tobytes() == out.tobytes()
 
     def test_tracked_matches_untracked_forward(self):
         rng = np.random.default_rng(1)

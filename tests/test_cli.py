@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -253,6 +254,22 @@ class TestUpsample:
         )
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_weights_with_a_duplicated_entry_exit_2(self, tmp_path, capsys):
+        from fadeup.operators import OperatorConfig, build_operator, save_checkpoint
+
+        en_path, de_path, _, _ = write_pair(tmp_path, seed=2)
+        entries = list(build_operator(OperatorConfig("fade", channels=3, compressed=8))
+                       .named_parameters())
+        ckpt = tmp_path / "w.fckp"
+        save_checkpoint(SimpleNamespace(named_parameters=lambda: entries + entries[:1]), ckpt)
+        code = main(
+            ["upsample", "--variant", "fade", "--decoder", str(de_path),
+             "--encoder", str(en_path), "--d", "8", "--weights", str(ckpt),
+             "--out", str(tmp_path / "x.ften")]
+        )
+        assert code == 2
+        assert f"{entries[0][0]!r} appears more than once" in capsys.readouterr().err
 
     def test_weights_from_another_config_exit_3(self, tmp_path, capsys):
         from fadeup.operators import OperatorConfig, build_operator, save_checkpoint

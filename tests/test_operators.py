@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -479,6 +480,17 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             read_checkpoint(path)
+
+    def test_duplicated_entry_name_raises_naming_it(self, tmp_path):
+        """A second copy of an entry would silently replace the first."""
+        op = build_operator(OperatorConfig("carafe", channels=2, compressed=2, kernel_size=3))
+        entries = list(op.named_parameters())
+        copy = ag.value_of(dict(entries)["compressor.weights"]) + 1.0
+        path = tmp_path / "dup.fckp"
+        save_checkpoint(SimpleNamespace(named_parameters=lambda: entries + [
+            ("compressor.weights", copy)]), path)
+        with pytest.raises(FormatError, match="'compressor.weights' appears more than once"):
+            load_checkpoint(build_operator(op.config), path)
 
     # sha256 of save_checkpoint output (channels=3, compressed=4, K=3, seed=5, f32);
     # a new digest means the RNG draw order, slot names or slot order moved

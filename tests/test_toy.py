@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fadeup import toy
-from fadeup.autograd import DivergenceError
+from fadeup.autograd import DivergenceError, Node
 from fadeup.tensor import ShapeError
 from fadeup.toy import (
     ToyTask,
@@ -220,6 +220,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=r"impl must be one of \('h2l', 'l2h'\)"):
             TrainConfig("fade", impl=impl)
         assert toy.TRAIN_IMPLS == ("h2l", "l2h")
+
+
+class TestClipGradients:
+    def test_large_finite_gradient_is_clipped_not_zeroed(self):
+        """One f32 entry of 3e19 squares past the f32 range; the clip still
+        brings the global norm to max_norm and keeps the direction."""
+        rng = np.random.default_rng(0)
+        params = [Node(np.zeros((3, 4), np.float32)), Node(np.zeros(5, np.float32))]
+        for p in params:
+            p.grad = rng.normal(size=p.data.shape).astype(np.float32)
+        params[0].grad[1, 2] = 3e19
+        before = np.concatenate([p.grad.astype(np.float64).ravel() for p in params])
+        toy._clip_gradients(params, 5.0)
+        after = np.concatenate([p.grad.astype(np.float64).ravel() for p in params])
+        norm = np.linalg.norm(after)
+        assert norm == pytest.approx(5.0, rel=1e-6)
+        np.testing.assert_allclose(after / norm, before / np.linalg.norm(before), rtol=1e-6)
 
 
 class TestRecipeHelpers:
