@@ -13,6 +13,12 @@ The tape rule: every op computes its forward and returns
 to record; when no input is a Node it returns ``out`` itself, a bare
 ndarray.  Work that only a gradient needs lives inside the VJPs, so an
 untaped call does none of it.
+
+The tape keeps node data and weights, nothing derived from them: a VJP
+rebuilds a derived buffer it needs (a convolution's shifted copy, the
+reassembly windows, a log-softmax) instead of holding it from forward to
+backward.  And only leaves keep ``.grad``: :func:`backward` drops an
+interior node's gradient once it has passed it on.
 """
 
 from __future__ import annotations
@@ -96,7 +102,13 @@ def _topo(root: Node):
 
 
 def backward(loss: Node, seed: float = 1.0) -> None:
-    """Reverse pass from ``loss``, seeding d(loss)/d(loss) = ``seed``."""
+    """Reverse pass from ``loss``, seeding d(loss)/d(loss) = ``seed``.
+
+    Only leaves keep ``.grad``: an interior node, one with a backprop,
+    drops its gradient once it has passed it on to its parents, which
+    is the last time the pass reads it.  So a second call on the same
+    graph adds exactly one more gradient to every leaf.
+    """
     if not isinstance(loss, Node):
         raise TypeError("backward needs a recorded Node; run a tracked forward first")
     order = _topo(loss)
@@ -104,6 +116,7 @@ def backward(loss: Node, seed: float = 1.0) -> None:
     for node in reversed(order):
         if node._backprop is not None and node.grad is not None:
             node._backprop(node.grad)
+            node.grad = None
 
 
 def zero_grad(nodes) -> None:
@@ -251,6 +264,8 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
     output in row order; the junk columns are dropped at the end.  A 1 x 1 kernel at stride 1 without padding takes
     S as a view of x, so nothing is copied.
 
+    The forward drops S once its GEMMs are done, and ``vjp_w`` rebuilds
+    S, so the tape holds no k-fold copy of x from forward to backward.
     The gradients see the junk columns as zeros.  ``vjp_w`` is the
     transposed GEMM per kernel row, summed over the batch.  ``vjp_x``
     stacks one copy of the gradient per kernel row of a row phase, shifted
@@ -273,13 +288,17 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
         for a, (pr, ur) in enumerate(rows)
         for j, (pc, uc) in enumerate(cols)
     ]
-    if k == 1 and s == 1 and pad == PadSpec.same(0):
-        taps = xd
-    else:
+    taps_shape = (n, phases, g, c // g * k, ph * pw)
+
+    def shifted_copy():
+        """S as (n, phases, g, c/g k, ph pw)."""
+        if k == 1 and s == 1 and pad == PadSpec.same(0):
+            return xd.reshape(taps_shape)
         taps = np.zeros((n, phases, c, k, ph, pw), xd.dtype)
         for plane, grid in runs:
             taps[grid] = xd[plane]
-    taps = taps.reshape(n, phases, g, c // g * k, ph * pw)
+        return taps.reshape(taps_shape)
+
     # kernel row i as (g, o/g, c/g k) in S's (channel, column tap) order
     wr = np.ascontiguousarray(
         wd.reshape(g, o // g, c // g, k, k).transpose(3, 0, 1, 2, 4)
@@ -288,9 +307,11 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
     def row(a, i):
         return a[:, i % s, :, :, i // s * pw : (i // s + oh) * pw]
 
+    taps = shifted_copy()
     out = _gemm(wr[0], row(taps, 0))
     for i in range(1, k):
         out += _gemm(wr[i], row(taps, i))
+    del taps
     out = out.reshape(n, o, oh, pw)[..., :ow]
     if bias is not None:
         out = out + value_of(bias)[None, :, None, None]
@@ -306,7 +327,7 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
         return gs.reshape(n, g, -1, ph * pw)
 
     def vjp_x(grad):
-        dtaps = np.empty(taps.shape, np.result_type(wr, grad))
+        dtaps = np.empty(taps_shape, np.result_type(wr, grad))
         for a in range(phases):
             kept = range(a, k, s)
             wt = wr[a::s].transpose(1, 3, 0, 2).reshape(g, c // g * k, -1)
@@ -318,7 +339,7 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
         return dx
 
     def vjp_w(grad):
-        gm = shifted(grad, [0])
+        gm, taps = shifted(grad, [0]), shifted_copy()
         dw = np.empty((g, o // g, c // g, k, k), np.result_type(gm, taps))
         for i in range(k):
             prod = _gemm(gm[..., : oh * pw], row(taps, i).swapaxes(2, 3))
@@ -689,28 +710,34 @@ def mse_loss(pred, target):
     pd, td = value_of(pred), value_of(target)
     diff = pd - td
     out = np.asarray((diff * diff).mean(), dtype=pd.dtype)
+    m = diff.size
+    # the VJPs form the difference again rather than keep it on the tape
     return _emit(
         out,
         [
-            (pred, lambda g: (2.0 / diff.size) * diff * g),
-            (target, lambda g: (-2.0 / diff.size) * diff * g),
+            (pred, lambda g: (2.0 / m) * (pd - td) * g),
+            (target, lambda g: (-2.0 / m) * (pd - td) * g),
         ],
         name="mse",
     )
+
+
+def _log_softmax_channel(z):
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def softmax_cross_entropy(logits, labels: np.ndarray):
     """Mean per-pixel cross entropy; labels are int (n, h, w)."""
     zd = value_of(logits)
     n, c, h, w = zd.shape
-    z = zd - zd.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - lse
+    logp = _log_softmax_channel(zd)
     picked = np.take_along_axis(logp, labels[:, None, :, :], axis=1)[:, 0]
     out = np.asarray(-picked.mean(), dtype=zd.dtype)
 
     def vjp(g):
-        soft = np.exp(logp)
+        # recomputed rather than kept on the tape
+        soft = np.exp(_log_softmax_channel(zd))
         onehot = np.zeros_like(soft)
         np.put_along_axis(onehot, labels[:, None, :, :], 1.0, axis=1)
         return (soft - onehot) * (g / (n * h * w))

@@ -88,6 +88,16 @@ class TestBackwardBasics:
         np.testing.assert_array_equal(first[0], x.grad)
         np.testing.assert_array_equal(first[1], w.grad)
 
+    def test_second_backward_doubles_leaf_gradients(self):
+        """Interior gradients are dropped once passed on, so a second pass
+        over the same graph adds exactly one more gradient to the leaf."""
+        x = Node(np.random.default_rng(2).normal(size=(1, 2, 3, 3)))
+        loss = ag.sum_all(ag.sigmoid(ag.add(x, x)))
+        backward(loss)
+        once = x.grad.copy()
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, 2 * once)
+
     def test_backward_requires_node(self):
         with pytest.raises(TypeError, match="tracked forward"):
             backward(np.zeros(3))
@@ -379,6 +389,24 @@ class TestConvAgainstIm2col:
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes / 2, f"peak {peak / out.nbytes:.2f}x the output"
+
+    def test_taped_forward_keeps_no_shifted_copy(self):
+        """After a taped 3x3 conv's forward, what stays allocated is its
+        output, a weight-sized copy and the node's closures: the k-fold
+        shifted copy of x is rebuilt by vjp_w, not kept for it."""
+        rng = np.random.default_rng(15)
+        x = Node(rng.normal(size=(4, 12, 48, 48)).astype(np.float32))
+        w = Node(rng.normal(size=(12, 12, 3, 3)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = ag.conv2d(x, w)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 16 KiB covers the Node, its closures and their index tuples
+        assert kept <= out.data.nbytes + w.data.nbytes + 16384, (
+            f"kept {kept / out.data.nbytes:.2f}x the output"
+        )
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bit_identical_across_blas_threads(self, threads):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fadeup import autograd as ag
 from fadeup import toy
 from fadeup.autograd import DivergenceError, Node
 from fadeup.tensor import ShapeError
@@ -195,6 +196,19 @@ class TestTraining:
         last = res.history[-1]
         assert res.final == {k: v for k, v in last.items() if k not in ("epoch", "loss")}
         assert list(res.final) == ["miou", "band_iou"]
+
+    def test_backward_leaves_gradients_on_parameters_only(self):
+        """After one training step's backward every parameter holds a
+        gradient and no interior node of the tape does."""
+        task = ToyTask("multiclass_shapes_segmentation", size=16, classes=3, count=2)
+        x, y = make_toy_task(task)
+        net = toy.ToyNet("b6_full", in_channels=x.shape[1], out_channels=3, features=8, compressed=4)
+        loss = ag.softmax_cross_entropy(net.forward(toy.net_inputs(x)), y)
+        ag.backward(loss)
+        interior = [n for n in ag._topo(loss) if n._backprop is not None]
+        assert interior and all(n.grad is None for n in interior)
+        for p in net.parameters():
+            assert p.grad is not None and p.grad.shape == p.data.shape, p.name
 
 
 class TestTrainConfig:
