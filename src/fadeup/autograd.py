@@ -247,7 +247,7 @@ def _tap_run(size, lo, s, tap, count):
 
 
 def _conv(x, w, bias, k, stride, pad, groups, name):
-    """The one convolution: one GEMM per kernel row over a column-shifted copy of x.
+    """The one convolution: GEMMs over a column-shifted copy of x.
 
     The c input and o output channels split into ``groups`` equal groups,
     and output group j reads input group j only.  ``pad`` None means
@@ -255,23 +255,32 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
 
     The copy S[n, a, c, j, u, v] holds the zero-padded plane at
     (s u + a, s v + j): row phase a < min(s, k), column tap j < k.  Its
-    grid is ph x pw, where pw is ow plus (k-1)//s junk columns, and the
-    output uses the same pitch: output (y, x) is flat position y pw + x,
-    and an output with x >= ow, which reads across a row end, is junk.
-    Flattened, kernel row i is then the view of row phase i % s at offset
-    (i // s) pw.  Per batch item and group that row is one
-    (o/g, c/g k) @ (c/g k, oh pw) GEMM, and the k products sum into the
-    output in row order; the junk columns are dropped at the end.  A 1 x 1 kernel at stride 1 without padding takes
-    S as a view of x, so nothing is copied.
+    grid is ph x pw, where ph is oh plus (k-1)//s halo rows and pw is ow
+    plus (k-1)//s junk columns, and a GEMM result uses the same pitch:
+    output (y, x) is flat position y pw + x, and an output with x >= ow,
+    which reads across a row end, is junk.  Flattened, kernel row i is
+    then the view of row phase i % s at offset (i // s) pw.
 
-    The forward drops S once its GEMMs are done, and ``vjp_w`` rebuilds
-    S, so the tape holds no k-fold copy of x from forward to backward.
-    The gradients see the junk columns as zeros.  ``vjp_w`` is the
-    transposed GEMM per kernel row, summed over the batch.  ``vjp_x``
-    stacks one copy of the gradient per kernel row of a row phase, shifted
-    down by i // s rows, so each phase of dS is one GEMM with inner
-    dimension (rows) o/g; adding S's k column shifts back onto the plane
-    gives dx.  Every product goes through :func:`_gemm`.
+    The forward builds S for one strip of output rows at a time, in one
+    buffer that every strip reuses.  Per batch item, group and row phase
+    a, one (r o/g, c/g k) @ (c/g k, (rows + halo) pw) GEMM gives the
+    products of the phase's r kernel rows a, a + s, ... over the strip and
+    its halo rows; kernel row i's product is read (i // s) pw further on,
+    and the k products sum in row order on the pw pitch.  The strip's
+    first ow columns are then its rows of the compact output, and the
+    bias is added in place.  A strip has as many rows as keep its S within
+    o h w values, what the output would hold at stride 1, so the scratch
+    is bounded, and it and every GEMM's shape do not depend on the batch
+    size.  A 1 x 1 kernel at stride 1 without padding takes S as a view of
+    x, so nothing is copied and one GEMM covers the plane.
+
+    The tape holds no copy of S: ``vjp_w`` rebuilds the whole of it.  The
+    gradients see the junk columns as zeros.  ``vjp_w`` is the transposed
+    GEMM per kernel row, summed over the batch.  ``vjp_x`` stacks one
+    copy of the gradient per kernel row of a row phase, shifted down by
+    i // s rows, so each phase of dS is one GEMM with inner dimension
+    (rows) o/g; adding S's k column shifts back onto the plane gives dx.
+    Every product goes through :func:`_gemm`.
     """
     xd, wd = value_of(x), value_of(w)
     pad = PadSpec.same(k // 2) if pad is None else pad
@@ -279,7 +288,8 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
     o, g, s = wd.shape[0], groups, stride
     oh = T._out_dim(h, pad.top, pad.bottom, k, s)
     ow = T._out_dim(wid, pad.left, pad.right, k, s)
-    ph, pw, phases = oh + (k - 1) // s, ow + (k - 1) // s, min(s, k)
+    halo, phases = (k - 1) // s, min(s, k)
+    ph, pw = oh + halo, ow + halo
     rows = [_tap_run(h, pad.top, s, a, ph) for a in range(phases)]
     cols = [_tap_run(wid, pad.left, s, j, pw) for j in range(k)]
     # (plane index, S index) of every block of S that x fills
@@ -289,6 +299,22 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
         for j, (pc, uc) in enumerate(cols)
     ]
     taps_shape = (n, phases, g, c // g * k, ph * pw)
+
+    def fill(taps, y0):
+        """Grid rows y0 .. y0 + height of S into the forward's strip buffer
+        ``taps`` (n, phases, c, k, height, pw), whose columns that read
+        padding must already be zero; rows that read padding are zeroed here."""
+        height = taps.shape[4]
+        for a in range(phases):
+            pr, ur = _tap_run(h, pad.top, s, a + s * y0, height)
+            for j, (pc, uc) in enumerate(cols):
+                t = taps[:, a, :, j]
+                if ur.start:
+                    t[:, :, : ur.start, uc] = 0
+                if ur.stop < height:
+                    t[:, :, ur.stop :, uc] = 0
+                t[:, :, ur, uc] = xd[:, :, pr, pc]
+        return taps
 
     def shifted_copy():
         """S as (n, phases, g, c/g k, ph pw)."""
@@ -307,16 +333,36 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
     def row(a, i):
         return a[:, i % s, :, :, i // s * pw : (i // s + oh) * pw]
 
-    taps = shifted_copy()
-    out = _gemm(wr[0], row(taps, 0))
-    for i in range(1, k):
-        out += _gemm(wr[i], row(taps, i))
-    del taps
-    out = out.reshape(n, o, oh, pw)[..., :ow]
-    if bias is not None:
-        out = out + value_of(bias)[None, :, None, None]
+    if k == 1 and s == 1 and pad == PadSpec.same(0):
+        out = _gemm(wr[0], row(shifted_copy(), 0)).reshape(n, o, oh, ow)
     else:
-        out = np.ascontiguousarray(out)
+        out = np.empty((n, o, oh, ow), np.result_type(wr, xd))
+        strip = min(max(o * h * wid // (phases * c * k * pw) - halo, 1), oh)
+        taps = np.zeros((n, phases, c, k, strip + halo, pw), xd.dtype)
+        flat = taps.reshape(n, phases, g, c // g * k, -1)
+        # phase a's kernel rows a, a + s, ... stacked as (g, r o/g, c/g k)
+        wp = [wr[a::s].swapaxes(0, 1).reshape(g, -1, c // g * k) for a in range(phases)]
+        prods = [np.empty(n * g * wa.shape[1] * flat.shape[-1], out.dtype) for wa in wp]
+        acc = np.empty(n * o * strip * pw, out.dtype)
+        for y0 in range(0, oh, strip):
+            m = min(strip, oh - y0)
+            fill(taps, y0)
+            span = (m + halo) * pw
+            p = []
+            for a, (wa, buf) in enumerate(zip(wp, prods)):
+                pa = buf[: n * g * wa.shape[1] * span].reshape(n, g, -1, span)
+                _gemm(wa, flat[:, a, ..., :span], out=pa)
+                p.append(pa.reshape(n, g, -1, o // g, span))
+            head = p[0][:, :, 0, :, : m * pw]
+            for i in range(1, k):
+                term = p[i % s][:, :, i // s, :, i // s * pw : (i // s + m) * pw]
+                head = np.add(head, term, out=acc[: n * o * m * pw].reshape(head.shape))
+            out.reshape(n, g, o // g, oh, ow)[:, :, :, y0 : y0 + m] = head.reshape(
+                n, g, o // g, m, pw
+            )[..., :ow]
+    if bias is not None:
+        bd = value_of(bias)[None, :, None, None]
+        out = np.add(out, bd, out=out if np.result_type(out, bd) == out.dtype else None)
 
     def shifted(grad, kept):
         """The gradient on the (ph, pw) grid, once per kernel row in ``kept``,
@@ -429,25 +475,20 @@ def interp_bilinear_x2(x, align_corners: bool = False):
 
 
 def maxpool2x2(x):
+    """2x2 max pool.  The gradient of a window goes to its first maximum in
+    row-major (r, s) order.  A window that holds a NaN has no entry equal
+    to its NaN output, so it passes no gradient on."""
     xd = value_of(x)
     out = T.maxpool2x2(xd)
-    n, c, h, w = xd.shape
 
     def vjp(g):
-        win = (
-            xd.reshape(n, c, h // 2, 2, w // 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h // 2, w // 2, 4)
-        )
-        # argmax picks the first maximum in row-major (r, s) window order
-        sel = win.argmax(axis=-1)
-        d = np.zeros((n, c, h // 2, w // 2, 4), dtype=g.dtype)
-        np.put_along_axis(d, sel[..., None], g[..., None], axis=-1)
-        return (
-            d.reshape(n, c, h // 2, w // 2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
+        d = np.empty(xd.shape, g.dtype)  # the four phases cover it
+        free = np.ones(out.shape, bool)  # windows whose maximum is not yet taken
+        for r, s in _PHASES:
+            hit = free & (xd[..., r::2, s::2] == out)
+            d[..., r::2, s::2] = np.where(hit, g, 0)
+            free &= ~hit
+        return d
 
     return _emit(out, [(x, vjp)], name="maxpool2x2")
 

@@ -389,7 +389,6 @@ def _as_rank4(a: np.ndarray) -> np.ndarray:
 
 def save_checkpoint(op: UpsampleOperator, path) -> None:
     entries = [(name, _as_rank4(np.array(value_of(v)))) for name, v in op.named_parameters()]
-    blobs = [T.ften_bytes(a) for _, a in entries]
     head_size = _CKPT_HEAD.size
     manifest_size = sum(
         2 + len(name.encode("ascii")) + _CKPT_ENTRY_DIMS.size for name, _ in entries
@@ -397,20 +396,24 @@ def save_checkpoint(op: UpsampleOperator, path) -> None:
     offset = head_size + manifest_size
     with open(path, "wb") as f:
         f.write(_CKPT_HEAD.pack(_CKPT_MAGIC, _CKPT_VERSION, 0, 0, len(entries)))
-        for (name, a), blob in zip(entries, blobs):
+        for name, a in entries:
             nb = name.encode("ascii")
             f.write(struct.pack("<H", len(nb)))
             f.write(nb)
             f.write(_CKPT_ENTRY_DIMS.pack(*a.shape, offset))
-            offset += len(blob)
-        for blob in blobs:
-            f.write(blob)
+            offset += T.ften_size(a)
+        for _, a in entries:
+            T.write_ften_to(f, a)
 
 
 def read_checkpoint(path) -> dict:
-    """Read a checkpoint into an ordered name -> rank-4 array mapping."""
+    """Read a checkpoint file into an ordered name -> rank-4 array mapping."""
     with open(path, "rb") as f:
-        raw = f.read()
+        return checkpoint_from_bytes(f.read())
+
+
+def checkpoint_from_bytes(raw: bytes) -> dict:
+    """Parse a checkpoint image into an ordered name -> rank-4 array mapping."""
     if len(raw) < _CKPT_HEAD.size:
         raise FormatError("truncated checkpoint header")
     magic, version, reserved5, reserved67, count = _CKPT_HEAD.unpack_from(raw)
@@ -466,7 +469,12 @@ def read_checkpoint(path) -> dict:
 
 def load_checkpoint(op: UpsampleOperator, path) -> None:
     """Load weights saved by :func:`save_checkpoint` into ``op`` (strict)."""
-    stored = read_checkpoint(path)
+    install_checkpoint(op, read_checkpoint(path))
+
+
+def install_checkpoint(op: UpsampleOperator, stored: dict) -> None:
+    """Install a parsed checkpoint into ``op``: its names must be exactly
+    ``op``'s parameters, at their shapes, or nothing is installed."""
     live = dict(op.named_parameters())
     missing = [n for n in live if n not in stored]
     extra = [n for n in stored if n not in live]

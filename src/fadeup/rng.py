@@ -18,8 +18,8 @@ uniform in the closed range +/- sqrt(6 / fan_in); biases start at zero.
 
 Draws are made in bulk: the LCG states come from jump-ahead doubling
 over a uint64 array, and the shuffle chases table indices only, then
-gathers the emitted values.  The stream is the one the three lines
-above define, draw for draw.
+gathers the emitted values, in blocks of at most ``_BLOCK`` draws.  The
+stream is the one the three lines above define, draw for draw.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
 _TABLE_SIZE = 32
 _WARMUP = 8
+# draws per _draw call in uniform_array: the shuffle's index chase keeps
+# Python lists of about 70 bytes per draw, so a large tensor is drawn in blocks
+_BLOCK = 4096
 
 
 def _lcg_states(state: int, count: int) -> np.ndarray:
@@ -104,8 +107,11 @@ class ShuffledLcg:
         The float64 conversion of y rounds to nearest; scaling by 2^-64 is
         exact.  A float32 ``dtype`` rounds again, so u >= 1 - 2^-25 gives 1.0.
         """
-        u = self._draw(int(np.prod(shape))).astype(np.float64) * 2.0**-64
-        return u.reshape(shape).astype(dtype)
+        u = np.empty(math.prod(shape), np.float64)
+        for i in range(0, u.size, _BLOCK):
+            u[i : i + _BLOCK] = self._draw(min(_BLOCK, u.size - i))
+        u *= 2.0**-64
+        return u.reshape(shape).astype(dtype, copy=False)
 
 
 def init_conv_weights(

@@ -8,6 +8,9 @@ outputs across runs.
 
 from __future__ import annotations
 
+import io
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -195,12 +198,18 @@ def interp_bilinear_x2(x: np.ndarray, align_corners: bool = False) -> np.ndarray
 
 
 def maxpool2x2(x: np.ndarray) -> np.ndarray:
-    """Non-overlapping 2x2 max; spatial dims must be even."""
+    """Non-overlapping 2x2 max; spatial dims must be even.
+
+    A window that holds a NaN gives NaN, as ``np.maximum`` propagates it.
+    """
     check_nchw(x)
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    return x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+    return np.maximum(
+        np.maximum(x[..., 0::2, 0::2], x[..., 0::2, 1::2]),
+        np.maximum(x[..., 1::2, 0::2], x[..., 1::2, 1::2]),
+    )
 
 
 def softmax_channel(x: np.ndarray) -> np.ndarray:
@@ -261,23 +270,38 @@ def pixel_unshuffle_x2(x: np.ndarray) -> np.ndarray:
 _FTEN_HEADER = struct.Struct("<4sBBH4I")
 
 
+def ften_size(x: np.ndarray) -> int:
+    """Bytes in the FTEN image of ``x``."""
+    return _FTEN_HEADER.size + x.size * x.itemsize
+
+
+def write_ften_to(f, x: np.ndarray) -> None:
+    """Write the FTEN image of ``x`` to the binary file ``f``: the header,
+    then the payload straight from the array's memory when it is already
+    little-endian and contiguous, so no copy of the image is made."""
+    check_nchw(x, "FTEN tensor")
+    f.write(_FTEN_HEADER.pack(_FTEN_MAGIC, _FTEN_VERSION, _FTEN_DTYPE_CODE[x.dtype], 0, *x.shape))
+    f.write(np.ascontiguousarray(x, dtype=x.dtype.newbyteorder("<")).data)
+
+
 def write_ften(path, x: np.ndarray) -> None:
-    blob = ften_bytes(x)
     with open(path, "wb") as f:
-        f.write(blob)
+        write_ften_to(f, x)
 
 
 def ften_bytes(x: np.ndarray) -> bytes:
-    check_nchw(x, "FTEN tensor")
-    code = _FTEN_DTYPE_CODE[x.dtype]
-    header = _FTEN_HEADER.pack(_FTEN_MAGIC, _FTEN_VERSION, code, 0, *x.shape)
-    return header + np.ascontiguousarray(x, dtype=x.dtype.newbyteorder("<")).tobytes()
+    f = io.BytesIO()
+    write_ften_to(f, x)
+    return f.getvalue()
 
 
-def ften_from_bytes(blob: bytes) -> np.ndarray:
-    if len(blob) < _FTEN_HEADER.size:
+def _ften_header(head: bytes, size: int):
+    """(shape, little-endian dtype) from the first bytes ``head`` of an FTEN
+    image of ``size`` bytes; raises FormatError unless the image is exactly
+    the header plus the payload it declares."""
+    if size < _FTEN_HEADER.size:
         raise FormatError("truncated FTEN header")
-    magic, version, code, reserved, n, c, h, w = _FTEN_HEADER.unpack_from(blob)
+    magic, version, code, reserved, n, c, h, w = _FTEN_HEADER.unpack_from(head)
     if magic != _FTEN_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {_FTEN_MAGIC!r}")
     if version != _FTEN_VERSION:
@@ -290,17 +314,33 @@ def ften_from_bytes(blob: bytes) -> np.ndarray:
         raise FormatError(f"non-positive dim in header: {(n, c, h, w)}")
     dtype = _FTEN_CODE_DTYPE[code]
     expected = _FTEN_HEADER.size + n * c * h * w * dtype.itemsize
-    if len(blob) != expected:
+    if size != expected:
         raise FormatError(
-            f"payload size mismatch: file has {len(blob)} bytes, expected {expected}"
+            f"payload size mismatch: file has {size} bytes, expected {expected}"
         )
+    return (n, c, h, w), dtype
+
+
+def ften_from_bytes(blob: bytes) -> np.ndarray:
+    shape, dtype = _ften_header(blob, len(blob))
     data = np.frombuffer(blob, dtype=dtype, offset=_FTEN_HEADER.size)
-    return data.reshape(n, c, h, w).astype(dtype.newbyteorder("="), copy=True)
+    return data.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
 
 
 def read_ften(path) -> np.ndarray:
+    """Read an FTEN file into a fresh array: the header is checked against
+    the file's size, then the payload is read straight into the array.  A
+    stream with no size, such as a pipe, is read whole and then parsed."""
     with open(path, "rb") as f:
-        return ften_from_bytes(f.read())
+        head = f.read(_FTEN_HEADER.size)
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            return ften_from_bytes(head + f.read())
+        shape, dtype = _ften_header(head, st.st_size)
+        out = np.empty(shape, dtype)
+        if f.readinto(out.data) != out.nbytes or f.read(1):
+            raise FormatError(f"FTEN file {path} changed size while it was read")
+    return out.astype(dtype.newbyteorder("="), copy=False)
 
 
 def write_pgm(path, x: np.ndarray) -> None:

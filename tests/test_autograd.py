@@ -408,6 +408,35 @@ class TestConvAgainstIm2col:
             f"kept {kept / out.data.nbytes:.2f}x the output"
         )
 
+    def test_untaped_peak_is_bounded_by_the_output(self):
+        """The l2h generator conv at the CLI shape: its k-fold shifted copy
+        exists one strip of output rows at a time, not for the whole plane."""
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(1, 64, 64, 64)).astype(np.float32)
+        w = rng.normal(size=(25, 64, 3, 3)).astype(np.float32)
+        b = rng.normal(size=25).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = ag.conv2d(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
+
+    @pytest.mark.parametrize("stride,pad", [(1, None), (2, T.PadSpec(1, 0, 1, 0))])
+    def test_batched_equals_items_across_strips(self, stride, pad):
+        """A generator-shaped conv runs in several strips of output rows; each
+        batch item of a batched call equals that item alone, bit for bit."""
+        rng = np.random.default_rng(17)
+        for dtype in (np.float32, np.float64):
+            x = rng.normal(size=(3, 64, 40, 36)).astype(dtype)
+            w = rng.normal(size=(25, 64, 3, 3)).astype(dtype)
+            b = rng.normal(size=25).astype(dtype)
+            out = ag.conv2d(x, w, b, stride=stride, pad=pad)
+            for i in range(3):
+                alone = ag.conv2d(x[i : i + 1], w, b, stride=stride, pad=pad)
+                np.testing.assert_array_equal(out[i : i + 1], alone)
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bit_identical_across_blas_threads(self, threads):
         """Forward, dx and dw at one h2l and one l2h generator shape hash the
@@ -431,7 +460,8 @@ class TestConvAgainstIm2col:
 def conv_digest() -> str:
     """sha256 of ``_conv``'s forward, dx and dw, f32, 64 -> 25 channels,
     k=3: stride 2 with the top-left corner pad on a 40x40 plane (h2l) and
-    stride 1 on a 36x44 plane (l2h)."""
+    stride 1 on a 36x44 plane (l2h).  Both forwards run in several strips
+    of output rows."""
     rng = np.random.default_rng(15)
     digest = hashlib.sha256()
     for stride, pad, h, w in ((2, T.PadSpec(1, 0, 1, 0), 40, 40), (1, None, 36, 44)):
@@ -472,6 +502,34 @@ class TestGradcheckExamples:
         probe = rng.normal(size=fn(x, w, b).shape)
         err = ag.gradcheck(lambda X, W, B: ag.sum_all(ag.mul(fn(X, W, B), probe)), [x, w, b])
         assert err < 1e-7
+
+    def test_maxpool_matches_argmax_routing(self):
+        """Forward and gradient equal the reshape-max forward and the argmax
+        VJP bit for bit, ties included: a window's gradient goes to its
+        first maximum in (r, s) order."""
+        rng = np.random.default_rng(9)
+        for dtype in (np.float32, np.float64):
+            x = rng.integers(0, 3, size=(2, 3, 6, 8)).astype(dtype)  # many ties
+            g = rng.normal(size=(2, 3, 3, 4)).astype(dtype)
+            win = x.reshape(2, 3, 3, 2, 4, 2).transpose(0, 1, 2, 4, 3, 5).reshape(2, 3, 3, 4, 4)
+            d = np.zeros_like(win)
+            np.put_along_axis(d, win.argmax(axis=-1)[..., None], g[..., None], axis=-1)
+            want = d.reshape(2, 3, 3, 4, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+            xn = Node(x)
+            out = ag.maxpool2x2(xn)
+            np.testing.assert_array_equal(out.data, win.max(axis=-1))
+            backward(ag.sum_all(ag.mul(out, g)))
+            assert xn.grad.tobytes() == want.tobytes()
+
+    def test_maxpool_nan_window_passes_no_gradient(self):
+        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
+        x[0, 0, 0, 1] = np.nan
+        xn = Node(x)
+        out = ag.maxpool2x2(xn)
+        assert np.isnan(out.data[0, 0, 0, 0]) and np.isnan(out.data).sum() == 1
+        backward(ag.sum_all(out))
+        assert not xn.grad[0, 0, :2, :2].any()
+        assert xn.grad.sum() == 3
 
     def test_maxpool_tie_free(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)

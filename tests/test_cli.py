@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -144,6 +145,41 @@ class TestUpsample:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["decoder", "encoder"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_input_size_other_than_its_header_says_exit_2(self, tmp_path, capsys, role, delta):
+        en_path, de_path, _, _ = write_pair(tmp_path)
+        path = de_path if role == "decoder" else en_path
+        raw = path.read_bytes()
+        path.write_bytes(raw[:delta] if delta < 0 else raw + bytes(delta))
+        code = main(
+            ["upsample", "--variant", "fade", "--decoder", str(de_path), "--encoder", str(en_path),
+             "--d", "2", "--K", "3", "--out", str(tmp_path / "x.ften")]
+        )
+        assert code == 2
+        assert "size mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "variant,impl", [("fade", "l2h"), ("fade", "h2l"), ("fade_lite", None), ("carafe", None)]
+    )
+    def test_upsample_peak_at_c64(self, tmp_path, variant, impl):
+        """An in-process call at C=64, d=64, K=5 with a 32x32 decoder (a 1 MiB
+        f32 output) peaks under 4 MiB: no scratch buffer spans a whole
+        input's k-fold copy or a second copy of a file."""
+        en_path, de_path, _, _ = write_pair(tmp_path, c=64, h=32, w=32)
+        argv = ["upsample", "--variant", variant, "--decoder", str(de_path), "--d", "64",
+                "--K", "5", "--out", str(tmp_path / "out.ften")]
+        argv += [] if variant == "carafe" else ["--encoder", str(en_path)]
+        argv += ["--impl", impl] if impl else []
+        assert main(argv) == 0  # imports and first-call set-up stay out of the measure
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_reserved_bytes_in_decoder_exit_2(self, tmp_path, capsys):
         _, de_path, _, _ = write_pair(tmp_path)

@@ -12,7 +12,9 @@ from fadeup import operators as ops
 from fadeup.operators import (
     OperatorConfig,
     build_operator,
+    checkpoint_from_bytes,
     compose_iterative,
+    install_checkpoint,
     load_checkpoint,
     read_checkpoint,
     save_checkpoint,
@@ -393,6 +395,8 @@ class TestCheckpoint:
         """0x00, 0xFF and a high-bit flip at every header and manifest byte.
 
         A flip that changes a reserved header byte or a blob offset must raise.
+        The flipped images are parsed in memory, as ``load_checkpoint`` parses
+        a file's bytes.
         """
         cfg = OperatorConfig("carafe", channels=2, compressed=2, kernel_size=3, seed=0)
         op = build_operator(cfg)
@@ -407,15 +411,13 @@ class TestCheckpoint:
             pos += 8
         manifest_end = pos
         assert manifest_end == 151
-        flipped = tmp_path / "flipped.fckp"
         outcomes = {"loaded": 0, "rejected": 0}
         for i in range(manifest_end):
             for value in (0x00, 0xFF, raw[i] ^ 0x80):
                 blob = bytearray(raw)
                 blob[i] = value
-                flipped.write_bytes(bytes(blob))
                 try:
-                    load_checkpoint(build_operator(cfg), flipped)
+                    install_checkpoint(build_operator(cfg), checkpoint_from_bytes(bytes(blob)))
                     outcomes["loaded"] += 1
                     assert i not in must_raise or value == raw[i], (i, value)
                 except FormatError:
@@ -423,14 +425,18 @@ class TestCheckpoint:
         assert outcomes["loaded"] and outcomes["rejected"]
 
     def test_truncations_raise_format_error(self, tmp_path):
+        """Every truncation, parsed in memory, and one through the file."""
         cfg = OperatorConfig("carafe", channels=2, compressed=2, kernel_size=3, seed=0)
         path = tmp_path / "c.fckp"
         save_checkpoint(build_operator(cfg), path)
         raw = path.read_bytes()
         for length in range(len(raw)):
-            path.write_bytes(raw[:length])
             with pytest.raises(FormatError):
-                load_checkpoint(build_operator(cfg), path)
+                install_checkpoint(build_operator(cfg), checkpoint_from_bytes(raw[:length]))
+        cut = tmp_path / "cut.fckp"
+        cut.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(FormatError):
+            load_checkpoint(build_operator(cfg), cut)
 
     def test_nonzero_ften_reserved_bytes_in_a_blob_raise(self, tmp_path):
         cfg = OperatorConfig("carafe", channels=2, compressed=2, kernel_size=3, seed=0)

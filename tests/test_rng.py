@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fadeup import rng as rng_module
 from fadeup.rng import ShuffledLcg
 
 MULT, INC, MASK = 6364136223846793005, 1442695040888963407, 2**64 - 1
@@ -59,6 +62,27 @@ class TestStream:
         assert u.tobytes() == ref.uniform(size, dtype).tobytes()
         # the table, y and state carry on exactly where the reference is
         assert [g.next_u64() for _ in range(40)] == [ref.draw() for _ in range(40)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_uniform_array_across_draw_blocks(self, dtype):
+        """``uniform_array`` draws in blocks; the block seams leave the stream
+        as it is."""
+        size = 2 * rng_module._BLOCK + 1
+        g, ref = ShuffledLcg(7), Reference(7)
+        assert g.uniform_array((size,), dtype=dtype).tobytes() == ref.uniform(size, dtype).tobytes()
+        assert [g.next_u64() for _ in range(40)] == [ref.draw() for _ in range(40)]
+
+    def test_uniform_array_holds_no_per_draw_lists(self):
+        """57,600 draws, a carafe content encoder's weights at d=64, K=5, peak
+        at well under the float64 result plus one block's Python lists."""
+        g = ShuffledLcg(0)
+        tracemalloc.start()
+        try:
+            u = g.uniform_array((100, 64, 3, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * u.nbytes, f"peak {peak / u.nbytes:.2f}x the result"
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_mixed_sequence_stays_on_stream(self, seed):

@@ -1,3 +1,7 @@
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -378,6 +382,71 @@ class TestFten:
         raw[5] = 7
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="dtype"):
+            T.read_ften(path)
+
+
+class TestFtenStreaming:
+    """FTEN files are written from and read into the array's own memory."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: x,
+            lambda x: x.astype(np.float64),
+            lambda x: x.transpose(0, 1, 3, 2),  # not contiguous
+        ],
+        ids=["f32", "f64", "transposed"],
+    )
+    def test_written_bytes_equal_ften_bytes(self, tmp_path, make):
+        x = make(np.random.default_rng(3).normal(size=(2, 3, 4, 5)).astype(np.float32))
+        path = tmp_path / "t.ften"
+        T.write_ften(path, x)
+        assert path.read_bytes() == T.ften_bytes(x)
+        assert T.ften_size(x) == len(T.ften_bytes(x))
+        np.testing.assert_array_equal(T.read_ften(path), x)
+
+    def test_read_and_write_peak_at_the_payload(self, tmp_path):
+        """Neither side holds a second copy of a 1 MiB payload."""
+        x = np.random.default_rng(4).normal(size=(1, 64, 64, 64)).astype(np.float32)
+        path = tmp_path / "t.ften"
+        peaks = {}
+        for side, call in (("write", lambda: T.write_ften(path, x)), ("read", lambda: T.read_ften(path))):
+            tracemalloc.start()
+            try:
+                call()
+                peaks[side] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        for side, peak in peaks.items():
+            assert peak <= x.nbytes + 65536, f"{side} peaked at {peak / x.nbytes:.2f}x the payload"
+
+    def test_a_pipe_is_read_whole(self, tmp_path):
+        """A stream has no size to check the header against up front."""
+        x = np.arange(24, dtype=np.float32).reshape(1, 2, 3, 4)
+        fifo = tmp_path / "t.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb") as f:
+                f.write(T.ften_bytes(x))
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            got = T.read_ften(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(got, x)
+
+    @pytest.mark.parametrize("delta", [-1, 1, -4096])
+    def test_file_size_other_than_the_header_says_raises(self, tmp_path, delta):
+        x = np.zeros((1, 2, 32, 32), dtype=np.float32)
+        path = tmp_path / "t.ften"
+        T.write_ften(path, x)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:delta] if delta < 0 else raw + bytes(delta))
+        with pytest.raises(FormatError, match="size mismatch"):
             T.read_ften(path)
 
 
