@@ -237,6 +237,12 @@ def _gemm(a, b, out=None):
     return acc
 
 
+# the least S a strip holds per batch item, in values (256 KiB of f32): with
+# 1-row strips, which each pay the halo rows and a dozen NumPy calls again, a
+# 12 -> 12 conv's backward at 12^2 took 0.51 ms, against 0.08 ms in one strip
+_STRIP_FLOOR = 1 << 16
+
+
 def _tap_run(size, lo, s, tap, count):
     """The grid entries u < count whose plane position s u + tap - lo lies
     in [0, size), as (plane slice, grid slice); the others read padding."""
@@ -247,7 +253,8 @@ def _tap_run(size, lo, s, tap, count):
 
 
 def _conv(x, w, bias, k, stride, pad, groups, name):
-    """The one convolution: GEMMs over a column-shifted copy of x.
+    """The one convolution: GEMMs over a column-shifted copy of x, one
+    strip of output rows at a time.
 
     The c input and o output channels split into ``groups`` equal groups,
     and output group j reads input group j only.  ``pad`` None means
@@ -261,26 +268,28 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
     which reads across a row end, is junk.  Flattened, kernel row i is
     then the view of row phase i % s at offset (i // s) pw.
 
-    The forward builds S for one strip of output rows at a time, in one
-    buffer that every strip reuses.  Per batch item, group and row phase
-    a, one (r o/g, c/g k) @ (c/g k, (rows + halo) pw) GEMM gives the
-    products of the phase's r kernel rows a, a + s, ... over the strip and
-    its halo rows; kernel row i's product is read (i // s) pw further on,
-    and the k products sum in row order on the pw pitch.  The strip's
-    first ow columns are then its rows of the compact output, and the
-    bias is added in place.  A strip has as many rows as keep its S within
-    o h w values, what the output would hold at stride 1, so the scratch
-    is bounded, and it and every GEMM's shape do not depend on the batch
-    size.  A 1 x 1 kernel at stride 1 without padding takes S as a view of
-    x, so nothing is copied and one GEMM covers the plane.
+    The forward, ``vjp_w`` and ``vjp_x`` walk one list of strips.  Strip
+    (y0, m) has output rows y0 .. y0 + m and reads S's grid rows y0 ..
+    y0 + m + halo, and ``blocks`` gives the (S index, plane index) pairs
+    where they read x: building S copies along the pairs into one reused
+    buffer, and ``vjp_x``'s fold, its adjoint, adds back along them.  A
+    strip has as many rows as keep its S within max(o h w, _STRIP_FLOOR)
+    values per batch item (o h w is the output at stride 1), so no scratch
+    or GEMM shape depends on the batch size.  A 1 x 1 kernel at stride 1
+    without padding takes S as a view of x: one strip, one GEMM into the
+    output.
 
-    The tape holds no copy of S: ``vjp_w`` rebuilds the whole of it.  The
-    gradients see the junk columns as zeros.  ``vjp_w`` is the transposed
-    GEMM per kernel row, summed over the batch.  ``vjp_x`` stacks one
-    copy of the gradient per kernel row of a row phase, shifted down by
-    i // s rows, so each phase of dS is one GEMM with inner dimension
-    (rows) o/g; adding S's k column shifts back onto the plane gives dx.
-    Every product goes through :func:`_gemm`.
+    Per strip, batch item, group and row phase a, one (r o/g, c/g k) @
+    (c/g k, (m + halo) pw) GEMM gives the products of the phase's r
+    kernel rows a, a + s, ...; kernel row i's is read (i // s) pw further
+    on, and the k products sum in row order on the pw pitch.  ``vjp_w``
+    builds S again, as the tape holds none, and adds one transposed GEMM
+    per kernel row, summed over the batch; the gradient's junk columns
+    are zeros.  ``vjp_x`` stacks the strip's gradient rows once per
+    kernel row of a phase, shifted down by i // s rows, so each phase of
+    dS is one GEMM with inner dimension r o/g; halo rows that two strips
+    share get partial sums from each.  Every product goes through
+    :func:`_gemm`.
     """
     xd, wd = value_of(x), value_of(w)
     pad = PadSpec.same(k // 2) if pad is None else pad
@@ -289,107 +298,96 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
     oh = T._out_dim(h, pad.top, pad.bottom, k, s)
     ow = T._out_dim(wid, pad.left, pad.right, k, s)
     halo, phases = (k - 1) // s, min(s, k)
-    ph, pw = oh + halo, ow + halo
-    rows = [_tap_run(h, pad.top, s, a, ph) for a in range(phases)]
+    pw = ow + halo
     cols = [_tap_run(wid, pad.left, s, j, pw) for j in range(k)]
-    # (plane index, S index) of every block of S that x fills
-    runs = [
-        ((..., pr, pc), (slice(None), a, slice(None), j, ur, uc))
-        for a, (pr, ur) in enumerate(rows)
-        for j, (pc, uc) in enumerate(cols)
-    ]
-    taps_shape = (n, phases, g, c // g * k, ph * pw)
+    view = k == 1 and s == 1 and pad == PadSpec.same(0)
+    strip = max(o * h * wid, _STRIP_FLOOR) // (phases * c * k * pw) - halo
+    strip = oh if view else min(max(strip, 1), oh)
+    strips = [(y0, min(strip, oh - y0)) for y0 in range(0, oh, strip)]
 
-    def fill(taps, y0):
-        """Grid rows y0 .. y0 + height of S into the forward's strip buffer
-        ``taps`` (n, phases, c, k, height, pw), whose columns that read
-        padding must already be zero; rows that read padding are zeroed here."""
-        height = taps.shape[4]
-        for a in range(phases):
-            pr, ur = _tap_run(h, pad.top, s, a + s * y0, height)
-            for j, (pc, uc) in enumerate(cols):
-                t = taps[:, a, :, j]
-                if ur.start:
-                    t[:, :, : ur.start, uc] = 0
-                if ur.stop < height:
-                    t[:, :, ur.stop :, uc] = 0
-                t[:, :, ur, uc] = xd[:, :, pr, pc]
-        return taps
+    def blocks(y0, height):
+        """(S index, plane index) of every block of x in S's grid rows
+        y0 .. y0 + height, S as (n, phases, c, k, height, pw)."""
+        rows = [_tap_run(h, pad.top, s, a + s * y0, height) for a in range(phases)]
+        return [
+            ((slice(None), a, slice(None), j, ur, uc), (..., pr, pc))
+            for a, (pr, ur) in enumerate(rows)
+            for j, (pc, uc) in enumerate(cols)
+        ]
 
-    def shifted_copy():
-        """S as (n, phases, g, c/g k, ph pw)."""
-        if k == 1 and s == 1 and pad == PadSpec.same(0):
-            return xd.reshape(taps_shape)
-        taps = np.zeros((n, phases, c, k, ph, pw), xd.dtype)
-        for plane, grid in runs:
-            taps[grid] = xd[plane]
-        return taps.reshape(taps_shape)
+    def walk():
+        """Each strip (y0, m) with its S, (n, phases, g, c/g k, (m + halo) pw);
+        the buffer's padding columns are zeroed once, its padding rows per strip."""
+        if view:
+            yield 0, oh, xd.reshape(n, 1, g, c // g, h * wid)
+            return
+        taps = np.zeros((n, phases, c, k, strip + halo, pw), xd.dtype)
+        for y0, m in strips:
+            for si, pi in blocks(y0, m + halo):
+                t, (ur, uc) = taps[si[:4]], si[4:]
+                t[..., : ur.start, uc] = t[..., ur.stop :, uc] = 0
+                t[..., ur, uc] = xd[pi]
+            yield y0, m, taps.reshape(n, phases, g, c // g * k, -1)[..., : (m + halo) * pw]
+
+    def shifted(grad, kept, y0, m):
+        """The gradient's rows y0 .. y0 + m on S's grid once per kernel row i
+        in ``kept``, shifted i // s rows down: (n, g, len(kept) o/g, (m + halo) pw)."""
+        gs = np.zeros((n, g, len(kept), o // g, m + halo, pw), grad.dtype)
+        rows = grad.reshape(n, g, o // g, oh, ow)[..., y0 : y0 + m, :]
+        for r, i in enumerate(kept):
+            gs[:, :, r, :, i // s : i // s + m, :ow] = rows
+        return gs.reshape(n, g, -1, (m + halo) * pw)
 
     # kernel row i as (g, o/g, c/g k) in S's (channel, column tap) order
     wr = np.ascontiguousarray(
         wd.reshape(g, o // g, c // g, k, k).transpose(3, 0, 1, 2, 4)
     ).reshape(k, g, o // g, c // g * k)
 
-    def row(a, i):
-        return a[:, i % s, :, :, i // s * pw : (i // s + oh) * pw]
-
-    if k == 1 and s == 1 and pad == PadSpec.same(0):
-        out = _gemm(wr[0], row(shifted_copy(), 0)).reshape(n, o, oh, ow)
+    out = np.empty((n, o, oh, ow), np.result_type(wr, xd))
+    if k == 1:  # pw is ow and nothing sums: the GEMM writes the output rows
+        for y0, m, taps in walk():
+            _gemm(wr[0], taps[:, 0], out=out[:, :, y0 : y0 + m].reshape(n, g, o // g, -1))
     else:
-        out = np.empty((n, o, oh, ow), np.result_type(wr, xd))
-        strip = min(max(o * h * wid // (phases * c * k * pw) - halo, 1), oh)
-        taps = np.zeros((n, phases, c, k, strip + halo, pw), xd.dtype)
-        flat = taps.reshape(n, phases, g, c // g * k, -1)
         # phase a's kernel rows a, a + s, ... stacked as (g, r o/g, c/g k)
         wp = [wr[a::s].swapaxes(0, 1).reshape(g, -1, c // g * k) for a in range(phases)]
-        prods = [np.empty(n * g * wa.shape[1] * flat.shape[-1], out.dtype) for wa in wp]
+        prods = [np.empty(n * g * wa.shape[1] * (strip + halo) * pw, out.dtype) for wa in wp]
         acc = np.empty(n * o * strip * pw, out.dtype)
-        for y0 in range(0, oh, strip):
-            m = min(strip, oh - y0)
-            fill(taps, y0)
+        for y0, m, taps in walk():
             span = (m + halo) * pw
             p = []
             for a, (wa, buf) in enumerate(zip(wp, prods)):
                 pa = buf[: n * g * wa.shape[1] * span].reshape(n, g, -1, span)
-                _gemm(wa, flat[:, a, ..., :span], out=pa)
+                _gemm(wa, taps[:, a], out=pa)
                 p.append(pa.reshape(n, g, -1, o // g, span))
             head = p[0][:, :, 0, :, : m * pw]
             for i in range(1, k):
                 term = p[i % s][:, :, i // s, :, i // s * pw : (i // s + m) * pw]
                 head = np.add(head, term, out=acc[: n * o * m * pw].reshape(head.shape))
-            out.reshape(n, g, o // g, oh, ow)[:, :, :, y0 : y0 + m] = head.reshape(
-                n, g, o // g, m, pw
-            )[..., :ow]
+            out[:, :, y0 : y0 + m] = head.reshape(n, o, m, pw)[..., :ow]
     if bias is not None:
         bd = value_of(bias)[None, :, None, None]
         out = np.add(out, bd, out=out if np.result_type(out, bd) == out.dtype else None)
 
-    def shifted(grad, kept):
-        """The gradient on the (ph, pw) grid, once per kernel row in ``kept``,
-        shifted down by i // s rows: (n, g, len(kept) o/g, ph pw)."""
-        gs = np.zeros((n, g, len(kept), o // g, ph, pw), grad.dtype)
-        for m, i in enumerate(kept):
-            gs[:, :, m, :, i // s : i // s + oh, :ow] = grad.reshape(n, g, o // g, oh, ow)
-        return gs.reshape(n, g, -1, ph * pw)
-
     def vjp_x(grad):
-        dtaps = np.empty(taps_shape, np.result_type(wr, grad))
-        for a in range(phases):
-            kept = range(a, k, s)
-            wt = wr[a::s].transpose(1, 3, 0, 2).reshape(g, c // g * k, -1)
-            _gemm(wt, shifted(grad, kept), out=dtaps[:, a])
-        dtaps = dtaps.reshape(n, phases, c, k, ph, pw)
-        dx = np.zeros(xd.shape, dtaps.dtype)
-        for plane, grid in runs:
-            dx[plane] += dtaps[grid]
+        wt = [wr[a::s].transpose(1, 3, 0, 2).reshape(g, c // g * k, -1) for a in range(phases)]
+        dx = np.zeros(xd.shape, np.result_type(wr, grad))
+        ds = np.empty((n, phases, g, c // g * k, (strip + halo) * pw), dx.dtype)
+        for y0, m in strips:
+            d = ds[..., : (m + halo) * pw]
+            for a in range(phases):
+                _gemm(wt[a], shifted(grad, range(a, k, s), y0, m), out=d[:, a])
+            d = d.reshape(n, phases, c, k, m + halo, pw)
+            for si, pi in blocks(y0, m + halo):
+                dx[pi] += d[si]
         return dx
 
     def vjp_w(grad):
-        gm, taps = shifted(grad, [0]), shifted_copy()
-        dw = np.empty((g, o // g, c // g, k, k), np.result_type(gm, taps))
-        for i in range(k):
-            prod = _gemm(gm[..., : oh * pw], row(taps, i).swapaxes(2, 3))
-            dw[:, :, :, i] = prod.sum(axis=0).reshape(g, o // g, c // g, k)
+        dw = np.zeros((g, o // g, c // g, k, k), np.result_type(grad, xd))
+        for y0, m, taps in walk():
+            gm = shifted(grad, [0], y0, m)[..., : m * pw]
+            for i in range(k):
+                ti = taps[:, i % s, ..., i // s * pw : (i // s + m) * pw]
+                dw[:, :, :, i] += _gemm(gm, ti.swapaxes(2, 3)).sum(axis=0).reshape(dw.shape[:4])
         return dw.reshape(wd.shape)
 
     def vjp_b(grad):

@@ -313,9 +313,9 @@ class UpsampleOperator:
         if self.adapter is not None:
             guide = kernelgen.apply_channel_adapter(x_en, self.adapter)
         kernels = spec.source.generate(guide, x_de, self.kernel_params, impl)
-        normalized = kernelgen.normalize_kernels(kernels)
-        upsampled = assemble.reassemble(x_de, normalized)
-        parts = {"kernels": normalized}
+        kernels = kernelgen.normalize_kernels(kernels)  # rebinding drops the raw map
+        upsampled = assemble.reassemble(x_de, kernels)
+        parts = {"kernels": kernels}
 
         mode = effective_gate_mode(cfg)
         if mode == "none":

@@ -423,19 +423,66 @@ class TestConvAgainstIm2col:
             tracemalloc.stop()
         assert peak <= 3 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
+    @pytest.mark.parametrize("stride,pad", [(1, None), *((2, p) for p in _H2L_PADS.values())])
+    def test_forward_and_gradients_across_strips(self, stride, pad):
+        """A generator-shaped conv whose forward, vjp_w and vjp_x each walk
+        several strips of output rows, against the im2col reference."""
+        n, c, h, w, o, k = 2, 32, 40, 36, 25, 3
+        p = T.PadSpec.same(k // 2) if pad is None else pad
+        oh = (h + p.top + p.bottom - k) // stride + 1
+        ow = (w + p.left + p.right - k) // stride + 1
+        halo = (k - 1) // stride
+        budget = max(o * h * w, ag._STRIP_FLOOR)
+        assert oh > budget // (min(stride, k) * c * k * (ow + halo)) - halo, "one strip"
+        rng = np.random.default_rng(18)
+        for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
+            x = rng.normal(size=(n, c, h, w)).astype(dtype)
+            wt = rng.normal(size=(o, c, k, k)).astype(dtype)
+            b = rng.normal(size=o).astype(dtype)
+            gout = rng.normal(size=(n, o, oh, ow)).astype(dtype)
+            got = _conv_run(x, wt, b, gout, k, stride, pad, 1)
+            ref_all = _im2col_conv(x, wt, b, gout, k, stride, p, 1)
+            for name, a, ref in zip(("out", "dx", "dw", "db"), got, ref_all):
+                scale = max(float(np.abs(ref).max()), 1.0)
+                np.testing.assert_allclose(
+                    a, ref, rtol=tol, atol=tol * scale, err_msg=f"{name} {dtype.__name__}"
+                )
+
     @pytest.mark.parametrize("stride,pad", [(1, None), (2, T.PadSpec(1, 0, 1, 0))])
     def test_batched_equals_items_across_strips(self, stride, pad):
         """A generator-shaped conv runs in several strips of output rows; each
-        batch item of a batched call equals that item alone, bit for bit."""
+        batch item of a batched call, its output and its taped dx, equals
+        that item alone, bit for bit."""
         rng = np.random.default_rng(17)
         for dtype in (np.float32, np.float64):
             x = rng.normal(size=(3, 64, 40, 36)).astype(dtype)
             w = rng.normal(size=(25, 64, 3, 3)).astype(dtype)
             b = rng.normal(size=25).astype(dtype)
             out = ag.conv2d(x, w, b, stride=stride, pad=pad)
+            gout = rng.normal(size=out.shape).astype(dtype)
+            dx = _conv_run(x, w, b, gout, 3, stride, pad, 1)[1]
             for i in range(3):
                 alone = ag.conv2d(x[i : i + 1], w, b, stride=stride, pad=pad)
                 np.testing.assert_array_equal(out[i : i + 1], alone)
+                dx_alone = _conv_run(x[i : i + 1], w, b, gout[i : i + 1], 3, stride, pad, 1)[1]
+                np.testing.assert_array_equal(dx[i : i + 1], dx_alone)
+
+    def test_backward_peak_is_bounded_by_the_output(self):
+        """b6's generator conv at the training shape: its backprop from a
+        given output gradient builds S and dS one strip at a time, so the
+        scratch stays within a few outputs."""
+        rng = np.random.default_rng(19)
+        x = Node(rng.normal(size=(4, 16, 48, 48)).astype(np.float32))
+        w = Node(rng.normal(size=(25, 16, 3, 3)).astype(np.float32))
+        out = ag.conv2d(x, w)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out._backprop(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bit_identical_across_blas_threads(self, threads):

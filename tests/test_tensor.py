@@ -342,7 +342,10 @@ class TestFten:
 
     def test_header_byte_flips_and_truncations_load_or_raise_format_error(self, tmp_path):
         """0x00, 0xFF and a high-bit flip at every header byte, and every
-        truncation; reserved-byte flips and truncations must raise."""
+        truncation; reserved-byte flips and truncations must raise.  The
+        images are parsed in memory by ``ften_from_bytes``, whose header
+        check ``read_ften`` shares; one flip and one truncation go through
+        a file as well."""
         x = np.random.default_rng(2).normal(size=(1, 2, 2, 3)).astype(np.float32)
         path = tmp_path / "t.ften"
         T.write_ften(path, x)
@@ -352,16 +355,18 @@ class TestFten:
             for value in (0x00, 0xFF, raw[i] ^ 0x80):
                 blob = bytearray(raw)
                 blob[i] = value
-                path.write_bytes(bytes(blob))
                 try:
-                    T.read_ften(path)
+                    T.ften_from_bytes(bytes(blob))
                     outcomes["loaded"] += 1
                     assert i not in (6, 7) or value == raw[i], (i, value)
                 except FormatError:
                     outcomes["rejected"] += 1
         assert outcomes["loaded"] and outcomes["rejected"]
         for length in range(len(raw)):
-            path.write_bytes(raw[:length])
+            with pytest.raises(FormatError):
+                T.ften_from_bytes(raw[:length])
+        for image in (raw[:6] + b"\x00\xff" + raw[8:], raw[:-1]):
+            path.write_bytes(image)
             with pytest.raises(FormatError):
                 T.read_ften(path)
 
