@@ -1,11 +1,11 @@
 """Reverse-mode differentiation over the NCHW primitives.
 
-A forward pass records a graph of :class:`Node` objects; the graph
-reachable from the loss is the tape.  :func:`backward` replays it in
-exact reverse topological order, accumulating gradients additively into
-``node.grad``.  Leaves wrapped explicitly in :class:`Node` are the
-trainable parameters; plain ndarrays flowing through the same ops are
-treated as constants.  That lets the upsampling pipelines be written once
+A forward pass records a graph of :class:`Node` objects; the graph of
+their :class:`Record` entries reachable from the loss is the tape.
+:func:`backward` replays it in exact reverse topological order,
+accumulating gradients additively into ``node.grad``.  Leaves wrapped
+explicitly in :class:`Node` are the trainable parameters; plain ndarrays
+flowing through the same ops are treated as constants.  That lets the upsampling pipelines be written once
 and used both for inference and for training.
 
 The tape rule: every op computes its forward and returns
@@ -14,11 +14,14 @@ to record; when no input is a Node it returns ``out`` itself, a bare
 ndarray.  Work that only a gradient needs lives inside the VJPs, so an
 untaped call does none of it.
 
-The tape keeps node data and weights, nothing derived from them: a VJP
-rebuilds a derived buffer it needs (a convolution's shifted copy, the
-reassembly windows, a log-softmax) instead of holding it from forward to
-backward.  And only leaves keep ``.grad``: :func:`backward` drops an
-interior node's gradient once it has passed it on.
+The tape keeps what the VJPs read, nothing more.  A record links its
+parents' records, not their Nodes, so an output's data stays alive only
+while the caller holds its Node or a VJP closure reads it; a VJP that
+needs only a shape captures the shape.  A VJP rebuilds a derived buffer
+it needs (a convolution's shifted copy, the reassembly windows, a
+log-softmax) instead of holding it from forward to backward.  And only
+leaves keep ``.grad``: :func:`backward` drops an interior record's
+gradient once it has passed it on.
 """
 
 from __future__ import annotations
@@ -34,17 +37,56 @@ class DivergenceError(RuntimeError):
     """Raised when non-finite gradients reach the optimizer."""
 
 
-class Node:
-    """A value in the recorded graph: data, accumulated grad, parents."""
+class Record:
+    """A node's entry on the tape: its gradient and what backward needs to
+    pass it on, not its data.
 
-    __slots__ = ("data", "grad", "name", "_parents", "_backprop")
+    A parent is linked by its record, so the tape holds no node data; an
+    array stays alive only while a caller holds its Node or a VJP closure
+    reads it.  The first :meth:`accumulate` allocates the gradient from
+    ``shape`` and ``dtype``.
+    """
+
+    __slots__ = ("grad", "name", "shape", "dtype", "_parents", "_backprop")
+
+    def __init__(self, shape, dtype, parents=(), backprop=None, name=None):
+        self.grad = None
+        self.name = name
+        self.shape, self.dtype = shape, dtype
+        self._parents = tuple(parents)
+        self._backprop = backprop
+
+    def accumulate(self, g):
+        if self.grad is None:
+            self.grad = np.zeros(self.shape, self.dtype)
+        self.grad += g
+
+
+class Node:
+    """A value in the recorded graph: its data and its tape :class:`Record`,
+    which holds the accumulated grad and the parents' records."""
+
+    __slots__ = ("data", "record")
 
     def __init__(self, data, parents=(), backprop=None, name=None):
         self.data = np.asarray(data)
-        self.grad = None
-        self.name = name
-        self._parents = tuple(parents)
-        self._backprop = backprop
+        self.record = Record(self.data.shape, self.data.dtype, parents, backprop, name)
+
+    @property
+    def grad(self):
+        return self.record.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.record.grad = g
+
+    @property
+    def name(self):
+        return self.record.name
+
+    @property
+    def _backprop(self):
+        return self.record._backprop
 
     @property
     def shape(self):
@@ -55,9 +97,7 @@ class Node:
         return self.data.dtype
 
     def accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.record.accumulate(g)
 
     def __repr__(self):
         tag = self.name or "node"
@@ -71,40 +111,41 @@ def value_of(x):
 
 def _emit(out_data, pairs, name=None):
     """The op's result from its (parent, vjp) pairs: non-Node parents are
-    dropped, and with none left this is ``out_data`` itself, else a Node."""
-    links = [(p, vjp) for p, vjp in pairs if isinstance(p, Node)]
+    dropped, and with none left this is ``out_data`` itself, else a Node
+    whose record links the parents' records."""
+    links = [(p.record, vjp) for p, vjp in pairs if isinstance(p, Node)]
     if not links:
         return out_data
-    parents = tuple(p for p, _ in links)
 
     def backprop(g):
-        for p, vjp in links:
-            p.accumulate(vjp(g))
+        for r, vjp in links:
+            r.accumulate(vjp(g))
 
-    return Node(out_data, parents, backprop, name=name)
+    return Node(out_data, [r for r, _ in links], backprop, name=name)
 
 
 def _topo(root: Node):
-    order, seen, stack = [], set(), [(root, False)]
+    """The records reachable from ``root``'s, parents before children."""
+    order, seen, stack = [], set(), [(root.record, False)]
     while stack:
-        node, expanded = stack.pop()
+        rec, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(rec)
             continue
-        if id(node) in seen:
+        if id(rec) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
+        seen.add(id(rec))
+        stack.append((rec, True))
+        for p in rec._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    return order  # parents before children
+    return order
 
 
 def backward(loss: Node, seed: float = 1.0) -> None:
     """Reverse pass from ``loss``, seeding d(loss)/d(loss) = ``seed``.
 
-    Only leaves keep ``.grad``: an interior node, one with a backprop,
+    Only leaves keep ``.grad``: an interior record, one with a backprop,
     drops its gradient once it has passed it on to its parents, which
     is the last time the pass reads it.  So a second call on the same
     graph adds exactly one more gradient to every leaf.
@@ -113,10 +154,10 @@ def backward(loss: Node, seed: float = 1.0) -> None:
         raise TypeError("backward needs a recorded Node; run a tracked forward first")
     order = _topo(loss)
     loss.accumulate(np.full_like(loss.data, seed))
-    for node in reversed(order):
-        if node._backprop is not None and node.grad is not None:
-            node._backprop(node.grad)
-            node.grad = None
+    for rec in reversed(order):
+        if rec._backprop is not None and rec.grad is not None:
+            rec._backprop(rec.grad)
+            rec.grad = None
 
 
 def zero_grad(nodes) -> None:
@@ -143,24 +184,26 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a, b):
+    sa, sb = np.shape(value_of(a)), np.shape(value_of(b))
     out = value_of(a) + value_of(b)
     return _emit(
         out,
         [
-            (a, lambda g: _unbroadcast(g, value_of(a).shape)),
-            (b, lambda g: _unbroadcast(g, value_of(b).shape)),
+            (a, lambda g: _unbroadcast(g, sa)),
+            (b, lambda g: _unbroadcast(g, sb)),
         ],
         name="add",
     )
 
 
 def sub(a, b):
+    sa, sb = np.shape(value_of(a)), np.shape(value_of(b))
     out = value_of(a) - value_of(b)
     return _emit(
         out,
         [
-            (a, lambda g: _unbroadcast(g, value_of(a).shape)),
-            (b, lambda g: _unbroadcast(-g, value_of(b).shape)),
+            (a, lambda g: _unbroadcast(g, sa)),
+            (b, lambda g: _unbroadcast(-g, sb)),
         ],
         name="sub",
     )
@@ -196,10 +239,13 @@ def relu(a):
 
 
 def leaky_relu(a, slope: float = 0.1):
+    """For slope > 0 the output has the input's sign mask (a NaN, a -0.0 or
+    a negative that underflows to -0.0 is not > 0 either way), so the VJP
+    reads the output and the input is not kept for it."""
     ad = value_of(a)
     out = np.where(ad > 0, ad, slope * ad)
     return _emit(
-        out, [(a, lambda g: g * np.where(ad > 0, 1.0, slope))], name="leaky_relu"
+        out, [(a, lambda g: g * np.where(out > 0, 1.0, slope))], name="leaky_relu"
     )
 
 
@@ -451,12 +497,12 @@ def interp_nearest_x2(x):
 def interp_bilinear_x2(x, align_corners: bool = False):
     xd = value_of(x)
     out = T.interp_bilinear_x2(xd, align_corners)
-    n, c, h, w = xd.shape
+    (n, c, h, w), dtype = xd.shape, xd.dtype
 
     def vjp(g):
         # adjoint of the separable gather: scatter along rows, then cols
-        y0, y1, ty = T._bilinear_axis(h, align_corners, xd.dtype)
-        x0, x1, tx = T._bilinear_axis(w, align_corners, xd.dtype)
+        y0, y1, ty = T._bilinear_axis(h, align_corners, dtype)
+        x0, x1, tx = T._bilinear_axis(w, align_corners, dtype)
         drows = np.zeros((n, c, h, 2 * w), dtype=g.dtype)
         gy = g.transpose(2, 0, 1, 3)
         dr = drows.transpose(2, 0, 1, 3)

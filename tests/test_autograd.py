@@ -3,14 +3,17 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from fadeup import autograd as ag
+from fadeup import kernelgen as kg
 from fadeup import tensor as T
 from fadeup.autograd import DivergenceError, MomentumSGD, Node, backward
 from fadeup.kernelgen import _H2L_PADS
+from fadeup.rng import ShuffledLcg
 
 
 def _tape_cases():
@@ -114,7 +117,7 @@ class TestBackwardBasics:
             node = Node(arrays[i])
             taped = fn(*arrays[:i], node, *arrays[i + 1 :])
             assert isinstance(taped, Node)
-            assert taped._parents == (node,)
+            assert taped.record._parents == (node.record,)
             assert (taped.dtype, taped.shape) == (out.dtype, out.shape)
             assert taped.data.tobytes() == out.tobytes()
 
@@ -125,6 +128,92 @@ class TestBackwardBasics:
         np.testing.assert_array_equal(
             ag.conv2d(Node(x), Node(w)).data, ag.conv2d(x, w)
         )
+
+
+class TestTapeLiveness:
+    """The tape links records, not Nodes: an interior output lives only
+    while the caller holds its Node or a VJP reads it."""
+
+    def test_conv_output_feeding_leaky_relu_is_freed(self):
+        rng = np.random.default_rng(21)
+        x, w = rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(4, 3, 3, 3))
+        target = rng.normal(size=(2, 4, 8, 8))
+        grads = {}
+        for hold in (True, False):
+            xn, wn = Node(x), Node(w)
+            conv = ag.conv2d(xn, wn)
+            data = weakref.ref(conv.data)
+            out = ag.leaky_relu(conv)
+            held = conv if hold else None
+            del conv
+            alive = data() is not None
+            assert alive == hold
+            backward(ag.mse_loss(out, target))
+            grads[hold] = (xn.grad, wn.grad, held)
+        for a, b in zip(grads[True][:2], grads[False][:2]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_l2h_generator_interior_outputs_are_freed(self, monkeypatch):
+        """Inside a taped l2h generator the 3x3 conv, nn_x2 and add outputs
+        are freed once the caller drops the kernel map; the 1x1 compressor
+        outputs stay, as the 3x3 conv's weight gradient reads them."""
+        rng = np.random.default_rng(22)
+        p = kg.make_semishift_params(ShuffledLcg(3), 4, 6, 3, np.float64)
+        x_en, x_de = rng.normal(size=(2, 4, 8, 10)), rng.normal(size=(2, 4, 4, 5))
+        target = rng.normal(size=(2, 9, 8, 10))
+        grads = {}
+        for hold in (True, False):
+            refs, held = [], []
+
+            def tap(name, fn):
+                def wrapped(*args, **kwargs):
+                    out = fn(*args, **kwargs)
+                    refs.append((name, weakref.ref(out.data)))
+                    if hold:
+                        held.append(out)
+                    return out
+
+                monkeypatch.setattr(ag, name, wrapped)
+
+            for name in ("conv1x1", "conv2d", "interp_nearest_x2", "add"):
+                tap(name, getattr(ag, name))
+            en, de = Node(x_en), Node(x_de)
+            kmap = kg.semishift_l2h(en, de, p)
+            soft = ag.softmax_channel(kmap.data)
+            del kmap
+            monkeypatch.undo()
+            alive = [(name, r() is not None) for name, r in refs]
+            if hold:
+                assert all(a for _, a in alive)
+            else:
+                assert alive == [
+                    ("conv1x1", True), ("conv2d", False),
+                    ("conv1x1", True), ("conv2d", False),
+                    ("interp_nearest_x2", False), ("add", False),
+                ]
+            backward(ag.mse_loss(soft, target))
+            grads[hold] = (en.grad, de.grad)
+        for a, b in zip(grads[True], grads[False]):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_output_mask_is_the_input_mask(self, dtype):
+        """The VJP masks by the output's sign; for slope > 0 that is the
+        input's, on NaN, signed zeros, infinities and negatives that
+        underflow to -0.0."""
+        info = np.finfo(dtype)
+        x = np.array(
+            [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal,
+             -info.smallest_subnormal, -info.smallest_normal, -info.tiny * 3, 1.0, -1.0],
+            dtype,
+        )
+        out = ag.leaky_relu(x)
+        assert out[7] == 0 and np.signbit(out[7])  # -smallest_subnormal underflows
+        np.testing.assert_array_equal(out > 0, x > 0)
+        xn = Node(x)
+        with np.errstate(invalid="ignore"):  # the sum meets inf - inf
+            backward(ag.sum_all(ag.leaky_relu(xn)))
+        np.testing.assert_array_equal(xn.grad, np.where(x > 0, 1.0, 0.1).astype(dtype))
 
 
 class TestReassembleGradient:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,24 @@ class TestTraining:
         assert interior and all(n.grad is None for n in interior)
         for p in net.parameters():
             assert p.grad is not None and p.grad.shape == p.data.shape, p.name
+
+
+    def test_b6_step_peak_is_bounded(self):
+        """One b6 training step, forward, loss and backward, at a small shape:
+        the tape holds what the VJPs read, not every interior output, so the
+        peak stays within 12 of the stage-2 kernel maps (n, K^2, h, w)."""
+        task = ToyTask("multiclass_shapes_segmentation", size=24, classes=3, count=2)
+        x, y = make_toy_task(task)
+        net = toy.ToyNet("b6_full", in_channels=x.shape[1], out_channels=3, features=8, compressed=4)
+        inputs = toy.net_inputs(x)
+        tracemalloc.start()
+        try:
+            ag.backward(ag.softmax_cross_entropy(net.forward(inputs), y))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kmap = 2 * 25 * 24 * 24 * 4
+        assert peak <= 12 * kmap, f"peak {peak / kmap:.2f} kernel maps"
 
 
 class TestTrainConfig:
