@@ -5,8 +5,9 @@ their :class:`Record` entries reachable from the loss is the tape.
 :func:`backward` replays it in exact reverse topological order,
 accumulating gradients additively into ``node.grad``.  Leaves wrapped
 explicitly in :class:`Node` are the trainable parameters; plain ndarrays
-flowing through the same ops are treated as constants.  That lets the upsampling pipelines be written once
-and used both for inference and for training.
+flowing through the same ops are treated as constants.  That lets the
+upsampling pipelines be written once and used both for inference and for
+training.
 
 The tape rule: every op computes its forward and returns
 ``_emit(out, [(input, vjp), ...])``.  :func:`_emit` alone decides whether
@@ -323,7 +324,7 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
     values per batch item (o h w is the output at stride 1), so no scratch
     or GEMM shape depends on the batch size.  A 1 x 1 kernel at stride 1
     without padding takes S as a view of x: one strip, one GEMM into the
-    output.
+    output, and in ``vjp_x`` one GEMM from the gradient into dx.
 
     Per strip, batch item, group and row phase a, one (r o/g, c/g k) @
     (c/g k, (m + halo) pw) GEMM gives the products of the phase's r
@@ -416,6 +417,10 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
 
     def vjp_x(grad):
         wt = [wr[a::s].transpose(1, 3, 0, 2).reshape(g, c // g * k, -1) for a in range(phases)]
+        if view:  # dS is dx itself: one GEMM from the gradient, no stack
+            dx = np.empty(xd.shape, np.result_type(wr, grad))
+            _gemm(wt[0], grad.reshape(n, g, o // g, -1), out=dx.reshape(n, g, c // g, -1))
+            return dx
         dx = np.zeros(xd.shape, np.result_type(wr, grad))
         ds = np.empty((n, phases, g, c // g * k, (strip + halo) * pw), dx.dtype)
         for y0, m in strips:

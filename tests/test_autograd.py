@@ -573,6 +573,24 @@ class TestConvAgainstIm2col:
             tracemalloc.stop()
         assert peak <= 4 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
 
+    def test_one_by_one_backward_builds_no_gradient_stack(self):
+        """A 1x1 view conv's backprop holds dx and the gradient that
+        accumulate adds it into, plus a little: vjp_x runs its GEMM from the
+        output gradient straight into dx."""
+        rng = np.random.default_rng(24)
+        x = Node(rng.normal(size=(1, 256, 56, 56)).astype(np.float32))
+        w = Node(rng.normal(size=(64, 256, 1, 1)).astype(np.float32))
+        out = ag.conv1x1(x, w)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out._backprop(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        floor = 2 * x.data.nbytes
+        assert peak <= floor + out.data.nbytes // 4, f"peak {peak / floor:.3f}x dx and x.grad"
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bit_identical_across_blas_threads(self, threads):
         """Forward, dx and dw at one h2l and one l2h generator shape hash the
