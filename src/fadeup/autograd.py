@@ -242,12 +242,11 @@ def relu(a):
 def leaky_relu(a, slope: float = 0.1):
     """For slope > 0 the output has the input's sign mask (a NaN, a -0.0 or
     a negative that underflows to -0.0 is not > 0 either way), so the VJP
-    reads the output and the input is not kept for it."""
+    reads the output and the input is not kept for it.  The VJP runs in the
+    gradient's dtype: the forward multiplies by slope in the data's."""
     ad = value_of(a)
     out = np.where(ad > 0, ad, slope * ad)
-    return _emit(
-        out, [(a, lambda g: g * np.where(out > 0, 1.0, slope))], name="leaky_relu"
-    )
+    return _emit(out, [(a, lambda g: np.where(out > 0, g, g * slope))], name="leaky_relu")
 
 
 def sigmoid(a):

@@ -215,6 +215,19 @@ class TestTapeLiveness:
             backward(ag.sum_all(ag.leaky_relu(xn)))
         np.testing.assert_array_equal(xn.grad, np.where(x > 0, 1.0, 0.1).astype(dtype))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_vjp_runs_in_the_gradient_dtype(self, dtype):
+        """The VJP multiplies the gradient by the slope in the gradient's
+        dtype, as the forward does the data: f32 gets g * f32(slope), not
+        g * 0.1 rounded from float64."""
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(2, 3, 8, 8)).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        xn = Node(x)
+        ag.leaky_relu(xn)._backprop(g)
+        assert xn.grad.dtype == dtype
+        np.testing.assert_array_equal(xn.grad, np.where(x > 0, g, g * dtype(0.1)))
+
 
 class TestReassembleGradient:
     def test_center_onehot_kernel_grad_is_nn_scatter(self):
