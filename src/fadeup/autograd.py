@@ -40,13 +40,8 @@ class DivergenceError(RuntimeError):
 
 class Record:
     """A node's entry on the tape: its gradient and what backward needs to
-    pass it on, not its data.
-
-    A parent is linked by its record, so the tape holds no node data; an
-    array stays alive only while a caller holds its Node or a VJP closure
-    reads it.  The first :meth:`accumulate` allocates the gradient from
-    ``shape`` and ``dtype``.
-    """
+    pass it on, but not its data.  The first :meth:`accumulate` allocates
+    the gradient from ``shape`` and ``dtype``."""
 
     __slots__ = ("grad", "name", "shape", "dtype", "_parents", "_backprop")
 
@@ -96,9 +91,6 @@ class Node:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def accumulate(self, g):
-        self.record.accumulate(g)
 
     def __repr__(self):
         tag = self.name or "node"
@@ -154,7 +146,7 @@ def backward(loss: Node, seed: float = 1.0) -> None:
     if not isinstance(loss, Node):
         raise TypeError("backward needs a recorded Node; run a tracked forward first")
     order = _topo(loss)
-    loss.accumulate(np.full_like(loss.data, seed))
+    loss.record.accumulate(np.full_like(loss.data, seed))
     for rec in reversed(order):
         if rec._backprop is not None and rec.grad is not None:
             rec._backprop(rec.grad)

@@ -211,7 +211,6 @@ class TestTraining:
         for p in net.parameters():
             assert p.grad is not None and p.grad.shape == p.data.shape, p.name
 
-
     def test_b6_step_peak_is_bounded(self):
         """One b6 training step, forward, loss and backward, at a small shape:
         the tape holds what the VJPs read, not every interior output, so the
