@@ -426,7 +426,10 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
     def vjp_w(grad):
         dw = np.zeros((g, o // g, c // g, k, k), np.result_type(grad, xd))
         for y0, m, taps in walk():
-            gm = shifted(grad, [0], y0, m)[..., : m * pw]
+            if view:  # the gradient is already on S's grid
+                gm = grad.reshape(n, g, o // g, -1)
+            else:
+                gm = shifted(grad, [0], y0, m)[..., : m * pw]
             for i in range(k):
                 ti = taps[:, i % s, ..., i // s * pw : (i // s + m) * pw]
                 dw[:, :, :, i] += _gemm(gm, ti.swapaxes(2, 3)).sum(axis=0).reshape(dw.shape[:4])
@@ -482,10 +485,11 @@ def conv1x1(x, w, bias=None):
 
 def interp_nearest_x2(x):
     out = T.interp_nearest_x2(value_of(x))
-    n, c, h, w = value_of(x).shape
 
     def vjp(g):
-        return g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+        # each 2x2 window's sum, pairs first: the order that
+        # reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)) takes when w > 1
+        return (g[..., 0::2, 0::2] + g[..., 0::2, 1::2]) + (g[..., 1::2, 0::2] + g[..., 1::2, 1::2])
 
     return _emit(out, [(x, vjp)], name="nn_x2")
 

@@ -119,7 +119,7 @@ def _write_manifest(path, command: str, config: dict, inputs, outputs) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "version": __version__,
     }
-    with open(path, "w", encoding="utf-8") as f:
+    with T.open_output(path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -482,7 +482,7 @@ def _history_csv(path, history) -> None:
         for key in row:
             if key not in columns:
                 columns.append(key)
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with T.open_output(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(columns)
         for row in history:
@@ -585,7 +585,7 @@ def _cmd_ablate(args) -> int:
             row.append(miou)
         table[variant] = row
     summary_path = os.path.join(args.outdir, "summary.csv")
-    with open(summary_path, "w", newline="", encoding="utf-8") as f:
+    with T.open_output(summary_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["variant", "label"] + [f"seed{i}" for i in range(seeds)] + ["mean"])
         for variant, label in ABLATION_VARIANTS:
@@ -642,7 +642,7 @@ def _cmd_cost(args) -> int:
             f"{r.params_counted:>10}  {r.extras_total:>7}"
         )
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as f:
+        with T.open_output(args.csv, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
             writer.writerow(["row", "gflops", "flops", "params", "extras"])
             for r in reports:

@@ -394,7 +394,7 @@ def save_checkpoint(op: UpsampleOperator, path) -> None:
         2 + len(name.encode("ascii")) + _CKPT_ENTRY_DIMS.size for name, _ in entries
     )
     offset = head_size + manifest_size
-    with open(path, "wb") as f:
+    with T.open_output(path) as f:
         f.write(_CKPT_HEAD.pack(_CKPT_MAGIC, _CKPT_VERSION, 0, 0, len(entries)))
         for name, a in entries:
             nb = name.encode("ascii")

@@ -4,10 +4,22 @@ Feature maps are plain ``numpy.ndarray`` values of shape (n, c, h, w),
 dtype float32 or float64, row-major.  Every function here is a pure
 function of its inputs; given identical inputs it returns bit-identical
 outputs across runs.
+
+Every file the library writes goes through :func:`open_output`.  It
+rewrites an existing file in place, without truncating it first, and cuts
+it to the bytes written once the block ends.  The file is left as
+``open(path, "wb")`` would leave it: the same bytes and the same inode,
+with its mode and hard links kept and a symlink written through.  The
+one difference is a process killed mid-write, which leaves the new bytes
+followed by the old file's tail, not a short file.  The reason is cost:
+on ext4 with the default ``auto_da_alloc``, closing a file that was
+truncated to 0 bytes flushes it to disk, which took 50-60 ms per file
+whatever its size, against under 0.1 ms for the rewrite in place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import stat
@@ -284,8 +296,28 @@ def write_ften_to(f, x: np.ndarray) -> None:
     f.write(np.ascontiguousarray(x, dtype=x.dtype.newbyteorder("<")).data)
 
 
+@contextlib.contextmanager
+def open_output(path, mode: str = "wb", **kw):
+    """Open ``path`` for writing as ``open(path, mode, **kw)`` would, but
+    without truncating an existing file.  On leaving the block, whether by
+    return or by exception, the file is flushed and, if it is a regular
+    file, cut to the bytes written, so nothing of its old content is left.
+    Pipes and devices such as ``/dev/null`` are written as they are."""
+    # O_BINARY, as open() sets it, keeps Windows from translating newlines
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, mode, **kw) as f:
+        try:
+            yield f
+        finally:
+            try:
+                f.flush()  # else a small file is cut to 0 bytes, the slow case
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def write_ften(path, x: np.ndarray) -> None:
-    with open(path, "wb") as f:
+    with open_output(path) as f:
         write_ften_to(f, x)
 
 
@@ -355,6 +387,6 @@ def write_pgm(path, x: np.ndarray) -> None:
     else:
         scaled = np.zeros_like(plane)
     pixels = np.round(scaled * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
+    with open_output(path) as f:
         f.write(f"P5\n{plane.shape[1]} {plane.shape[0]}\n255\n".encode("ascii"))
         f.write(pixels.tobytes())

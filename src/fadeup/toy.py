@@ -370,6 +370,12 @@ class ToyNet:
 _LR_DECAY = 0.3
 _LR_DECAY_AT = 0.6
 
+# the largest validation output magnitude of a net that has not diverged:
+# healthy toy nets stay within a few units, and a logit gap past ~104
+# already rounds an f32 softmax to exactly 0 and 1, so a finite output
+# beyond this has blown up as surely as an inf (lr 10 reached 1e5-1e9)
+_OUTPUT_BOUND = 1e4
+
 
 # the semi-shift forms a net trains through; direct is an inference-only
 # oracle and refuses autograd nodes
@@ -434,6 +440,12 @@ def _evaluate(net: ToyNet, task: ToyTask, inputs, targets, epoch: int) -> dict:
         raise ag.DivergenceError(
             f"non-finite validation output after epoch {epoch} (variant {net.variant})"
         )
+    peak = max(out.max(), -out.min())
+    if peak > _OUTPUT_BOUND:
+        raise ag.DivergenceError(
+            f"validation output reaches {peak:.3g}, beyond the bound {_OUTPUT_BOUND:g}, "
+            f"after epoch {epoch} (variant {net.variant})"
+        )
     pred = predict(task, out)
     if task.is_segmentation:
         return {
@@ -463,7 +475,8 @@ def train_toy(cfg: TrainConfig, task: ToyTask) -> TrainResult:
 
     Each epoch ends with one validation forward, whose metrics complete
     its history row.  Raises :class:`fadeup.autograd.DivergenceError` on a
-    non-finite loss, gradient or validation output instead of swallowing it.
+    non-finite loss, gradient or validation output, or on a validation
+    output beyond ``_OUTPUT_BOUND`` in magnitude, instead of swallowing it.
     """
     x_train, y_train = make_toy_task(task)
     val_task = validation_task(task)

@@ -101,6 +101,20 @@ class TestBackwardBasics:
         backward(loss)
         np.testing.assert_array_equal(x.grad, 2 * once)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 25, 24, 24), (1, 3, 5, 7), (2, 12, 3, 2)])
+    def test_nearest_gradient_matches_window_sum(self, shape, dtype):
+        """Each input's gradient is its 2x2 output window's sum, bit for bit
+        the reduce over the window axes (the same order whenever w > 1)."""
+        rng = np.random.default_rng(3)
+        x = Node(rng.normal(size=shape).astype(dtype))
+        out = ag.interp_nearest_x2(x)
+        g = (rng.normal(size=out.shape) * 10.0 ** rng.uniform(-3, 3, out.shape)).astype(dtype)
+        out._backprop(g)
+        n, c, h, w = shape
+        want = g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+        assert x.grad.dtype == want.dtype and x.grad.tobytes() == want.tobytes()
+
     def test_backward_requires_node(self):
         with pytest.raises(TypeError, match="tracked forward"):
             backward(np.zeros(3))
@@ -603,6 +617,23 @@ class TestConvAgainstIm2col:
             tracemalloc.stop()
         floor = 2 * x.data.nbytes
         assert peak <= floor + out.data.nbytes // 4, f"peak {peak / floor:.3f}x dx and x.grad"
+
+    def test_one_by_one_weight_backward_copies_no_gradient(self):
+        """A 1x1 view conv's vjp_w runs its GEMM from the output gradient
+        itself: its backprop holds dw and the GEMM's result and partial sums,
+        never a copy of the (12x larger) gradient."""
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(1, 256, 56, 56)).astype(np.float32)
+        w = Node(rng.normal(size=(64, 256, 1, 1)).astype(np.float32))
+        out = ag.conv1x1(x, w)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out._backprop(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * w.data.nbytes, f"peak {peak / w.data.nbytes:.2f}x dw"
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bit_identical_across_blas_threads(self, threads):

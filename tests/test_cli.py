@@ -1,3 +1,5 @@
+import builtins
+import io
 import json
 import os
 import subprocess
@@ -533,6 +535,19 @@ class TestTrainCli:
         assert proc.stderr.startswith("error: non-finite ") and proc.stderr.count("\n") == 1
         assert not outdir.exists()
 
+    def test_finite_blow_up_exit_3(self, tmp_path, capsys):
+        """Logits of ~1e35 are finite, so only the bound on the validation
+        output stops this run from reporting an mIoU."""
+        outdir = tmp_path / "run"
+        code = main(
+            ["train", "--task", "multiclass_shapes", "--size", "16", "--count", "1",
+             "--epochs", "1", "--lr", "1e9", "--outdir", str(outdir)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation output reaches ") and "beyond the bound" in err
+        assert not outdir.exists()
+
     def test_settings_from_env_and_config(self, tmp_path, monkeypatch):
         argv = ["train", "--task", "binary_shapes", "--variant", "fade_lite", "--epochs", "2",
                 "--count", "2"]
@@ -667,3 +682,83 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert "config key seed" in err and "'x'" in err and "int" in err
         assert not (tmp_path / "run").exists()
+
+
+def _bytes_by_name(outdir):
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+class TestRewriteInPlace:
+    """A rerun into existing outputs rewrites them in place, and leaves
+    each file as a fresh run would."""
+
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
+        long_csv, fresh_csv = tmp_path / "cost.csv", tmp_path / "fresh.csv"
+        assert main(["cost", "--csv", str(long_csv)]) == 0
+        assert main(["cost", "--rows", "fade", "--csv", str(long_csv)]) == 0
+        assert main(["cost", "--rows", "fade", "--csv", str(fresh_csv)]) == 0
+        assert long_csv.read_bytes() == fresh_csv.read_bytes()
+        manifest = json.loads((tmp_path / "cost.csv.manifest.json").read_text())
+        assert manifest["config"]["rows"] == "fade"
+
+        train = ["train", "--task", "binary_shapes", "--variant", "b6_full", "--count", "1"]
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        assert main(train + ["--epochs", "2", "--size", "32", "--outdir", str(rerun)]) == 0
+        for outdir in (rerun, fresh):
+            assert main(train + ["--epochs", "1", "--size", "16", "--outdir", str(outdir)]) == 0
+        got, want = _bytes_by_name(rerun), _bytes_by_name(fresh)
+        manifests = [json.loads(files.pop("manifest.json")) for files in (got, want)]
+        assert got == want
+        for m in manifests:
+            m.pop("timestamp")
+            m["outputs"] = [os.path.basename(path) for path in m["outputs"]]
+        assert manifests[0] == manifests[1]
+
+    def test_symlink_out_stays_a_symlink(self, tmp_path):
+        en_path, de_path, _, _ = write_pair(tmp_path, seed=5)
+        argv = ["upsample", "--variant", "fade", "--decoder", str(de_path),
+                "--encoder", str(en_path), "--seed", "2", "--out"]
+        target, link, fresh = tmp_path / "target.ften", tmp_path / "link.ften", tmp_path / "fresh.ften"
+        T.write_ften(target, np.zeros((2, 8, 16, 16), np.float32))
+        link.symlink_to(target)
+        assert main(argv + [str(link)]) == 0
+        assert main(argv + [str(fresh)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh.read_bytes()
+
+
+class TestNoTruncation:
+    def test_reruns_never_truncate_an_existing_file(self, tmp_path, monkeypatch):
+        """Closing a file that open(path, "w"/"wb") truncated to 0 bytes
+        costs ~50 ms on ext4 (auto_da_alloc), whatever its size, so every
+        output is rewritten in place.  Each command runs twice into the same
+        paths, and no call may open an existing file with O_TRUNC or "w"."""
+        en_path, de_path, _, _ = write_pair(tmp_path, seed=1)
+        commands = [
+            ["upsample", "--variant", "fade_lite", "--decoder", str(de_path),
+             "--encoder", str(en_path), "--out", str(tmp_path / "up.ften")],
+            ["train", "--task", "binary_shapes", "--variant", "b6_full", "--epochs", "1",
+             "--size", "16", "--count", "1", "--outdir", str(tmp_path / "run")],
+            ["ablate", "--seeds", "1", "--epochs", "1", "--size", "16", "--count", "1",
+             "--outdir", str(tmp_path / "abl")],
+            ["cost", "--rows", "fade", "--csv", str(tmp_path / "cost.csv")],
+        ]
+        truncations = []
+        real_os_open, real_open = os.open, builtins.open
+
+        def guarded_os_open(path, flags, *args, **kw):
+            if flags & os.O_TRUNC and os.path.exists(path):
+                truncations.append(("os.open", os.fspath(path)))
+            return real_os_open(path, flags, *args, **kw)
+
+        def guarded_open(file, mode="r", *args, **kw):
+            if not isinstance(file, int) and "w" in mode and os.path.exists(file):
+                truncations.append((f"open {mode!r}", os.fspath(file)))
+            return real_open(file, mode, *args, **kw)
+
+        monkeypatch.setattr(os, "open", guarded_os_open)
+        monkeypatch.setattr(builtins, "open", guarded_open)
+        monkeypatch.setattr(io, "open", guarded_open)
+        for argv in commands + commands:
+            assert main(argv) == 0, argv
+        assert truncations == []

@@ -477,6 +477,87 @@ class TestPgm:
             T.write_pgm(tmp_path / "x.pgm", np.zeros((1, 2, 2, 2)))
 
 
+class TestOpenOutput:
+    """Every library write rewrites a file in place and leaves it as
+    ``open(path, "wb")`` would: no stale tail, same inode, links kept."""
+
+    def test_smaller_tensor_over_a_larger_file(self, tmp_path):
+        path = tmp_path / "t.ften"
+        T.write_ften(path, np.ones((1, 4, 16, 16), np.float32))
+        inode = path.stat().st_ino
+        small = np.arange(6, dtype=np.float64).reshape(1, 1, 2, 3)
+        T.write_ften(path, small)
+        assert path.read_bytes() == T.ften_bytes(small)
+        np.testing.assert_array_equal(T.read_ften(path), small)
+        assert path.stat().st_ino == inode
+
+    def test_hard_link_and_mode_kept(self, tmp_path):
+        path, twin = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        T.write_pgm(path, np.zeros((1, 1, 8, 8)))
+        os.link(path, twin)
+        os.chmod(path, 0o640)
+        T.write_pgm(path, np.eye(3).reshape(1, 1, 3, 3))
+        assert twin.read_bytes() == path.read_bytes() == b"P5\n3 3\n255\n" + bytes(
+            [255, 0, 0, 0, 255, 0, 0, 0, 255]
+        )
+        assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.ften", tmp_path / "link.ften"
+        T.write_ften(target, np.ones((1, 2, 8, 8), np.float32))
+        link.symlink_to(target)
+        x = np.full((1, 1, 1, 1), 2.0)
+        T.write_ften(link, x)
+        assert link.is_symlink()
+        assert target.read_bytes() == T.ften_bytes(x)
+
+    def test_devices_and_pipes_are_written_as_they_are(self, tmp_path):
+        """Neither can be cut to size: ftruncate raises EINVAL on both."""
+        x = np.ones((1, 1, 2, 2), np.float32)
+        T.write_ften(os.devnull, x)
+        fifo = tmp_path / "t.fifo"
+        os.mkfifo(fifo)
+        got = []
+
+        def read():
+            with open(fifo, "rb") as f:
+                got.append(f.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        try:
+            T.write_ften(fifo, x)
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [T.ften_bytes(x)]
+
+    def test_cut_only_after_the_last_byte(self, tmp_path, monkeypatch):
+        """Cutting before the buffer is flushed would cut a small file to 0
+        bytes, which makes ext4 flush it to disk on close."""
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"x" * 100_000)
+        cuts = []
+        real_ftruncate = os.ftruncate
+        monkeypatch.setattr(os, "ftruncate", lambda fd, n: (cuts.append(n), real_ftruncate(fd, n)))
+        T.write_pgm(path, np.zeros((1, 1, 2, 2)))
+        assert cuts == [len(b"P5\n2 2\n255\n") + 4]
+
+    @pytest.mark.parametrize(
+        "mode,kw,chunk",
+        [("wb", {}, b"\x00\x01" * 5000), ("w", {"encoding": "utf-8", "newline": ""}, "hé\n")],
+        ids=["binary", "text"],
+    )
+    def test_exception_leaves_the_bytes_written_before_it(self, tmp_path, mode, kw, chunk):
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * 100_000)
+        with pytest.raises(KeyError):
+            with T.open_output(path, mode, **kw) as f:
+                f.write(chunk)
+                raise KeyError("stop")
+        assert path.read_bytes() == (chunk if mode == "wb" else chunk.encode("utf-8"))
+
+
 class TestPadSpec:
     def test_negative_rejected(self):
         with pytest.raises(ShapeError, match="negative"):
