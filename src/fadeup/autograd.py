@@ -40,8 +40,14 @@ class DivergenceError(RuntimeError):
 
 class Record:
     """A node's entry on the tape: its gradient and what backward needs to
-    pass it on, but not its data.  The first :meth:`accumulate` allocates
-    the gradient from ``shape`` and ``dtype``."""
+    pass it on, but not its data.
+
+    The VJP contract: a VJP returns either a view of its gradient or an
+    array nobody else keeps.  So a result that is neither the gradient
+    nor a view is the VJP's to give away, and the first :meth:`accumulate`
+    keeps it as the gradient when it has the record's shape and dtype;
+    any other first gradient is added into zeros of ``shape`` and
+    ``dtype``.  Either way no two records share a gradient array."""
 
     __slots__ = ("grad", "name", "shape", "dtype", "_parents", "_backprop")
 
@@ -52,8 +58,12 @@ class Record:
         self._parents = tuple(parents)
         self._backprop = backprop
 
-    def accumulate(self, g):
+    def accumulate(self, g, owned=False):
+        """Add ``g`` to the gradient; ``owned`` says nobody else keeps ``g``."""
         if self.grad is None:
+            if owned and g.shape == self.shape and g.dtype == self.dtype:
+                self.grad = g
+                return
             self.grad = np.zeros(self.shape, self.dtype)
         self.grad += g
 
@@ -105,14 +115,21 @@ def value_of(x):
 def _emit(out_data, pairs, name=None):
     """The op's result from its (parent, vjp) pairs: non-Node parents are
     dropped, and with none left this is ``out_data`` itself, else a Node
-    whose record links the parents' records."""
+    whose record links the parents' records.
+
+    Each vjp maps the output gradient g to its parent's share and keeps
+    the :class:`Record` contract: it returns a view of g or an array
+    nobody else keeps.  Backprop runs the vjps in pair order, and a
+    parent's first gradient is the vjp's own array when that is neither
+    g nor a view."""
     links = [(p.record, vjp) for p, vjp in pairs if isinstance(p, Node)]
     if not links:
         return out_data
 
     def backprop(g):
         for r, vjp in links:
-            r.accumulate(vjp(g))
+            d = vjp(g)
+            r.accumulate(d, owned=d is not g and isinstance(d, np.ndarray) and d.base is None)
 
     return Node(out_data, [r for r, _ in links], backprop, name=name)
 
@@ -141,12 +158,15 @@ def backward(loss: Node, seed: float = 1.0) -> None:
     Only leaves keep ``.grad``: an interior record, one with a backprop,
     drops its gradient once it has passed it on to its parents, which
     is the last time the pass reads it.  So a second call on the same
-    graph adds exactly one more gradient to every leaf.
+    graph adds exactly one more gradient to every leaf.  A record's first
+    gradient may be the array a VJP returned (see :class:`Record`), so a
+    leaf's ``.grad`` shares memory with no other record's, and a first
+    gradient of -0.0 stays -0.0.
     """
     if not isinstance(loss, Node):
         raise TypeError("backward needs a recorded Node; run a tracked forward first")
     order = _topo(loss)
-    loss.record.accumulate(np.full_like(loss.data, seed))
+    loss.record.accumulate(np.full_like(loss.data, seed), owned=True)
     for rec in reversed(order):
         if rec._backprop is not None and rec.grad is not None:
             rec._backprop(rec.grad)
@@ -306,16 +326,19 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
     which reads across a row end, is junk.  Flattened, kernel row i is
     then the view of row phase i % s at offset (i // s) pw.
 
-    The forward, ``vjp_w`` and ``vjp_x`` walk one list of strips.  Strip
-    (y0, m) has output rows y0 .. y0 + m and reads S's grid rows y0 ..
-    y0 + m + halo, and ``blocks`` gives the (S index, plane index) pairs
-    where they read x: building S copies along the pairs into one reused
-    buffer, and ``vjp_x``'s fold, its adjoint, adds back along them.  A
-    strip has as many rows as keep its S within max(o h w, _STRIP_FLOOR)
-    values per batch item (o h w is the output at stride 1), so no scratch
-    or GEMM shape depends on the batch size.  A 1 x 1 kernel at stride 1
-    without padding takes S as a view of x: one strip, one GEMM into the
-    output, and in ``vjp_x`` one GEMM from the gradient into dx.
+    The forward, ``vjp_w`` and ``vjp_x`` each walk their own list of
+    strips.  Strip (y0, m) has output rows y0 .. y0 + m and reads S's grid
+    rows y0 .. y0 + m + halo, and ``blocks`` gives the (S index, plane
+    index) pairs where they read x: building S copies along the pairs into
+    one reused buffer, and ``vjp_x``'s fold, its adjoint, adds back along
+    them.  A pass's strip has as many rows as keep its scratch within
+    max(o h w, _STRIP_FLOOR) values per batch item (o h w is the output at
+    stride 1), so no scratch or GEMM shape depends on the batch size.  The
+    forward's scratch is S; ``vjp_w``'s is S and the gradient copied onto
+    S's pitch; ``vjp_x``'s is dS and the largest phase's gradient stack.
+    A 1 x 1 kernel at stride 1 without padding takes S as a view of x: one
+    strip, one GEMM into the output, and in ``vjp_x`` one GEMM from the
+    gradient into dx.
 
     Per strip, batch item, group and row phase a, one (r o/g, c/g k) @
     (c/g k, (m + halo) pw) GEMM gives the products of the phase's r
@@ -326,8 +349,10 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
     are zeros.  ``vjp_x`` stacks the strip's gradient rows once per
     kernel row of a phase, shifted down by i // s rows, so each phase of
     dS is one GEMM with inner dimension r o/g; halo rows that two strips
-    share get partial sums from each.  Every product goes through
-    :func:`_gemm`.
+    share get partial sums from each.  dx is allocated once the first
+    strip's stacks are freed, and the pairs go to :func:`_emit` as (w,
+    bias, x), so ``vjp_w`` runs before dx exists.  Every product goes
+    through :func:`_gemm`.
     """
     xd, wd = value_of(x), value_of(w)
     pad = PadSpec.same(k // 2) if pad is None else pad
@@ -339,9 +364,14 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
     pw = ow + halo
     cols = [_tap_run(wid, pad.left, s, j, pw) for j in range(k)]
     view = k == 1 and s == 1 and pad == PadSpec.same(0)
-    strip = max(o * h * wid, _STRIP_FLOOR) // (phases * c * k * pw) - halo
-    strip = oh if view else min(max(strip, 1), oh)
-    strips = [(y0, min(strip, oh - y0)) for y0 in range(0, oh, strip)]
+    budget = max(o * h * wid, _STRIP_FLOOR)
+    s_row = phases * c * k * pw  # S's values per grid row and batch item
+
+    def strips(per_row):
+        """The strips (y0, m) of a pass whose scratch holds ``per_row``
+        values per grid row and batch item: as many rows as fit the budget."""
+        rows = oh if view else min(max(budget // per_row - halo, 1), oh)
+        return [(y0, min(rows, oh - y0)) for y0 in range(0, oh, rows)]
 
     def blocks(y0, height):
         """(S index, plane index) of every block of x in S's grid rows
@@ -353,14 +383,14 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
             for j, (pc, uc) in enumerate(cols)
         ]
 
-    def walk():
-        """Each strip (y0, m) with its S, (n, phases, g, c/g k, (m + halo) pw);
+    def walk(part):
+        """Each strip (y0, m) of ``part`` with its S, (n, phases, g, c/g k, (m + halo) pw);
         the buffer's padding columns are zeroed once, its padding rows per strip."""
         if view:
             yield 0, oh, xd.reshape(n, 1, g, c // g, h * wid)
             return
-        taps = np.zeros((n, phases, c, k, strip + halo, pw), xd.dtype)
-        for y0, m in strips:
+        taps = np.zeros((n, phases, c, k, part[0][1] + halo, pw), xd.dtype)
+        for y0, m in part:
             for si, pi in blocks(y0, m + halo):
                 t, (ur, uc) = taps[si[:4]], si[4:]
                 t[..., : ur.start, uc] = t[..., ur.stop :, uc] = 0
@@ -381,16 +411,18 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
         wd.reshape(g, o // g, c // g, k, k).transpose(3, 0, 1, 2, 4)
     ).reshape(k, g, o // g, c // g * k)
 
+    fwd = strips(s_row)
     out = np.empty((n, o, oh, ow), np.result_type(wr, xd))
     if k == 1:  # pw is ow and nothing sums: the GEMM writes the output rows
-        for y0, m, taps in walk():
+        for y0, m, taps in walk(fwd):
             _gemm(wr[0], taps[:, 0], out=out[:, :, y0 : y0 + m].reshape(n, g, o // g, -1))
     else:
         # phase a's kernel rows a, a + s, ... stacked as (g, r o/g, c/g k)
         wp = [wr[a::s].swapaxes(0, 1).reshape(g, -1, c // g * k) for a in range(phases)]
+        strip = fwd[0][1]
         prods = [np.empty(n * g * wa.shape[1] * (strip + halo) * pw, out.dtype) for wa in wp]
         acc = np.empty(n * o * strip * pw, out.dtype)
-        for y0, m, taps in walk():
+        for y0, m, taps in walk(fwd):
             span = (m + halo) * pw
             p = []
             for a, (wa, buf) in enumerate(zip(wp, prods)):
@@ -412,33 +444,38 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
             dx = np.empty(xd.shape, np.result_type(wr, grad))
             _gemm(wt[0], grad.reshape(n, g, o // g, -1), out=dx.reshape(n, g, c // g, -1))
             return dx
-        dx = np.zeros(xd.shape, np.result_type(wr, grad))
-        ds = np.empty((n, phases, g, c // g * k, (strip + halo) * pw), dx.dtype)
-        for y0, m in strips:
+        part = strips(s_row + (halo + 1) * o * pw)  # dS and phase 0's stack, r = halo + 1
+        dt = np.result_type(wr, grad)
+        ds = np.empty((n, phases, g, c // g * k, (part[0][1] + halo) * pw), dt)
+        dx = None
+        for y0, m in part:
             d = ds[..., : (m + halo) * pw]
             for a in range(phases):
                 _gemm(wt[a], shifted(grad, range(a, k, s), y0, m), out=d[:, a])
+            if dx is None:  # allocated once the first strip's stacks are freed
+                dx = np.zeros(xd.shape, dt)
             d = d.reshape(n, phases, c, k, m + halo, pw)
             for si, pi in blocks(y0, m + halo):
                 dx[pi] += d[si]
         return dx
 
     def vjp_w(grad):
-        dw = np.zeros((g, o // g, c // g, k, k), np.result_type(grad, xd))
-        for y0, m, taps in walk():
+        dw = np.zeros(wd.shape, np.result_type(grad, xd))
+        dwr = dw.reshape(g, o // g, c // g, k, k)
+        for y0, m, taps in walk(strips(s_row + o * pw)):  # S and the gradient on its pitch
             if view:  # the gradient is already on S's grid
                 gm = grad.reshape(n, g, o // g, -1)
             else:
                 gm = shifted(grad, [0], y0, m)[..., : m * pw]
             for i in range(k):
                 ti = taps[:, i % s, ..., i // s * pw : (i // s + m) * pw]
-                dw[:, :, :, i] += _gemm(gm, ti.swapaxes(2, 3)).sum(axis=0).reshape(dw.shape[:4])
-        return dw.reshape(wd.shape)
+                dwr[:, :, :, i] += _gemm(gm, ti.swapaxes(2, 3)).sum(axis=0).reshape(dwr.shape[:4])
+        return dw
 
     def vjp_b(grad):
         return grad.sum(axis=(0, 2, 3))
 
-    return _emit(out, [(x, vjp_x), (w, vjp_w), (bias, vjp_b)], name=name)
+    return _emit(out, [(w, vjp_w), (bias, vjp_b), (x, vjp_x)], name=name)
 
 
 def conv2d(x, w, bias=None, *, stride: int = 1, pad: PadSpec | None = None):

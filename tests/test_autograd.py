@@ -243,6 +243,98 @@ class TestTapeLiveness:
         np.testing.assert_array_equal(xn.grad, np.where(x > 0, g, g * dtype(0.1)))
 
 
+class TestGradientOwnership:
+    """A record's first gradient may be the array its VJP returned, but
+    never the incoming gradient, a view, or an array of another shape or
+    dtype: no two records, and no record and the caller, share memory."""
+
+    def test_add_gives_each_parent_its_own_gradient(self):
+        """add's VJPs return the incoming gradient itself to both parents."""
+        rng = np.random.default_rng(30)
+        x, y = Node(rng.normal(size=(2, 3, 4, 4))), Node(rng.normal(size=(2, 3, 4, 4)))
+        backward(ag.sum_all(ag.add(x, y)))
+        assert not np.shares_memory(x.grad, y.grad)
+        x.grad += 1.0
+        np.testing.assert_array_equal(y.grad, np.ones(y.shape))
+
+    @pytest.mark.parametrize("op", ["interleave2x2", "concat_channels", "concat_self"])
+    def test_views_of_the_gradient_are_copied(self, op):
+        """These VJPs return views of the incoming gradient; each parent's
+        gradient is its own array, and the caller's gradient is not written."""
+        rng = np.random.default_rng(31)
+        nodes = [Node(rng.normal(size=(1, 2, 3, 3))) for _ in range(4)]
+        a, b = nodes[:2]
+        if op == "interleave2x2":
+            leaves, out = nodes, ag.interleave2x2(*nodes)
+        elif op == "concat_channels":
+            leaves, out = [a, b], ag.concat_channels(a, b)
+        else:  # one parent twice: its second share is added to its first
+            leaves, out = [a], ag.concat_channels(a, a)
+        g = rng.normal(size=out.shape)
+        before = g.copy()
+        out._backprop(g)
+        np.testing.assert_array_equal(g, before)
+        for i, leaf in enumerate(leaves):
+            assert not np.shares_memory(leaf.grad, g)
+            assert not any(np.shares_memory(leaf.grad, o.grad) for o in leaves[i + 1 :])
+        if op == "concat_self":
+            np.testing.assert_array_equal(a.grad, g[:, :2] + g[:, 2:])
+
+    def test_other_dtype_is_cast_into_the_record(self):
+        """An f32 leaf scaled by an f64 constant gets an f64 VJP result; its
+        gradient is f32, not that array."""
+        rng = np.random.default_rng(32)
+        x = Node(rng.normal(size=(1, 2, 3, 3)).astype(np.float32))
+        c = rng.normal(size=(1, 2, 3, 3))
+        backward(ag.sum_all(ag.mul(x, c)))
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, c.astype(np.float32))
+
+    def test_other_shape_is_broadcast_into_the_record(self):
+        """A VJP result that only broadcasts to the record's shape is added
+        into zeros of that shape."""
+        rng = np.random.default_rng(33)
+        x = Node(rng.normal(size=(2, 3)))
+        share = np.arange(3.0)
+        out = ag._emit(x.data * 2.0, [(x, lambda g: share.copy())])
+        out._backprop(np.ones((2, 3)))
+        assert x.grad.shape == (2, 3)
+        np.testing.assert_array_equal(x.grad, np.broadcast_to(share, (2, 3)))
+
+    def test_scalar_parent_gets_an_array(self):
+        """mul's VJP for a 0-d parent sums down to a NumPy scalar, which the
+        record does not keep as its gradient."""
+        rng = np.random.default_rng(34)
+        x, s = Node(rng.normal(size=(2, 3))), Node(np.array(2.0))
+        backward(ag.sum_all(ag.mul(x, s)))
+        assert isinstance(s.grad, np.ndarray) and s.grad.shape == ()
+        assert s.grad == x.data.sum()
+
+    @pytest.mark.parametrize("graph", ["mul_const", "conv", "leaf_is_summed"])
+    def test_second_backward_doubles_a_kept_first_gradient(self, graph):
+        """The leaf's first gradient is the array its parent's VJP returned;
+        a second pass over the same graph adds exactly one more gradient."""
+        rng = np.random.default_rng(35)
+        x = Node(rng.normal(size=(1, 2, 3, 3)))
+        c, w = rng.normal(size=(1, 2, 3, 3)), rng.normal(size=(2, 2, 3, 3))
+        loss = {
+            "mul_const": lambda: ag.sum_all(ag.mul(x, c)),
+            "conv": lambda: ag.sum_all(ag.sigmoid(ag.conv2d(x, w))),
+            "leaf_is_summed": lambda: ag.sum_all(x),
+        }[graph]()
+        backward(loss)
+        once = x.grad.copy()
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, 2 * once)
+
+    def test_owned_first_gradient_keeps_negative_zero(self):
+        """A kept first gradient is the VJP's array bit for bit: -0.0 stays
+        -0.0, which zeros plus the gradient would make +0.0."""
+        x = Node(np.array([1.0, 2.0]))
+        backward(ag.sum_all(ag.mul(x, np.array([-0.0, 1.0]))))
+        assert np.signbit(x.grad[0]) and x.grad[1] == 1.0
+
+
 class TestReassembleGradient:
     def test_center_onehot_kernel_grad_is_nn_scatter(self):
         """With center one-hot kernels the map is NN; the kernel gradient at
@@ -540,23 +632,37 @@ class TestConvAgainstIm2col:
         assert peak <= 3 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
     @pytest.mark.parametrize("stride,pad", [(1, None), *((2, p) for p in _H2L_PADS.values())])
-    def test_forward_and_gradients_across_strips(self, stride, pad):
+    def test_forward_and_gradients_across_strips(self, stride, pad, monkeypatch):
         """A generator-shaped conv whose forward, vjp_w and vjp_x each walk
         several strips of output rows, against the im2col reference."""
         n, c, h, w, o, k = 2, 32, 40, 36, 25, 3
         p = T.PadSpec.same(k // 2) if pad is None else pad
         oh = (h + p.top + p.bottom - k) // stride + 1
         ow = (w + p.left + p.right - k) // stride + 1
-        halo = (k - 1) // stride
+        halo, phases = (k - 1) // stride, min(stride, k)
         budget = max(o * h * w, ag._STRIP_FLOOR)
-        assert oh > budget // (min(stride, k) * c * k * (ow + halo)) - halo, "one strip"
+        assert oh > budget // (phases * c * k * (ow + halo)) - halo, "one strip"
         rng = np.random.default_rng(18)
         for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
             x = rng.normal(size=(n, c, h, w)).astype(dtype)
             wt = rng.normal(size=(o, c, k, k)).astype(dtype)
             b = rng.normal(size=o).astype(dtype)
             gout = rng.normal(size=(n, o, oh, ow)).astype(dtype)
-            got = _conv_run(x, wt, b, gout, k, stride, pad, 1)
+            xn, wn, bn = Node(x), Node(wt), Node(b)
+            out = ag._conv(xn, wn, bn, k, stride, pad, 1, "conv")
+            ranks, gemm = [], ag._gemm
+
+            def counted(lhs, rhs, out=None):
+                ranks.append(lhs.ndim)
+                return gemm(lhs, rhs, out)
+
+            monkeypatch.setattr(ag, "_gemm", counted)
+            out._backprop(gout)
+            monkeypatch.undo()
+            # vjp_w's GEMMs read the gradient rows, (n, g, o/g, m pw), k per strip;
+            # vjp_x's read the weights, (g, c/g k, r o/g), one per phase and strip
+            assert ranks.count(4) > k and ranks.count(3) > phases, "a backward pass in one strip"
+            got = (out.data, xn.grad, wn.grad, bn.grad)
             ref_all = _im2col_conv(x, wt, b, gout, k, stride, p, 1)
             for name, a, ref in zip(("out", "dx", "dw", "db"), got, ref_all):
                 scale = max(float(np.abs(ref).max()), 1.0)
@@ -585,8 +691,9 @@ class TestConvAgainstIm2col:
 
     def test_backward_peak_is_bounded_by_the_output(self):
         """b6's generator conv at the training shape: its backprop from a
-        given output gradient builds S and dS one strip at a time, so the
-        scratch stays within a few outputs."""
+        given output gradient builds S and dS one strip at a time, each
+        pass in strips sized by its own scratch, so dx (0.64 outputs), kept
+        as x's gradient, and the scratch stay within 1.8 outputs."""
         rng = np.random.default_rng(19)
         x = Node(rng.normal(size=(4, 16, 48, 48)).astype(np.float32))
         w = Node(rng.normal(size=(25, 16, 3, 3)).astype(np.float32))
@@ -598,12 +705,31 @@ class TestConvAgainstIm2col:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
+        assert peak <= 1.8 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
+
+    def test_single_strip_backward_frees_the_stack_before_dx(self):
+        """A conv whose backward runs in one strip: its backprop holds dS
+        with one phase's gradient stack, then dS with dx, never all three."""
+        rng = np.random.default_rng(26)
+        x = Node(rng.normal(size=(4, 12, 24, 24)).astype(np.float32))
+        w = Node(rng.normal(size=(12, 12, 3, 3)).astype(np.float32))
+        out = ag.conv2d(x, w)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out._backprop(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid = (24 + 2) * (24 + 2)  # S's grid, halo rows and junk columns included
+        ds = 4 * (12 * 3) * grid * 4  # (n, c k, grid) in f32
+        stack = 4 * (3 * 12) * grid * 4  # phase 0's r = 3 kernel rows of the gradient
+        assert peak <= ds + stack + out.data.nbytes // 4, f"peak {peak / (ds + stack):.3f}x dS and stack"
 
     def test_one_by_one_backward_builds_no_gradient_stack(self):
-        """A 1x1 view conv's backprop holds dx and the gradient that
-        accumulate adds it into, plus a little: vjp_x runs its GEMM from the
-        output gradient straight into dx."""
+        """A 1x1 view conv's backprop holds dx, kept as x's gradient, plus
+        a little: vjp_x runs its GEMM from the output gradient straight into
+        dx."""
         rng = np.random.default_rng(24)
         x = Node(rng.normal(size=(1, 256, 56, 56)).astype(np.float32))
         w = Node(rng.normal(size=(64, 256, 1, 1)).astype(np.float32))
@@ -615,8 +741,8 @@ class TestConvAgainstIm2col:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        floor = 2 * x.data.nbytes
-        assert peak <= floor + out.data.nbytes // 4, f"peak {peak / floor:.3f}x dx and x.grad"
+        floor = x.data.nbytes
+        assert peak <= floor + out.data.nbytes // 4, f"peak {peak / floor:.3f}x dx"
 
     def test_one_by_one_weight_backward_copies_no_gradient(self):
         """A 1x1 view conv's vjp_w runs its GEMM from the output gradient
@@ -656,15 +782,20 @@ class TestConvAgainstIm2col:
 
 
 def conv_digest() -> str:
-    """sha256 of ``_conv``'s forward, dx and dw, f32, 64 -> 25 channels,
-    k=3: stride 2 with the top-left corner pad on a 40x40 plane (h2l) and
-    stride 1 on a 36x44 plane (l2h).  Both forwards run in several strips
-    of output rows."""
+    """sha256 of ``_conv``'s forward, dx and dw, f32, c -> 25 channels,
+    k=3: 64 channels at stride 2 with the top-left corner pad on a 40x40
+    plane (h2l), 64 at stride 1 on a 36x44 plane (l2h) and 16 at stride 1
+    on a 48x48 plane (b6's stage-2 generator).  Every pass runs in several
+    strips of output rows, and the backward passes' strips differ from
+    the forward's: the last conv's forward walks 2 strips, vjp_w 4 and
+    vjp_x 6."""
     rng = np.random.default_rng(15)
     digest = hashlib.sha256()
-    for stride, pad, h, w in ((2, T.PadSpec(1, 0, 1, 0), 40, 40), (1, None, 36, 44)):
-        x = rng.normal(size=(1, 64, h, w)).astype(np.float32)
-        wt = rng.normal(size=(25, 64, 3, 3)).astype(np.float32)
+    for c, stride, pad, h, w in (
+        (64, 2, T.PadSpec(1, 0, 1, 0), 40, 40), (64, 1, None, 36, 44), (16, 1, None, 48, 48)
+    ):
+        x = rng.normal(size=(1, c, h, w)).astype(np.float32)
+        wt = rng.normal(size=(25, c, 3, 3)).astype(np.float32)
         b = rng.normal(size=25).astype(np.float32)
         oh, ow = (h - 1) // stride + 1, (w - 1) // stride + 1
         gout = rng.normal(size=(1, 25, oh, ow)).astype(np.float32)
