@@ -520,15 +520,29 @@ def conv1x1(x, w, bias=None):
 # ---------------------------------------------------------------------------
 
 
+def _window_sum(g):
+    """Each 2x2 window's sum of g, pairs first: the order that
+    reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)) takes when w > 1."""
+    return (g[..., 0::2, 0::2] + g[..., 0::2, 1::2]) + (g[..., 1::2, 0::2] + g[..., 1::2, 1::2])
+
+
 def interp_nearest_x2(x):
     out = T.interp_nearest_x2(value_of(x))
+    return _emit(out, [(x, _window_sum)], name="nn_x2")
 
-    def vjp(g):
-        # each 2x2 window's sum, pairs first: the order that
-        # reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)) takes when w > 1
-        return (g[..., 0::2, 0::2] + g[..., 0::2, 1::2]) + (g[..., 1::2, 0::2] + g[..., 1::2, 1::2])
 
-    return _emit(out, [(x, vjp)], name="nn_x2")
+def add_nearest_x2(hi, lo):
+    """hi + interp_nearest_x2(lo), bit for bit, without the expansion: lo
+    (n, c, h, w) is added into each 2x2 phase of hi (n, c, 2h, 2w).  lo's
+    gradient is the nearest-x2 VJP, each 2x2 window's sum."""
+    hd, ld = value_of(hi), value_of(lo)
+    n, c, h, w = ld.shape
+    if hd.shape != (n, c, 2 * h, 2 * w):
+        raise ShapeError(f"add_nearest_x2 needs hi {hd.shape} at twice lo {ld.shape}")
+    out = np.empty(hd.shape, np.result_type(hd, ld))
+    for r, s in _PHASES:
+        np.add(hd[..., r::2, s::2], ld, out=out[..., r::2, s::2])
+    return _emit(out, [(hi, lambda g: g), (lo, _window_sum)], name="add_nearest_x2")
 
 
 def interp_bilinear_x2(x, align_corners: bool = False):
@@ -735,9 +749,10 @@ def reassemble(x_de, kernels, k: int):
         # A tap loop, not the transposed GEMM: that would scatter K^2
         # overlapping windows back onto the decoder, which at toy-training
         # planes is slower and allocates more.  Each tap's four phase products
-        # scatter-add onto the padded window that tap read.
+        # scatter-add onto the part of the decoder that tap read; what it
+        # read of the zero padding gets nothing, so dx needs no padded border.
         gph, kph = _to_phases(g), _to_phases(kd)
-        dxp = np.zeros((n, c, h + 2 * r, w + 2 * r), g.dtype)
+        dxd = np.zeros((n, c, h, w), g.dtype)
         part = np.empty((n, c, h, w), g.dtype)
         prod = np.empty((n, c, h, w), g.dtype)
         for m in range(k2):
@@ -746,24 +761,25 @@ def reassemble(x_de, kernels, k: int):
             for a, b in _PHASES[1:]:
                 np.multiply(gph[:, a, b], kph[:, a, b, m, None], out=prod)
                 part += prod
-            dxp[:, :, dy : dy + h, dx : dx + w] += part
-        return dxp[:, :, r : r + h, r : r + w]
+            (ty, sy), (tx, sx) = _tap_run(h, r, 1, dy, h), _tap_run(w, r, 1, dx, w)
+            dxd[:, :, ty, tx] += part[:, :, sy, sx]
+        return dxd
 
     def vjp_k(g):
         # the transposed GEMM over the same windows: (K^2, C) @ (C, 2).  The
         # windows are rebuilt here rather than kept on the tape, which would
         # hold a K-fold copy of the decoder per node until backward.  g takes
         # the window's dtype, as a mixed-dtype matmul would copy the K^2-fold
-        # window view to cast it.
+        # window view to cast it.  The result is written into an array in
+        # the kernel map's shape and dtype, which the tape keeps as is.
         dkq = np.matmul(
             _window_matrices(xd, k, dtype).swapaxes(-1, -2),
             _by_position(np.asarray(g, dtype=dtype)),
         )
-        return (
-            dkq.reshape(n, h, w, 2, k, k, 2)
-            .transpose(0, 5, 4, 1, 3, 2, 6)
-            .reshape(n, k2, 2 * h, 2 * w)
-        )
+        dk = np.empty(kd.shape, kd.dtype)
+        taps = dkq.reshape(n, h, w, 2, k, k, 2).transpose(0, 5, 4, 1, 3, 2, 6)
+        dk.reshape(n, k, k, h, 2, w, 2)[...] = taps
+        return dk
 
     return _emit(out, [(x_de, vjp_x), (kernels, vjp_k)], name="reassemble")
 

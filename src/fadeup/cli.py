@@ -342,6 +342,12 @@ def _gradcheck_battery(seed: int):
         lambda A, B: ag.sum_all(ag.mul(ag.concat_channels(A, B), probe_cat)),
         [x, wide],
     )
+    probe_up = rng.normal(size=(2, 2, 8, 8))
+    check(
+        "add_nearest_x2",
+        lambda A, B: ag.sum_all(ag.mul(ag.add_nearest_x2(A, B), probe_up)),
+        [rng.normal(size=(2, 2, 8, 8)), x],
+    )
     return results
 
 

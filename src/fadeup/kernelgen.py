@@ -2,16 +2,18 @@
 
 The semi-shift scheme ties each low-res decoder window to the four
 high-res encoder windows of its 2x2 output block, so sub-pixel variance
-of the kernels is controlled by the encoder alone.  Three mutually
-verifying forms are provided:
+of the kernels is controlled by the encoder alone.  The paper's three
+forms are provided, two of them as one function:
 
 * :func:`semishift_direct` -- literal per-window loops, the reference
   oracle (inference only, slow);
-* :func:`semishift_h2l`    -- four stride-2 sub-processes with corner
-  padding, interleaved;
-* :func:`semishift_l2h`    -- stride-1 convolution plus nearest-neighbour
-  expansion of the decoder branch (cheapest; never materializes an
-  interpolated full-channel decoder tensor).
+* :func:`semishift_l2h`    -- stride-1 convolutions of both branches, the
+  low-res decoder branch added into each 2x2 phase of the high-res encoder
+  branch, never NN-expanded;
+* :func:`semishift_h2l`    -- the same function.  The paper's four stride-2
+  corner-padded encoder sub-processes are the four 2x2 phases of l2h's
+  stride-1 encoder conv, and both forms add the decoder branch per phase
+  at low resolution.
 
 Each form serves FADE's dense generator and FADE-Lite's depthwise one.
 Plus the naive concat pipeline, and the decoder-only / encoder-only
@@ -28,7 +30,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Node, value_of
 from .rng import ShuffledLcg, init_conv_weights, init_depthwise_weights
-from .tensor import ConvWeights, DepthwiseWeights, PadSpec, ShapeError
+from .tensor import ConvWeights, DepthwiseWeights, ShapeError
 
 
 @dataclass
@@ -216,23 +218,14 @@ def semishift_direct(x_en, x_de, p: SemiShiftParams) -> KernelMap:
     return KernelMap(out, p.kernel_size, normalized=False)
 
 
-# each sub-process pads exactly the two sides named by its corner
-_H2L_PADS = {
-    (0, 0): PadSpec(1, 0, 1, 0),  # top-left
-    (0, 1): PadSpec(1, 0, 0, 1),  # top-right
-    (1, 0): PadSpec(0, 1, 1, 0),  # bottom-left
-    (1, 1): PadSpec(0, 1, 0, 1),  # bottom-right
-}
-
-
-def _generate(x, generator, bias, stride: int = 1, pad: PadSpec = PadSpec.same(1)):
+def _generate(x, generator, bias):
     """The 3x3 generator conv: depthwise for DepthwiseWeights, else dense.
 
     The autograd convs are looked up at call time, so a wrapper installed
     on those module attributes sees every call.
     """
     conv = ag.conv2d_depthwise if isinstance(generator, DepthwiseWeights) else ag.conv2d
-    return conv(x, generator.weights, bias, stride=stride, pad=pad)
+    return conv(x, generator.weights, bias)
 
 
 def _compress_generate(x, compressor: ConvWeights, generator, generator_bias: bool = True):
@@ -241,33 +234,23 @@ def _compress_generate(x, compressor: ConvWeights, generator, generator_bias: bo
     return _generate(compressed, generator, generator.bias if generator_bias else None)
 
 
-def semishift_h2l(x_en, x_de, p: SemiShiftParams) -> KernelMap:
-    """High-to-low form: four stride-2 corner-padded encoder sub-processes.
-
-    The stride-1 decoder branch is computed once and shared by all four
-    phases; the generator bias rides on the encoder branch only.
-    """
-    check_x2_pair(x_en, x_de)
-    de_branch = _compress_generate(x_de, p.compressor_de, p.generator, generator_bias=False)
-    en_c = ag.conv1x1(x_en, p.compressor_en.weights)
-    subs = []
-    for phase in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        en_branch = _generate(en_c, p.generator, p.generator.bias, 2, _H2L_PADS[phase])
-        subs.append(ag.add(en_branch, de_branch))
-    return KernelMap(ag.interleave2x2(*subs), p.kernel_size, normalized=False)
-
-
 def semishift_l2h(x_en, x_de, p: SemiShiftParams) -> KernelMap:
-    """Low-to-high form: stride-1 convolutions, decoder branch NN-expanded.
+    """Semi-shift kernel generation: stride-1 convolutions of both branches,
+    the low-res decoder branch added into each 2x2 phase of the encoder
+    branch by :func:`autograd.add_nearest_x2`.
 
-    Only the K^2-channel kernel map is interpolated, never the compressed
-    (let alone full) decoder feature.
+    Only the K^2-channel kernel map is ever at high resolution, and the
+    decoder branch is never NN-expanded; the generator bias rides on the
+    encoder branch only.
     """
     check_x2_pair(x_en, x_de)
     en_branch = _compress_generate(x_en, p.compressor_en, p.generator)
     de_branch = _compress_generate(x_de, p.compressor_de, p.generator, generator_bias=False)
-    return KernelMap(ag.add(en_branch, ag.interp_nearest_x2(de_branch)), p.kernel_size)
+    return KernelMap(ag.add_nearest_x2(en_branch, de_branch), p.kernel_size)
 
+
+# the paper's high-to-low form is the same computation (see the module docstring)
+semishift_h2l = semishift_l2h
 
 # FADE-Lite's generator by its own name, which the benchmark's tracer and the
 # tests address; it is the l2h form itself, not a copy

@@ -256,16 +256,16 @@ def pixel_shuffle_x2(x: np.ndarray) -> np.ndarray:
 
 
 def pixel_unshuffle_x2(x: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`pixel_shuffle_x2`."""
+    """Exact inverse of :func:`pixel_shuffle_x2`, in an array of its own
+    (not a view or a reshape's copy), so a tape can keep it as a gradient."""
     check_nchw(x)
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"pixel_unshuffle_x2 needs even spatial dims, got {h}x{w}")
-    return (
-        x.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(n, 4 * c, h // 2, w // 2)
-    )
+    out = np.empty((n, 4 * c, h // 2, w // 2), x.dtype)
+    phases = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 5, 2, 4)
+    out.reshape(n, c, 2, 2, h // 2, w // 2)[...] = phases
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from fadeup import autograd as ag
 from fadeup import kernelgen as kg
 from fadeup import tensor as T
 from fadeup.autograd import DivergenceError, MomentumSGD, Node, backward
-from fadeup.kernelgen import _H2L_PADS
 from fadeup.rng import ShuffledLcg
 
 
@@ -39,6 +38,7 @@ def _tape_cases():
         "conv2d_depthwise": (ag.conv2d_depthwise, [x, r(2, 3, 3), r(2)]),
         "conv1x1": (ag.conv1x1, [x, r(3, 2, 1, 1), r(3)]),
         "interp_nearest_x2": (ag.interp_nearest_x2, [x]),
+        "add_nearest_x2": (ag.add_nearest_x2, [r(1, 2, 8, 8), x]),
         "interp_bilinear_x2": (ag.interp_bilinear_x2, [x]),
         "maxpool2x2": (ag.maxpool2x2, [x]),
         "pixel_shuffle_x2": (ag.pixel_shuffle_x2, [r(1, 4, 2, 2)]),
@@ -54,6 +54,15 @@ def _tape_cases():
 
 
 TAPE_CASES = _tape_cases()
+
+# the corner pads of h2l's four stride-2 sub-processes, by 2x2 phase (r, s):
+# each pads exactly the two sides its corner names
+_H2L_PADS = {
+    (0, 0): T.PadSpec(1, 0, 1, 0),  # top-left
+    (0, 1): T.PadSpec(1, 0, 0, 1),  # top-right
+    (1, 0): T.PadSpec(0, 1, 1, 0),  # bottom-left
+    (1, 1): T.PadSpec(0, 1, 0, 1),  # bottom-right
+}
 
 
 class TestBackwardBasics:
@@ -144,6 +153,59 @@ class TestBackwardBasics:
         )
 
 
+class TestAddNearest:
+    """add_nearest_x2(hi, lo) is add(hi, interp_nearest_x2(lo)) without the
+    expanded lo: the same forward and gradients, one full-size array fewer."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 25, 24, 24), (1, 3, 5, 7), (2, 12, 3, 1)])
+    def test_forward_and_gradients_equal_add_of_nearest(self, shape, dtype):
+        rng = np.random.default_rng(23)
+        n, c, h, w = shape
+        hi = rng.normal(size=(n, c, 2 * h, 2 * w)).astype(dtype)
+        lo = rng.normal(size=shape).astype(dtype)
+        g = (rng.normal(size=hi.shape) * 10.0 ** rng.uniform(-3, 3, hi.shape)).astype(dtype)
+        g[0, 0, 0] = -0.0
+        runs = []
+        for fn in (ag.add_nearest_x2, lambda a, b: ag.add(a, ag.interp_nearest_x2(b))):
+            hn, ln = Node(hi), Node(lo)
+            out = fn(hn, ln)
+            backward(ag.sum_all(ag.mul(out, g)))
+            runs.append((fn(hi, lo), out.data, hn.grad, ln.grad))
+        for a, b in zip(*runs):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_rejects_planes_not_at_twice(self):
+        with pytest.raises(T.ShapeError, match="twice"):
+            ag.add_nearest_x2(np.zeros((1, 2, 4, 5)), np.zeros((1, 2, 2, 2)))
+
+    def test_l2h_backward_holds_no_expanded_decoder_gradient(self):
+        """The backward of a taped l2h generator peaks at 3.9x its kernel map;
+        add plus interp_nearest_x2 in its place kept the full-size gradient of
+        the expansion pending through the encoder conv's backward: 4.6x."""
+        rng = np.random.default_rng(24)
+        p = kg.make_semishift_params(ShuffledLcg(1), 8, 8, 5, np.float64)
+        x_en, x_de = rng.normal(size=(2, 8, 32, 32)), rng.normal(size=(2, 8, 16, 16))
+        probe = rng.normal(size=(2, 25, 32, 32))
+
+        def l2h_expanded(en, de, p):
+            en_branch = kg._compress_generate(en, p.compressor_en, p.generator)
+            de_branch = kg._compress_generate(de, p.compressor_de, p.generator, False)
+            return ag.add(en_branch, ag.interp_nearest_x2(de_branch))
+
+        forms = {"fused": lambda *a: kg.semishift_l2h(*a).data, "expanded": l2h_expanded}
+        peaks = {}
+        for name, form in forms.items():
+            loss = ag.sum_all(ag.mul(form(Node(x_en), Node(x_de), p), probe))
+            tracemalloc.start()
+            try:
+                backward(loss)
+                peaks[name] = tracemalloc.get_traced_memory()[1] / probe.nbytes
+            finally:
+                tracemalloc.stop()
+        assert peaks["fused"] <= 4.25 < peaks["expanded"], peaks
+
+
 class TestTapeLiveness:
     """The tape links records, not Nodes: an interior output lives only
     while the caller holds its Node or a VJP reads it."""
@@ -168,9 +230,9 @@ class TestTapeLiveness:
             np.testing.assert_array_equal(a, b)
 
     def test_l2h_generator_interior_outputs_are_freed(self, monkeypatch):
-        """Inside a taped l2h generator the 3x3 conv, nn_x2 and add outputs
-        are freed once the caller drops the kernel map; the 1x1 compressor
-        outputs stay, as the 3x3 conv's weight gradient reads them."""
+        """Inside a taped l2h generator the 3x3 conv and add_nearest_x2
+        outputs are freed once the caller drops the kernel map; the 1x1
+        compressor outputs stay, as the 3x3 conv's weight gradient reads them."""
         rng = np.random.default_rng(22)
         p = kg.make_semishift_params(ShuffledLcg(3), 4, 6, 3, np.float64)
         x_en, x_de = rng.normal(size=(2, 4, 8, 10)), rng.normal(size=(2, 4, 4, 5))
@@ -189,7 +251,7 @@ class TestTapeLiveness:
 
                 monkeypatch.setattr(ag, name, wrapped)
 
-            for name in ("conv1x1", "conv2d", "interp_nearest_x2", "add"):
+            for name in ("conv1x1", "conv2d", "add_nearest_x2"):
                 tap(name, getattr(ag, name))
             en, de = Node(x_en), Node(x_de)
             kmap = kg.semishift_l2h(en, de, p)
@@ -203,7 +265,7 @@ class TestTapeLiveness:
                 assert alive == [
                     ("conv1x1", True), ("conv2d", False),
                     ("conv1x1", True), ("conv2d", False),
-                    ("interp_nearest_x2", False), ("add", False),
+                    ("add_nearest_x2", False),
                 ]
             backward(ag.mse_loss(soft, target))
             grads[hold] = (en.grad, de.grad)
@@ -326,6 +388,29 @@ class TestGradientOwnership:
         once = x.grad.copy()
         backward(loss)
         np.testing.assert_array_equal(x.grad, 2 * once)
+
+    @pytest.mark.parametrize("op", ["reassemble", "pixel_shuffle_x2"])
+    def test_reshaping_vjps_results_are_kept(self, op, monkeypatch):
+        """Reassembly's two VJPs and pixel_shuffle_x2's write their results
+        into arrays of the record's shape and dtype, so the tape keeps them
+        as first gradients instead of adding them into zeros."""
+        kept = []
+        accumulate = ag.Record.accumulate
+
+        def logged(rec, g, owned=False):
+            accumulate(rec, g, owned)
+            kept.append(rec.grad is g)
+
+        rng = np.random.default_rng(36)
+        if op == "reassemble":
+            xn = Node(rng.normal(size=(2, 3, 4, 5)).astype(np.float32))
+            kn = Node(rng.normal(size=(2, 9, 8, 10)).astype(np.float32))
+            out = ag.reassemble(xn, kn, 3)
+        else:
+            out = ag.pixel_shuffle_x2(Node(rng.normal(size=(2, 8, 3, 4))))
+        monkeypatch.setattr(ag.Record, "accumulate", logged)
+        out._backprop(rng.normal(size=out.shape).astype(out.dtype))
+        assert kept == [True] * len(out.record._parents)
 
     def test_owned_first_gradient_keeps_negative_zero(self):
         """A kept first gradient is the VJP's array bit for bit: -0.0 stays
@@ -543,6 +628,34 @@ _CONV_PADS = [
         T.PadSpec(2, 0, 1, 3),
     )
 ]
+
+
+class TestCornerPadsArePhases:
+    """The paper's h2l form runs four stride-2 sub-processes, one per corner
+    pad; each is one 2x2 phase of the stride-1 'same' conv, which is why
+    ``kernelgen`` computes h2l as l2h.  Equal up to rounding, not bit for
+    bit: BLAS sums a product in an order that may depend on the GEMM's
+    shape, and the two convs run GEMMs of different shapes."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-14)])
+    @pytest.mark.parametrize("kind", ["dense", "depthwise"])
+    @pytest.mark.parametrize("n,c,h,w", [(2, 12, 10, 14), (2, 12, 11, 13), (1, 64, 40, 40)])
+    def test_stride_two_corner_conv_is_a_phase(self, n, c, h, w, kind, dtype, tol):
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(n, c, h, w)).astype(dtype)
+        if kind == "dense":
+            conv, wt, b = ag.conv2d, rng.normal(size=(25, c, 3, 3)), rng.normal(size=25)
+        else:
+            conv, wt, b = ag.conv2d_depthwise, rng.normal(size=(c, 3, 3)), rng.normal(size=c)
+        wt, b = wt.astype(dtype), b.astype(dtype)
+        full = conv(x, wt, b)
+        scale = np.abs(full).max()
+        for (r, s), pad in _H2L_PADS.items():
+            sub = conv(x, wt, b, stride=2, pad=pad)
+            # on an odd side phase 0 has one row or column more than the sub-process
+            assert sub.shape[2:] == (h // 2, w // 2) and sub.dtype == dtype
+            phase = full[:, :, r::2, s::2][:, :, : h // 2, : w // 2]
+            np.testing.assert_allclose(sub, phase, rtol=0, atol=tol * scale)
 
 
 class TestConvAgainstIm2col:
