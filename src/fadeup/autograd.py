@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
-from .tensor import PadSpec, ShapeError
+from .tensor import ShapeError
 
 
 class DivergenceError(RuntimeError):
@@ -301,109 +301,99 @@ def _gemm(a, b, out=None):
 _STRIP_FLOOR = 1 << 16
 
 
-def _tap_run(size, lo, s, tap, count):
-    """The grid entries u < count whose plane position s u + tap - lo lies
-    in [0, size), as (plane slice, grid slice); the others read padding."""
-    u0 = min(max(-((tap - lo) // s), 0), count)
-    u1 = max(min((size - 1 - tap + lo) // s + 1, count), u0)
-    p0 = s * u0 + tap - lo
-    return slice(p0, p0 + s * (u1 - u0), s), slice(u0, u1)
+def _tap_run(size, lo, tap, count):
+    """The grid entries u < count whose plane position u + tap - lo lies in
+    [0, size), as (plane slice, grid slice); the others read padding."""
+    u0 = min(max(lo - tap, 0), count)
+    u1 = max(min(size - tap + lo, count), u0)
+    p0 = u0 + tap - lo
+    return slice(p0, p0 + u1 - u0), slice(u0, u1)
 
 
-def _conv(x, w, bias, k, stride, pad, groups, name):
-    """The one convolution: GEMMs over a column-shifted copy of x, one
-    strip of output rows at a time.
+def _conv(x, w, bias, k, groups, name):
+    """The one convolution, stride 1 with k // 2 zeros of padding on every
+    side, so the output has the plane's size: GEMMs over a column-shifted
+    copy of x, one strip of output rows at a time.
 
     The c input and o output channels split into ``groups`` equal groups,
-    and output group j reads input group j only.  ``pad`` None means
-    k // 2 on every side; s is the stride.
+    and output group j reads input group j only.
 
-    The copy S[n, a, c, j, u, v] holds the zero-padded plane at
-    (s u + a, s v + j): row phase a < min(s, k), column tap j < k.  Its
-    grid is ph x pw, where ph is oh plus (k-1)//s halo rows and pw is ow
-    plus (k-1)//s junk columns, and a GEMM result uses the same pitch:
-    output (y, x) is flat position y pw + x, and an output with x >= ow,
-    which reads across a row end, is junk.  Flattened, kernel row i is
-    then the view of row phase i % s at offset (i // s) pw.
+    The copy S[n, c, j, u, v] holds the zero-padded plane at (u, v + j),
+    column tap j < k.  Its grid is (h + halo) x pw, where halo is k - 1
+    rows and pw is w plus k - 1 junk columns, and a GEMM result uses the
+    same pitch: output (y, x) is flat position y pw + x, and an output with
+    x >= w, which reads across a row end, is junk.  Flattened, kernel row i
+    is then the view of S at offset i pw.
 
     The forward, ``vjp_w`` and ``vjp_x`` each walk their own list of
     strips.  Strip (y0, m) has output rows y0 .. y0 + m and reads S's grid
-    rows y0 .. y0 + m + halo, and ``blocks`` gives the (S index, plane
-    index) pairs where they read x: building S copies along the pairs into
+    rows y0 .. y0 + m + halo, and ``blocks`` gives the blocks of S that
+    hold x, with their plane index: building S copies along the blocks into
     one reused buffer, and ``vjp_x``'s fold, its adjoint, adds back along
     them.  A pass's strip has as many rows as keep its scratch within
-    max(o h w, _STRIP_FLOOR) values per batch item (o h w is the output at
-    stride 1), so no scratch or GEMM shape depends on the batch size.  The
-    forward's scratch is S; ``vjp_w``'s is S and the gradient copied onto
-    S's pitch; ``vjp_x``'s is dS and the largest phase's gradient stack.
-    A 1 x 1 kernel at stride 1 without padding takes S as a view of x: one
-    strip, one GEMM into the output, and in ``vjp_x`` one GEMM from the
-    gradient into dx.
+    max(o h w, _STRIP_FLOOR) values per batch item (o h w is the output),
+    so no scratch or GEMM shape depends on the batch size.  The forward's
+    scratch is S; ``vjp_w``'s is S and the gradient copied onto S's pitch;
+    ``vjp_x``'s is dS and the stack of gradient rows.  A 1 x 1 kernel takes
+    S as a view of x: one strip, one GEMM into the output, and in ``vjp_x``
+    one GEMM from the gradient into dx.
 
-    Per strip, batch item, group and row phase a, one (r o/g, c/g k) @
-    (c/g k, (m + halo) pw) GEMM gives the products of the phase's r
-    kernel rows a, a + s, ...; kernel row i's is read (i // s) pw further
-    on, and the k products sum in row order on the pw pitch.  ``vjp_w``
-    builds S again, as the tape holds none, and adds one transposed GEMM
-    per kernel row, summed over the batch; the gradient's junk columns
-    are zeros.  ``vjp_x`` stacks the strip's gradient rows once per
-    kernel row of a phase, shifted down by i // s rows, so each phase of
-    dS is one GEMM with inner dimension r o/g; halo rows that two strips
-    share get partial sums from each.  dx is allocated once the first
-    strip's stacks are freed, and the pairs go to :func:`_emit` as (w,
-    bias, x), so ``vjp_w`` runs before dx exists.  Every product goes
-    through :func:`_gemm`.
+    Per strip, batch item and group, one (k o/g, c/g k) @ (c/g k, (m +
+    halo) pw) GEMM gives the products of all k kernel rows; kernel row i's
+    is read i pw further on, and the k products sum in row order on the pw
+    pitch.  ``vjp_w`` builds S again, as the tape holds none, and adds one
+    transposed GEMM per kernel row, summed over the batch; the gradient's
+    junk columns are zeros.  ``vjp_x`` stacks the strip's gradient rows
+    once per kernel row i, shifted down by i rows, so dS is one GEMM with
+    inner dimension k o/g; halo rows that two strips share get partial
+    sums from each.  dx is allocated once the first strip's stack is
+    freed, and the pairs go to :func:`_emit` as (w, bias, x), so ``vjp_w``
+    runs before dx exists.  Every product goes through :func:`_gemm`.
     """
     xd, wd = value_of(x), value_of(w)
-    pad = PadSpec.same(k // 2) if pad is None else pad
     n, c, h, wid = xd.shape
-    o, g, s = wd.shape[0], groups, stride
-    oh = T._out_dim(h, pad.top, pad.bottom, k, s)
-    ow = T._out_dim(wid, pad.left, pad.right, k, s)
-    halo, phases = (k - 1) // s, min(s, k)
-    pw = ow + halo
-    cols = [_tap_run(wid, pad.left, s, j, pw) for j in range(k)]
-    view = k == 1 and s == 1 and pad == PadSpec.same(0)
+    if k % 2 == 0 or min(h, wid) < 1:  # no centre tap, or no output row
+        raise ShapeError(f"{name} has no 'same' output dim for k={k} on a {h}x{wid} plane")
+    o, g, halo = wd.shape[0], groups, k - 1
+    pw = wid + halo
+    cols = [_tap_run(wid, k // 2, j, pw) for j in range(k)]
+    view = k == 1
     budget = max(o * h * wid, _STRIP_FLOOR)
-    s_row = phases * c * k * pw  # S's values per grid row and batch item
+    s_row = c * k * pw  # S's values per grid row and batch item
 
     def strips(per_row):
         """The strips (y0, m) of a pass whose scratch holds ``per_row``
         values per grid row and batch item: as many rows as fit the budget."""
-        rows = oh if view else min(max(budget // per_row - halo, 1), oh)
-        return [(y0, min(rows, oh - y0)) for y0 in range(0, oh, rows)]
+        rows = min(max(budget // per_row - halo, 1), h)
+        return [(y0, min(rows, h - y0)) for y0 in range(0, h, rows)]
 
     def blocks(y0, height):
-        """(S index, plane index) of every block of x in S's grid rows
-        y0 .. y0 + height, S as (n, phases, c, k, height, pw)."""
-        rows = [_tap_run(h, pad.top, s, a + s * y0, height) for a in range(phases)]
-        return [
-            ((slice(None), a, slice(None), j, ur, uc), (..., pr, pc))
-            for a, (pr, ur) in enumerate(rows)
-            for j, (pc, uc) in enumerate(cols)
-        ]
+        """(column tap j, S's grid rows, S's grid columns, plane index) of
+        every block of x in S's grid rows y0 .. y0 + height."""
+        pr, ur = _tap_run(h, k // 2, y0, height)
+        return [(j, ur, uc, (..., pr, pc)) for j, (pc, uc) in enumerate(cols)]
 
     def walk(part):
-        """Each strip (y0, m) of ``part`` with its S, (n, phases, g, c/g k, (m + halo) pw);
+        """Each strip (y0, m) of ``part`` with its S, (n, g, c/g k, (m + halo) pw);
         the buffer's padding columns are zeroed once, its padding rows per strip."""
         if view:
-            yield 0, oh, xd.reshape(n, 1, g, c // g, h * wid)
+            yield 0, h, xd.reshape(n, g, c // g, h * wid)
             return
-        taps = np.zeros((n, phases, c, k, part[0][1] + halo, pw), xd.dtype)
+        taps = np.zeros((n, c, k, part[0][1] + halo, pw), xd.dtype)
         for y0, m in part:
-            for si, pi in blocks(y0, m + halo):
-                t, (ur, uc) = taps[si[:4]], si[4:]
+            for j, ur, uc, pi in blocks(y0, m + halo):
+                t = taps[:, :, j]
                 t[..., : ur.start, uc] = t[..., ur.stop :, uc] = 0
                 t[..., ur, uc] = xd[pi]
-            yield y0, m, taps.reshape(n, phases, g, c // g * k, -1)[..., : (m + halo) * pw]
+            yield y0, m, taps.reshape(n, g, c // g * k, -1)[..., : (m + halo) * pw]
 
-    def shifted(grad, kept, y0, m):
-        """The gradient's rows y0 .. y0 + m on S's grid once per kernel row i
-        in ``kept``, shifted i // s rows down: (n, g, len(kept) o/g, (m + halo) pw)."""
-        gs = np.zeros((n, g, len(kept), o // g, m + halo, pw), grad.dtype)
-        rows = grad.reshape(n, g, o // g, oh, ow)[..., y0 : y0 + m, :]
-        for r, i in enumerate(kept):
-            gs[:, :, r, :, i // s : i // s + m, :ow] = rows
+    def shifted(grad, r, y0, m):
+        """The gradient's rows y0 .. y0 + m on S's grid once per kernel row
+        i < r, shifted i rows down: (n, g, r o/g, (m + halo) pw)."""
+        gs = np.zeros((n, g, r, o // g, m + halo, pw), grad.dtype)
+        rows = grad.reshape(n, g, o // g, h, wid)[..., y0 : y0 + m, :]
+        for i in range(r):
+            gs[:, :, i, :, i : i + m, :wid] = rows
         return gs.reshape(n, g, -1, (m + halo) * pw)
 
     # kernel row i as (g, o/g, c/g k) in S's (channel, column tap) order
@@ -411,52 +401,48 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
         wd.reshape(g, o // g, c // g, k, k).transpose(3, 0, 1, 2, 4)
     ).reshape(k, g, o // g, c // g * k)
 
-    fwd = strips(s_row)
-    out = np.empty((n, o, oh, ow), np.result_type(wr, xd))
-    if k == 1:  # pw is ow and nothing sums: the GEMM writes the output rows
-        for y0, m, taps in walk(fwd):
-            _gemm(wr[0], taps[:, 0], out=out[:, :, y0 : y0 + m].reshape(n, g, o // g, -1))
+    out = np.empty((n, o, h, wid), np.result_type(wr, xd))
+    if view:  # nothing sums: one GEMM from the plane into the output
+        _gemm(wr[0], xd.reshape(n, g, c // g, -1), out=out.reshape(n, g, o // g, -1))
     else:
-        # phase a's kernel rows a, a + s, ... stacked as (g, r o/g, c/g k)
-        wp = [wr[a::s].swapaxes(0, 1).reshape(g, -1, c // g * k) for a in range(phases)]
+        # the k kernel rows stacked as (g, k o/g, c/g k)
+        wk = wr.swapaxes(0, 1).reshape(g, -1, c // g * k)
+        fwd = strips(s_row)
         strip = fwd[0][1]
-        prods = [np.empty(n * g * wa.shape[1] * (strip + halo) * pw, out.dtype) for wa in wp]
+        prod = np.empty(n * k * o * (strip + halo) * pw, out.dtype)
         acc = np.empty(n * o * strip * pw, out.dtype)
         for y0, m, taps in walk(fwd):
             span = (m + halo) * pw
-            p = []
-            for a, (wa, buf) in enumerate(zip(wp, prods)):
-                pa = buf[: n * g * wa.shape[1] * span].reshape(n, g, -1, span)
-                _gemm(wa, taps[:, a], out=pa)
-                p.append(pa.reshape(n, g, -1, o // g, span))
-            head = p[0][:, :, 0, :, : m * pw]
+            p = prod[: n * k * o * span].reshape(n, g, -1, span)
+            _gemm(wk, taps, out=p)
+            p = p.reshape(n, g, k, o // g, span)
+            head = p[:, :, 0, :, : m * pw]
             for i in range(1, k):
-                term = p[i % s][:, :, i // s, :, i // s * pw : (i // s + m) * pw]
+                term = p[:, :, i, :, i * pw : (i + m) * pw]
                 head = np.add(head, term, out=acc[: n * o * m * pw].reshape(head.shape))
-            out[:, :, y0 : y0 + m] = head.reshape(n, o, m, pw)[..., :ow]
+            out[:, :, y0 : y0 + m] = head.reshape(n, o, m, pw)[..., :wid]
     if bias is not None:
         bd = value_of(bias)[None, :, None, None]
         out = np.add(out, bd, out=out if np.result_type(out, bd) == out.dtype else None)
 
     def vjp_x(grad):
-        wt = [wr[a::s].transpose(1, 3, 0, 2).reshape(g, c // g * k, -1) for a in range(phases)]
-        if view:  # dS is dx itself: one GEMM from the gradient, no stack
-            dx = np.empty(xd.shape, np.result_type(wr, grad))
-            _gemm(wt[0], grad.reshape(n, g, o // g, -1), out=dx.reshape(n, g, c // g, -1))
-            return dx
-        part = strips(s_row + (halo + 1) * o * pw)  # dS and phase 0's stack, r = halo + 1
+        wt = wr.transpose(1, 3, 0, 2).reshape(g, c // g * k, -1)
         dt = np.result_type(wr, grad)
-        ds = np.empty((n, phases, g, c // g * k, (part[0][1] + halo) * pw), dt)
+        if view:  # dS is dx itself: one GEMM from the gradient, no stack
+            dx = np.empty(xd.shape, dt)
+            _gemm(wt, grad.reshape(n, g, o // g, -1), out=dx.reshape(n, g, c // g, -1))
+            return dx
+        part = strips(s_row + k * o * pw)  # dS and the stack of k gradient copies
+        ds = np.empty((n, g, c // g * k, (part[0][1] + halo) * pw), dt)
         dx = None
         for y0, m in part:
             d = ds[..., : (m + halo) * pw]
-            for a in range(phases):
-                _gemm(wt[a], shifted(grad, range(a, k, s), y0, m), out=d[:, a])
-            if dx is None:  # allocated once the first strip's stacks are freed
+            _gemm(wt, shifted(grad, k, y0, m), out=d)
+            if dx is None:  # allocated once the first strip's stack is freed
                 dx = np.zeros(xd.shape, dt)
-            d = d.reshape(n, phases, c, k, m + halo, pw)
-            for si, pi in blocks(y0, m + halo):
-                dx[pi] += d[si]
+            d = d.reshape(n, c, k, m + halo, pw)
+            for j, ur, uc, pi in blocks(y0, m + halo):
+                dx[pi] += d[:, :, j, ur, uc]
         return dx
 
     def vjp_w(grad):
@@ -466,9 +452,9 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
             if view:  # the gradient is already on S's grid
                 gm = grad.reshape(n, g, o // g, -1)
             else:
-                gm = shifted(grad, [0], y0, m)[..., : m * pw]
+                gm = shifted(grad, 1, y0, m)[..., : m * pw]
             for i in range(k):
-                ti = taps[:, i % s, ..., i // s * pw : (i // s + m) * pw]
+                ti = taps[..., i * pw : (i + m) * pw]
                 dwr[:, :, :, i] += _gemm(gm, ti.swapaxes(2, 3)).sum(axis=0).reshape(dwr.shape[:4])
         return dw
 
@@ -478,8 +464,8 @@ def _conv(x, w, bias, k, stride, pad, groups, name):
     return _emit(out, [(w, vjp_w), (bias, vjp_b), (x, vjp_x)], name=name)
 
 
-def conv2d(x, w, bias=None, *, stride: int = 1, pad: PadSpec | None = None):
-    """Dense cross-correlation; w is (out, in, k, k), bias (out,) or None."""
+def conv2d(x, w, bias=None):
+    """Dense cross-correlation, "same" padding; w is (out, in, k, k), bias (out,) or None."""
     xd, wd = value_of(x), value_of(w)
     k = wd.shape[2]
     if xd.shape[1] != wd.shape[1]:
@@ -487,11 +473,11 @@ def conv2d(x, w, bias=None, *, stride: int = 1, pad: PadSpec | None = None):
             f"conv2d channel mismatch: input has {xd.shape[1]}, "
             f"weights expect {wd.shape[1]}"
         )
-    return _conv(x, w, bias, k, stride, pad, 1, "conv2d")
+    return _conv(x, w, bias, k, 1, "conv2d")
 
 
-def conv2d_depthwise(x, w, bias=None, *, stride: int = 1, pad: PadSpec | None = None):
-    """Per-channel convolution; w is (c, k, k), bias (c,) or None."""
+def conv2d_depthwise(x, w, bias=None):
+    """Per-channel convolution, "same" padding; w is (c, k, k), bias (c,) or None."""
     xd, wd = value_of(x), value_of(w)
     k = wd.shape[1]
     if xd.shape[1] != wd.shape[0]:
@@ -499,7 +485,7 @@ def conv2d_depthwise(x, w, bias=None, *, stride: int = 1, pad: PadSpec | None = 
             f"depthwise channel mismatch: input has {xd.shape[1]}, "
             f"weights expect {wd.shape[0]}"
         )
-    return _conv(x, w, bias, k, stride, pad, xd.shape[1], "dwconv2d")
+    return _conv(x, w, bias, k, xd.shape[1], "dwconv2d")
 
 
 def conv1x1(x, w, bias=None):
@@ -512,7 +498,7 @@ def conv1x1(x, w, bias=None):
             f"conv1x1 channel mismatch: input has {xd.shape[1]}, "
             f"weights expect {wd.shape[1]}"
         )
-    return _conv(x, w, bias, 1, 1, None, 1, "conv1x1")
+    return _conv(x, w, bias, 1, 1, "conv1x1")
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +747,7 @@ def reassemble(x_de, kernels, k: int):
             for a, b in _PHASES[1:]:
                 np.multiply(gph[:, a, b], kph[:, a, b, m, None], out=prod)
                 part += prod
-            (ty, sy), (tx, sx) = _tap_run(h, r, 1, dy, h), _tap_run(w, r, 1, dx, w)
+            (ty, sy), (tx, sx) = _tap_run(h, r, dy, h), _tap_run(w, r, dx, w)
             dxd[:, :, ty, tx] += part[:, :, sy, sx]
         return dxd
 

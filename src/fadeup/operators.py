@@ -339,25 +339,6 @@ def build_operator(cfg: OperatorConfig) -> UpsampleOperator:
     return UpsampleOperator(cfg)
 
 
-def compose_iterative(ops, x_en_list, x_de, impl: str | None = None):
-    """Chain x2 operators; stage i's guide must sit at twice the running size."""
-    ops = list(ops)
-    guides = list(x_en_list)
-    if len(guides) != len(ops):
-        raise ShapeError(f"{len(ops)} stages need {len(ops)} guides, got {len(guides)}")
-    x = x_de
-    for i, (op, guide) in enumerate(zip(ops, guides)):
-        h, w = value_of(x).shape[2], value_of(x).shape[3]
-        if guide is not None:
-            gh, gw = value_of(guide).shape[2], value_of(guide).shape[3]
-            if (gh, gw) != (2 * h, 2 * w):
-                raise ShapeError(
-                    f"stage {i}: guide is {gh}x{gw}, expected {2 * h}x{2 * w}"
-                )
-        x = op.forward(guide, x, impl=impl)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # checkpoint container: little-endian manifest header, then FTEN blobs
 #

@@ -20,7 +20,7 @@ from .autograd import MomentumSGD, Node, backward, value_of
 from .kernelgen import DEFAULT_FORM, SEMISHIFT_FORMS
 from .operators import VARIANT_SPECS, OperatorConfig, build_operator
 from .rng import ShuffledLcg, init_conv_weights
-from .tensor import PadSpec, ShapeError
+from .tensor import ShapeError
 
 TASK_KINDS = (
     "binary_shapes_segmentation",
@@ -346,15 +346,14 @@ class ToyNet:
         return self._params
 
     def forward(self, x, want_parts: bool = False):
-        p1 = PadSpec.same(1)
-        e0 = ag.leaky_relu(ag.conv2d(x, self.enc0.weights, self.enc0.bias, pad=p1))
-        e1 = ag.leaky_relu(ag.conv2d(ag.maxpool2x2(e0), self.enc1.weights, self.enc1.bias, pad=p1))
-        z = ag.leaky_relu(ag.conv2d(ag.maxpool2x2(e1), self.bott.weights, self.bott.bias, pad=p1))
+        e0 = ag.leaky_relu(ag.conv2d(x, self.enc0.weights, self.enc0.bias))
+        e1 = ag.leaky_relu(ag.conv2d(ag.maxpool2x2(e0), self.enc1.weights, self.enc1.bias))
+        z = ag.leaky_relu(ag.conv2d(ag.maxpool2x2(e1), self.bott.weights, self.bott.bias))
         guided = VARIANT_SPECS[self.variant].guided
         u1, parts1 = self.up1.forward_parts(e1 if guided else None, z, impl=self.impl)
-        d1 = ag.leaky_relu(ag.conv2d(u1, self.dec1.weights, self.dec1.bias, pad=p1))
+        d1 = ag.leaky_relu(ag.conv2d(u1, self.dec1.weights, self.dec1.bias))
         u2, parts2 = self.up2.forward_parts(e0 if guided else None, d1, impl=self.impl)
-        d0 = ag.leaky_relu(ag.conv2d(u2, self.dec0.weights, self.dec0.bias, pad=p1))
+        d0 = ag.leaky_relu(ag.conv2d(u2, self.dec0.weights, self.dec0.bias))
         out = ag.conv1x1(d0, self.head.weights, self.head.bias)
         if want_parts:
             return out, {"stage1": parts1, "stage2": parts2}

@@ -609,15 +609,36 @@ def _im2col_conv(x, w, b, gout, k, stride, pad, groups):
     return out, dx, dw, gout.sum(axis=(0, 2, 3))
 
 
+def _as_one_conv(x, k, stride, pad):
+    """A conv of x at ``stride`` with padding ``pad`` (None: k // 2 on every
+    side) as ``_conv``, the one stride-1 conv with k // 2 on every side:
+    output (u, v) reads the padded plane's rows s u .. s u + k - 1, the
+    window that the one conv of that plane centres on row s u + k // 2.
+    Returns the plane to convolve, the index of the outputs kept and the
+    index of x in the plane."""
+    p, r = pad or T.PadSpec.same(k // 2), k // 2
+    if (stride, p) == (1, T.PadSpec.same(r)):
+        return x, ..., ...
+    xp = np.pad(x, ((0, 0), (0, 0), (p.top, p.bottom), (p.left, p.right)))
+    hp, wp = xp.shape[2:]
+    kept = (..., slice(r, hp - r, stride), slice(r, wp - r, stride))
+    inside = (..., slice(p.top, p.top + x.shape[2]), slice(p.left, p.left + x.shape[3]))
+    return xp, kept, inside
+
+
 def _conv_run(x, w, b, gout, k, stride, pad, groups):
-    xn, wn, bn = Node(x), Node(w), Node(b)
-    out = ag._conv(xn, wn, bn, k, stride, pad, groups, "conv")
-    backward(ag.sum_all(ag.mul(out, gout)))
-    return out.data, xn.grad, wn.grad, bn.grad
+    """Taped forward, dx, dw and db of that conv, run as ``_conv``."""
+    xp, kept, inside = _as_one_conv(x, k, stride, pad)
+    xn, wn, bn = Node(xp), Node(w), Node(b)
+    out = ag._conv(xn, wn, bn, k, groups, "conv")
+    gp = np.zeros(out.shape, gout.dtype)
+    gp[kept] = gout
+    backward(ag.sum_all(ag.mul(out, gp)))
+    return out.data[kept], xn.grad[inside], wn.grad, bn.grad
 
 
 # (stride, pad): "same" padding, a valid conv, the h2l branch's four corner
-# pads and one lopsided pad
+# pads and one lopsided pad, each run as the one conv by ``_conv_run``
 _CONV_PADS = [
     (s, pad)
     for s in (1, 2)
@@ -632,10 +653,11 @@ _CONV_PADS = [
 
 class TestCornerPadsArePhases:
     """The paper's h2l form runs four stride-2 sub-processes, one per corner
-    pad; each is one 2x2 phase of the stride-1 'same' conv, which is why
-    ``kernelgen`` computes h2l as l2h.  Equal up to rounding, not bit for
-    bit: BLAS sums a product in an order that may depend on the GEMM's
-    shape, and the two convs run GEMMs of different shapes."""
+    pad; each, computed by the im2col reference, is one 2x2 phase of the
+    stride-1 'same' conv, which is why ``kernelgen`` computes h2l as l2h.
+    Equal up to rounding, not bit for bit: BLAS sums a product in an order
+    that may depend on the GEMM's shape, and the two run GEMMs of different
+    shapes."""
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-14)])
     @pytest.mark.parametrize("kind", ["dense", "depthwise"])
@@ -644,14 +666,16 @@ class TestCornerPadsArePhases:
         rng = np.random.default_rng(25)
         x = rng.normal(size=(n, c, h, w)).astype(dtype)
         if kind == "dense":
-            conv, wt, b = ag.conv2d, rng.normal(size=(25, c, 3, 3)), rng.normal(size=25)
+            conv, wt, g = ag.conv2d, rng.normal(size=(25, c, 3, 3)), 1
         else:
-            conv, wt, b = ag.conv2d_depthwise, rng.normal(size=(c, 3, 3)), rng.normal(size=c)
-        wt, b = wt.astype(dtype), b.astype(dtype)
+            conv, wt, g = ag.conv2d_depthwise, rng.normal(size=(c, 3, 3)), c
+        o = wt.shape[0]
+        wt, b = wt.astype(dtype), rng.normal(size=o).astype(dtype)
         full = conv(x, wt, b)
         scale = np.abs(full).max()
+        gout = np.zeros((n, o, h // 2, w // 2), dtype)  # only the forward is compared
         for (r, s), pad in _H2L_PADS.items():
-            sub = conv(x, wt, b, stride=2, pad=pad)
+            sub = _im2col_conv(x, wt.reshape(o, -1, 3, 3), b, gout, 3, 2, pad, g)[0]
             # on an odd side phase 0 has one row or column more than the sub-process
             assert sub.shape[2:] == (h // 2, w // 2) and sub.dtype == dtype
             phase = full[:, :, r::2, s::2][:, :, : h // 2, : w // 2]
@@ -660,7 +684,8 @@ class TestCornerPadsArePhases:
 
 class TestConvAgainstIm2col:
     """``_conv`` (no im2col) against the im2col GEMM kept in ``tensor`` as
-    the reference, for every stride, pad, group kind and kernel size."""
+    the reference, for every group kind and kernel size, on the planes that
+    every stride and pad of ``_CONV_PADS`` gives it."""
 
     # (input channels, output channels, groups)
     GROUPS = {"dense": (3, 4, 1), "depthwise": (3, 3, 3), "one_input": (1, 4, 1)}
@@ -699,8 +724,8 @@ class TestConvAgainstIm2col:
                         np.testing.assert_array_equal(got[1][i : i + 1], alone[1])
 
     def test_one_by_one_reads_the_plane_without_a_copy(self):
-        """A 1x1 stride-1 unpadded conv allocates its output and nothing of
-        the input's size."""
+        """A 1x1 conv allocates its output and nothing of the input's
+        size."""
         x = np.random.default_rng(14).normal(size=(1, 64, 32, 32)).astype(np.float32)
         w = np.ones((4, 64, 1, 1), np.float32)
         tracemalloc.start()
@@ -752,17 +777,20 @@ class TestConvAgainstIm2col:
         p = T.PadSpec.same(k // 2) if pad is None else pad
         oh = (h + p.top + p.bottom - k) // stride + 1
         ow = (w + p.left + p.right - k) // stride + 1
-        halo, phases = (k - 1) // stride, min(stride, k)
-        budget = max(o * h * w, ag._STRIP_FLOOR)
-        assert oh > budget // (phases * c * k * (ow + halo)) - halo, "one strip"
         rng = np.random.default_rng(18)
         for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
             x = rng.normal(size=(n, c, h, w)).astype(dtype)
             wt = rng.normal(size=(o, c, k, k)).astype(dtype)
             b = rng.normal(size=o).astype(dtype)
             gout = rng.normal(size=(n, o, oh, ow)).astype(dtype)
-            xn, wn, bn = Node(x), Node(wt), Node(b)
-            out = ag._conv(xn, wn, bn, k, stride, pad, 1, "conv")
+            xp, kept, inside = _as_one_conv(x, k, stride, pad)
+            hp, wp = xp.shape[2:]
+            budget = max(o * hp * wp, ag._STRIP_FLOOR)
+            assert hp > budget // (c * k * (wp + k - 1)) - (k - 1), "one strip"
+            xn, wn, bn = Node(xp), Node(wt), Node(b)
+            out = ag._conv(xn, wn, bn, k, 1, "conv")
+            gp = np.zeros(out.shape, dtype)
+            gp[kept] = gout
             ranks, gemm = [], ag._gemm
 
             def counted(lhs, rhs, out=None):
@@ -770,12 +798,12 @@ class TestConvAgainstIm2col:
                 return gemm(lhs, rhs, out)
 
             monkeypatch.setattr(ag, "_gemm", counted)
-            out._backprop(gout)
+            out._backprop(gp)
             monkeypatch.undo()
             # vjp_w's GEMMs read the gradient rows, (n, g, o/g, m pw), k per strip;
-            # vjp_x's read the weights, (g, c/g k, r o/g), one per phase and strip
-            assert ranks.count(4) > k and ranks.count(3) > phases, "a backward pass in one strip"
-            got = (out.data, xn.grad, wn.grad, bn.grad)
+            # vjp_x's read the weights, (g, c/g k, k o/g), one per strip
+            assert ranks.count(4) > k and ranks.count(3) > 1, "a backward pass in one strip"
+            got = (out.data[kept], xn.grad[inside], wn.grad, bn.grad)
             ref_all = _im2col_conv(x, wt, b, gout, k, stride, p, 1)
             for name, a, ref in zip(("out", "dx", "dw", "db"), got, ref_all):
                 scale = max(float(np.abs(ref).max()), 1.0)
@@ -793,11 +821,12 @@ class TestConvAgainstIm2col:
             x = rng.normal(size=(3, 64, 40, 36)).astype(dtype)
             w = rng.normal(size=(25, 64, 3, 3)).astype(dtype)
             b = rng.normal(size=25).astype(dtype)
-            out = ag.conv2d(x, w, b, stride=stride, pad=pad)
+            xp, kept, _ = _as_one_conv(x, 3, stride, pad)
+            out = ag.conv2d(xp, w, b)[kept]
             gout = rng.normal(size=out.shape).astype(dtype)
             dx = _conv_run(x, w, b, gout, 3, stride, pad, 1)[1]
             for i in range(3):
-                alone = ag.conv2d(x[i : i + 1], w, b, stride=stride, pad=pad)
+                alone = ag.conv2d(xp[i : i + 1], w, b)[kept]
                 np.testing.assert_array_equal(out[i : i + 1], alone)
                 dx_alone = _conv_run(x[i : i + 1], w, b, gout[i : i + 1], 3, stride, pad, 1)[1]
                 np.testing.assert_array_equal(dx[i : i + 1], dx_alone)
@@ -822,7 +851,7 @@ class TestConvAgainstIm2col:
 
     def test_single_strip_backward_frees_the_stack_before_dx(self):
         """A conv whose backward runs in one strip: its backprop holds dS
-        with one phase's gradient stack, then dS with dx, never all three."""
+        with the gradient stack, then dS with dx, never all three."""
         rng = np.random.default_rng(26)
         x = Node(rng.normal(size=(4, 12, 24, 24)).astype(np.float32))
         w = Node(rng.normal(size=(12, 12, 3, 3)).astype(np.float32))
@@ -836,7 +865,7 @@ class TestConvAgainstIm2col:
             tracemalloc.stop()
         grid = (24 + 2) * (24 + 2)  # S's grid, halo rows and junk columns included
         ds = 4 * (12 * 3) * grid * 4  # (n, c k, grid) in f32
-        stack = 4 * (3 * 12) * grid * 4  # phase 0's r = 3 kernel rows of the gradient
+        stack = 4 * (3 * 12) * grid * 4  # the gradient once per kernel row, k = 3
         assert peak <= ds + stack + out.data.nbytes // 4, f"peak {peak / (ds + stack):.3f}x dS and stack"
 
     def test_one_by_one_backward_builds_no_gradient_stack(self):
@@ -876,8 +905,8 @@ class TestConvAgainstIm2col:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bit_identical_across_blas_threads(self, threads):
-        """Forward, dx and dw at one h2l and one l2h generator shape hash the
-        same in this process and in one whose BLAS runs ``threads`` threads."""
+        """Forward, dx and dw at two generator shapes hash the same in this
+        process and in one whose BLAS runs ``threads`` threads."""
         env = dict(
             os.environ,
             OPENBLAS_NUM_THREADS=threads,
@@ -896,23 +925,19 @@ class TestConvAgainstIm2col:
 
 def conv_digest() -> str:
     """sha256 of ``_conv``'s forward, dx and dw, f32, c -> 25 channels,
-    k=3: 64 channels at stride 2 with the top-left corner pad on a 40x40
-    plane (h2l), 64 at stride 1 on a 36x44 plane (l2h) and 16 at stride 1
-    on a 48x48 plane (b6's stage-2 generator).  Every pass runs in several
-    strips of output rows, and the backward passes' strips differ from
-    the forward's: the last conv's forward walks 2 strips, vjp_w 4 and
-    vjp_x 6."""
+    k=3: 64 channels on a 36x44 plane (the kernel generator's conv) and
+    16 on a 48x48 plane (b6's stage-2 generator).  Every pass runs in
+    several strips of output rows, and the backward passes' strips differ
+    from the forward's: the last conv's forward walks 2 strips, vjp_w 4
+    and vjp_x 6."""
     rng = np.random.default_rng(15)
     digest = hashlib.sha256()
-    for c, stride, pad, h, w in (
-        (64, 2, T.PadSpec(1, 0, 1, 0), 40, 40), (64, 1, None, 36, 44), (16, 1, None, 48, 48)
-    ):
+    for c, h, w in ((64, 36, 44), (16, 48, 48)):
         x = rng.normal(size=(1, c, h, w)).astype(np.float32)
         wt = rng.normal(size=(25, c, 3, 3)).astype(np.float32)
         b = rng.normal(size=25).astype(np.float32)
-        oh, ow = (h - 1) // stride + 1, (w - 1) // stride + 1
-        gout = rng.normal(size=(1, 25, oh, ow)).astype(np.float32)
-        for a in _conv_run(x, wt, b, gout, 3, stride, pad, 1)[:3]:
+        gout = rng.normal(size=(1, 25, h, w)).astype(np.float32)
+        for a in _conv_run(x, wt, b, gout, 3, 1, None, 1)[:3]:
             digest.update(np.ascontiguousarray(a).tobytes())
     return digest.hexdigest()
 
@@ -925,16 +950,12 @@ class TestGradcheckExamples:
         err = ag.gradcheck(lambda X, W: ag.sum_all(ag.conv2d(X, W)), [x, w])
         assert err < 1e-7
 
-    @pytest.mark.parametrize("op", ["conv2d", "conv2d_s2", "dwconv2d", "conv1x1"])
+    @pytest.mark.parametrize("op", ["conv2d", "dwconv2d", "conv1x1"])
     def test_convs_at_batch_two(self, op):
         """The battery's conv checks run at n=1, where a weight gradient that
         drops batch items still passes; n=2 here, with a probe and a bias."""
         fn, w_shape = {
             "conv2d": (ag.conv2d, (3, 2, 3, 3)),
-            "conv2d_s2": (
-                lambda X, W, B: ag.conv2d(X, W, B, stride=2, pad=T.PadSpec(1, 0, 1, 0)),
-                (3, 2, 3, 3),
-            ),
             "dwconv2d": (ag.conv2d_depthwise, (2, 3, 3)),
             "conv1x1": (ag.conv1x1, (3, 2, 1, 1)),
         }[op]

@@ -134,8 +134,8 @@ class TestExecutedWork:
         def count(stage, n):
             macs[stage] = macs.get(stage, 0) + n
 
-        def conv(x, wt, bias, k, stride, pad, groups, name, _conv=ag._conv):
-            out = _conv(x, wt, bias, k, stride, pad, groups, name)
+        def conv(x, wt, bias, k, groups, name, _conv=ag._conv):
+            out = _conv(x, wt, bias, k, groups, name)
             n, o, oh, ow = ag.value_of(out).shape
             c = ag.value_of(x).shape[1]
             count("gated fusion" if in_gate else "kernel generation",

@@ -13,7 +13,6 @@ from fadeup.operators import (
     OperatorConfig,
     build_operator,
     checkpoint_from_bytes,
-    compose_iterative,
     install_checkpoint,
     load_checkpoint,
     read_checkpoint,
@@ -300,45 +299,6 @@ class TestForwardMemory:
         assert isinstance(taped, ag.Node)
         np.testing.assert_array_equal(op.forward(x_en, x_de, impl=impl), taped.data)
         np.testing.assert_array_equal(x_en, en_before)
-
-
-class TestCompose:
-    def test_single_stage_equals_forward(self):
-        x_en, x_de = rnd_pair(0, 1, 3, 2, 2)
-        op = build_operator(OperatorConfig("fade", channels=3, compressed=4, seed=4))
-        np.testing.assert_array_equal(
-            compose_iterative([op], [x_en], x_de), op.forward(x_en, x_de)
-        )
-
-    def test_two_nearest_is_x4_nearest(self):
-        _, x_de = rnd_pair(1, 1, 2, 3, 3)
-        op = build_operator(OperatorConfig("nearest"))
-        out = compose_iterative([op, op], [None, None], x_de)
-        want = np.repeat(np.repeat(x_de, 4, axis=2), 4, axis=3)
-        np.testing.assert_array_equal(out, want)
-
-    def test_two_stage_fade_shape(self):
-        rng = np.random.default_rng(2)
-        x_de = rng.normal(size=(1, 3, 4, 4)).astype(np.float32)
-        g1 = rng.normal(size=(1, 3, 8, 8)).astype(np.float32)
-        g2 = rng.normal(size=(1, 3, 16, 16)).astype(np.float32)
-        op1 = build_operator(OperatorConfig("fade", channels=3, compressed=4, seed=1))
-        op2 = build_operator(OperatorConfig("fade", channels=3, compressed=4, seed=2))
-        out = compose_iterative([op1, op2], [g1, g2], x_de)
-        assert ag.value_of(out).shape == (1, 3, 16, 16)
-
-    def test_guide_resolution_mismatch(self):
-        rng = np.random.default_rng(3)
-        x_de = rng.normal(size=(1, 2, 4, 4)).astype(np.float32)
-        bad_guide = rng.normal(size=(1, 2, 16, 16)).astype(np.float32)
-        op = build_operator(OperatorConfig("fade", channels=2, seed=0))
-        with pytest.raises(ShapeError, match="stage 0"):
-            compose_iterative([op], [bad_guide], x_de)
-
-    def test_guide_count_mismatch(self):
-        op = build_operator(OperatorConfig("nearest"))
-        with pytest.raises(ShapeError, match="guides"):
-            compose_iterative([op, op], [None], np.zeros((1, 1, 2, 2), np.float32))
 
 
 class TestCheckpoint:

@@ -40,13 +40,13 @@ class TestConv2d:
         w = np.zeros((3, 3, 3, 3))
         for c in range(3):
             w[c, c, 1, 1] = 1.0
-        out = ag.conv2d(x, w, stride=1, pad=PadSpec.same(1))
+        out = ag.conv2d(x, w)
         np.testing.assert_array_equal(out, x)
 
     def test_allones_window_sum(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
         w = np.ones((1, 1, 3, 3))
-        out = ag.conv2d(x, w, stride=1, pad=PadSpec.same(1))
+        out = ag.conv2d(x, w)
         ref = conv_reference(x, w, None, 1, PadSpec.same(1))
         np.testing.assert_allclose(out, ref, rtol=0, atol=0)
         # every 3x3 window covers all four values here
@@ -55,17 +55,22 @@ class TestConv2d:
     def test_zero_input_zero_bias(self):
         x = np.zeros((1, 2, 4, 4))
         w = np.random.default_rng(1).normal(size=(3, 2, 3, 3))
-        out = ag.conv2d(x, w, np.zeros(3), stride=1, pad=PadSpec.same(1))
+        out = ag.conv2d(x, w, np.zeros(3))
         np.testing.assert_array_equal(out, np.zeros((1, 3, 4, 4)))
 
     @pytest.mark.parametrize("stride,pad", [(1, PadSpec.same(1)), (2, PadSpec(1, 0, 1, 0)), (1, PadSpec(0, 2, 1, 0))])
     def test_matches_reference(self, stride, pad):
+        """conv2d, whose padding is "same", against the oracle at a stride and
+        pad: their conv is conv2d of the plane padded by ``pad``, read from
+        k // 2 at every ``stride``-th output."""
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 3, 5, 4))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        got = ag.conv2d(x, w, b, stride=stride, pad=pad)
         want = conv_reference(x, w, b, stride, pad)
+        xp = np.pad(x, ((0, 0), (0, 0), (pad.top, pad.bottom), (pad.left, pad.right)))
+        got = ag.conv2d(xp, w, b)[:, :, 1::stride, 1::stride]  # k // 2 = 1
+        got = got[:, :, : want.shape[2], : want.shape[3]]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_linearity(self):
@@ -84,9 +89,11 @@ class TestConv2d:
             ag.conv2d(x, np.zeros((1, 3, 3, 3)))
 
     def test_nonpositive_output(self):
-        x = np.zeros((1, 1, 2, 2))
+        """An empty plane has no output row, and an even kernel no centre tap."""
         with pytest.raises(ShapeError, match="output dim"):
-            ag.conv2d(x, np.zeros((1, 1, 5, 5)), stride=1, pad=PadSpec.same(0))
+            ag.conv2d(np.zeros((1, 1, 0, 2)), np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ShapeError, match="output dim"):
+            ag.conv2d(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 2)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -153,7 +160,7 @@ class TestConv1x1:
         x = rng.normal(size=(2, 3, 4, 5))
         w, b = rng.normal(size=(4, 3, 1, 1)), rng.normal(size=4)
         np.testing.assert_array_equal(
-            ag.conv1x1(x, w, b), ag.conv2d(x, w, b, stride=1, pad=PadSpec.same(0))
+            ag.conv1x1(x, w, b), ag.conv2d(x, w, b)
         )
 
     def test_rejects_wide_kernel(self):
