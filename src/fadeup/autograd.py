@@ -74,9 +74,11 @@ class Node:
 
     __slots__ = ("data", "record")
 
-    def __init__(self, data, parents=(), backprop=None, name=None):
+    def __init__(self, data, name=None, record=None):
         self.data = np.asarray(data)
-        self.record = Record(self.data.shape, self.data.dtype, parents, backprop, name)
+        if record is None:
+            record = Record(self.data.shape, self.data.dtype, name=name)
+        self.record = record
 
     @property
     def grad(self):
@@ -112,26 +114,39 @@ def value_of(x):
     return x.data if isinstance(x, Node) else x
 
 
-def _emit(out_data, pairs, name=None):
-    """The op's result from its (parent, vjp) pairs: non-Node parents are
-    dropped, and with none left this is ``out_data`` itself, else a Node
-    whose record links the parents' records.
+def _record(shape, dtype, pairs, name=None):
+    """The tape record of a result of ``shape`` and ``dtype`` from its
+    (parent, vjp) pairs, or None when no parent is taped.  A parent is
+    taped when it is a Node or a Record, the record of a value whose data
+    nobody keeps (a convolution's compressed input); any other parent is a
+    constant and is dropped.
 
     Each vjp maps the output gradient g to its parent's share and keeps
     the :class:`Record` contract: it returns a view of g or an array
     nobody else keeps.  Backprop runs the vjps in pair order, and a
     parent's first gradient is the vjp's own array when that is neither
     g nor a view."""
-    links = [(p.record, vjp) for p, vjp in pairs if isinstance(p, Node)]
+    links = [
+        (p.record if isinstance(p, Node) else p, vjp)
+        for p, vjp in pairs
+        if isinstance(p, (Node, Record))
+    ]
     if not links:
-        return out_data
+        return None
 
     def backprop(g):
         for r, vjp in links:
             d = vjp(g)
             r.accumulate(d, owned=d is not g and isinstance(d, np.ndarray) and d.base is None)
 
-    return Node(out_data, [r for r, _ in links], backprop, name=name)
+    return Record(shape, dtype, [r for r, _ in links], backprop, name)
+
+
+def _emit(out_data, pairs, name=None):
+    """The op's result from its (parent, vjp) pairs (see :func:`_record`):
+    ``out_data`` itself when no parent is taped, else a Node of it."""
+    record = _record(out_data.shape, out_data.dtype, pairs, name)
+    return out_data if record is None else Node(out_data, record=record)
 
 
 def _topo(root: Node):
@@ -310,13 +325,71 @@ def _tap_run(size, lo, tap, count):
     return slice(p0, p0 + u1 - u0), slice(u0, u1)
 
 
-def _conv(x, w, bias, k, groups, name):
+def _pointwise_vjps(xd, wd, g):
+    """``vjp_w`` and ``vjp_x`` of the 1 x 1 conv of the plane xd (n, c, h, w)
+    by weights wd (o, c/g, 1, 1) in g groups: each is one GEMM over the
+    whole plane, ``vjp_w``'s summed over the batch."""
+    n, c = xd.shape[:2]
+    o = wd.shape[0]
+    wm = wd.reshape(g, o // g, c // g)
+    xm = xd.reshape(n, g, c // g, -1)
+
+    def vjp_w(grad):
+        dw = np.zeros(wd.shape, np.result_type(grad, xd))
+        dwm = dw.reshape(wm.shape)
+        dwm += _gemm(grad.reshape(n, g, o // g, -1), xm.swapaxes(2, 3)).sum(axis=0)
+        return dw
+
+    def vjp_x(grad):
+        dx = np.empty(xd.shape, np.result_type(wd, grad))
+        _gemm(wm.swapaxes(1, 2), grad.reshape(n, g, o // g, -1), out=dx.reshape(n, g, c // g, -1))
+        return dx
+
+    return vjp_w, vjp_x
+
+
+def _compressed_rows(xd, wd, bias, size, dtype):
+    """A reader of the 1 x 1 conv wd x + bias of the plane xd (n, c, h, w)
+    by weights wd (d, c, 1, 1), one block of rows at a time: ``read(pr)``
+    gives plane rows pr, at most ``size`` of them, as (n, d, rows, w) in
+    ``dtype``.  The blocks move down the plane and each row is computed
+    once: the rows a block shares with the one before are moved to the
+    front of the buffer, and the others are one GEMM, :func:`conv1x1`'s
+    whole-plane GEMM over fewer columns.  OpenBLAS rounds a GEMM of a few
+    hundred columns or fewer with another kernel, so a short block's last
+    bits can differ from conv1x1's; like the strips, they depend on the
+    shapes alone."""
+    n, c, h, w = xd.shape
+    d = wd.shape[0]
+    wm = wd.reshape(1, d, c)
+    buf = np.empty((n, d, size, w), dtype)
+    held = slice(0, 0)
+
+    def read(pr):
+        nonlocal held
+        keep = max(held.stop - pr.start, 0)
+        buf[:, :, :keep] = buf[:, :, pr.start - held.start : held.stop - held.start]
+        if pr.start + keep < pr.stop:
+            new = buf[:, :, keep : pr.stop - pr.start]
+            rows = xd[:, :, pr.start + keep : pr.stop]
+            _gemm(wm, rows.reshape(n, 1, c, -1), out=new.reshape(n, 1, d, -1))
+            if bias is not None:
+                new += bias[:, None, None]
+        held = pr
+        return buf[:, :, : pr.stop - pr.start]
+
+    return read
+
+
+def _conv(x, w, bias, k, groups, name, compressor=None):
     """The one convolution, stride 1 with k // 2 zeros of padding on every
     side, so the output has the plane's size: GEMMs over a column-shifted
-    copy of x, one strip of output rows at a time.
+    copy of its input plane, one strip of output rows at a time.
 
-    The c input and o output channels split into ``groups`` equal groups,
-    and output group j reads input group j only.
+    The plane is x, or with ``compressor`` (wc, bc) the 1 x 1 conv wc x + bc
+    (bc may be None), which is computed row by row as the strips read it
+    and never exists in full.  The c plane and o output channels split into
+    ``groups`` equal groups, and output group j reads plane group j only.
 
     The copy S[n, c, j, u, v] holds the zero-padded plane at (u, v + j),
     column tap j < k.  Its grid is (h + halo) x pw, where halo is k - 1
@@ -327,16 +400,20 @@ def _conv(x, w, bias, k, groups, name):
 
     The forward, ``vjp_w`` and ``vjp_x`` each walk their own list of
     strips.  Strip (y0, m) has output rows y0 .. y0 + m and reads S's grid
-    rows y0 .. y0 + m + halo, and ``blocks`` gives the blocks of S that
-    hold x, with their plane index: building S copies along the blocks into
-    one reused buffer, and ``vjp_x``'s fold, its adjoint, adds back along
-    them.  A pass's strip has as many rows as keep its scratch within
-    max(o h w, _STRIP_FLOOR) values per batch item (o h w is the output),
-    so no scratch or GEMM shape depends on the batch size.  The forward's
-    scratch is S; ``vjp_w``'s is S and the gradient copied onto S's pitch;
-    ``vjp_x``'s is dS and the stack of gradient rows.  A 1 x 1 kernel takes
-    S as a view of x: one strip, one GEMM into the output, and in ``vjp_x``
-    one GEMM from the gradient into dx.
+    rows y0 .. y0 + m + halo, which hold plane rows pr: building S copies
+    them into one reused buffer, and ``vjp_x``'s fold, its adjoint, adds
+    back onto them.  A compressed plane's rows come from
+    :func:`_compressed_rows`, which keeps the halo rows two strips share,
+    so a pass computes each row once.  A pass's strip has as many rows as
+    keep S and the pass's other scratch per row within max(o h w,
+    _STRIP_FLOOR) values per batch item (o h w is the output); the
+    compressed rows add 1/k of S again.  No GEMM shape depends on the
+    batch size, but every buffer holds all n items, so the scratch grows
+    linearly with the batch.  The forward's scratch is S; ``vjp_w``'s is S
+    and the gradient copied onto S's pitch; ``vjp_x``'s is dS and the stack
+    of gradient rows.  A 1 x 1 kernel with no compressor takes S as x
+    itself: one GEMM into the output, and VJPs of one GEMM each
+    (:func:`_pointwise_vjps`).
 
     Per strip, batch item and group, one (k o/g, c/g k) @ (c/g k, (m +
     halo) pw) GEMM gives the products of all k kernel rows; kernel row i's
@@ -346,18 +423,25 @@ def _conv(x, w, bias, k, groups, name):
     junk columns are zeros.  ``vjp_x`` stacks the strip's gradient rows
     once per kernel row i, shifted down by i rows, so dS is one GEMM with
     inner dimension k o/g; halo rows that two strips share get partial
-    sums from each.  dx is allocated once the first strip's stack is
-    freed, and the pairs go to :func:`_emit` as (w, bias, x), so ``vjp_w``
-    runs before dx exists.  Every product goes through :func:`_gemm`.
+    sums from each.  Its result, the plane's gradient, is allocated once
+    the first strip's stack is freed, and the pairs go to :func:`_emit` as
+    (w, bias, plane), so ``vjp_w`` runs before it exists.  A compressed
+    plane is a tape :class:`Record` with no data, whose VJPs take its
+    gradient on to x, wc and bc as :func:`conv1x1`'s do.  Every product
+    goes through :func:`_gemm`.
     """
     xd, wd = value_of(x), value_of(w)
     n, c, h, wid = xd.shape
+    pt = xd.dtype  # the plane's dtype
+    if compressor is not None:
+        wcd, bcd = (value_of(a) for a in compressor)
+        c = wcd.shape[0]
+        pt = np.result_type(wcd, xd) if bcd is None else np.result_type(wcd, xd, bcd)
     if k % 2 == 0 or min(h, wid) < 1:  # no centre tap, or no output row
         raise ShapeError(f"{name} has no 'same' output dim for k={k} on a {h}x{wid} plane")
     o, g, halo = wd.shape[0], groups, k - 1
     pw = wid + halo
     cols = [_tap_run(wid, k // 2, j, pw) for j in range(k)]
-    view = k == 1
     budget = max(o * h * wid, _STRIP_FLOOR)
     s_row = c * k * pw  # S's values per grid row and batch item
 
@@ -367,24 +451,21 @@ def _conv(x, w, bias, k, groups, name):
         rows = min(max(budget // per_row - halo, 1), h)
         return [(y0, min(rows, h - y0)) for y0 in range(0, h, rows)]
 
-    def blocks(y0, height):
-        """(column tap j, S's grid rows, S's grid columns, plane index) of
-        every block of x in S's grid rows y0 .. y0 + height."""
-        pr, ur = _tap_run(h, k // 2, y0, height)
-        return [(j, ur, uc, (..., pr, pc)) for j, (pc, uc) in enumerate(cols)]
-
     def walk(part):
         """Each strip (y0, m) of ``part`` with its S, (n, g, c/g k, (m + halo) pw);
         the buffer's padding columns are zeroed once, its padding rows per strip."""
-        if view:
-            yield 0, h, xd.reshape(n, g, c // g, h * wid)
-            return
-        taps = np.zeros((n, c, k, part[0][1] + halo, pw), xd.dtype)
+        taps = np.zeros((n, c, k, part[0][1] + halo, pw), pt)
+        read = (
+            (lambda pr: xd[:, :, pr]) if compressor is None
+            else _compressed_rows(xd, wcd, bcd, min(part[0][1] + halo, h), pt)
+        )
         for y0, m in part:
-            for j, ur, uc, pi in blocks(y0, m + halo):
+            pr, ur = _tap_run(h, k // 2, y0, m + halo)
+            rows = read(pr)
+            for j, (pc, uc) in enumerate(cols):
                 t = taps[:, :, j]
                 t[..., : ur.start, uc] = t[..., ur.stop :, uc] = 0
-                t[..., ur, uc] = xd[pi]
+                t[..., ur, uc] = rows[..., pc]
             yield y0, m, taps.reshape(n, g, c // g * k, -1)[..., : (m + halo) * pw]
 
     def shifted(grad, r, y0, m):
@@ -401,9 +482,40 @@ def _conv(x, w, bias, k, groups, name):
         wd.reshape(g, o // g, c // g, k, k).transpose(3, 0, 1, 2, 4)
     ).reshape(k, g, o // g, c // g * k)
 
-    out = np.empty((n, o, h, wid), np.result_type(wr, xd))
-    if view:  # nothing sums: one GEMM from the plane into the output
+    def vjp_x(grad):
+        wt = wr.transpose(1, 3, 0, 2).reshape(g, c // g * k, -1)
+        dt = np.result_type(wr, grad)
+        part = strips(s_row + k * o * pw)  # dS and the stack of k gradient copies
+        ds = np.empty((n, g, c // g * k, (part[0][1] + halo) * pw), dt)
+        dx = None
+        for y0, m in part:
+            d = ds[..., : (m + halo) * pw]
+            _gemm(wt, shifted(grad, k, y0, m), out=d)
+            if dx is None:  # allocated once the first strip's stack is freed
+                dx = np.zeros((n, c, h, wid), dt)
+            d = d.reshape(n, c, k, m + halo, pw)
+            pr, ur = _tap_run(h, k // 2, y0, m + halo)
+            for j, (pc, uc) in enumerate(cols):
+                dx[:, :, pr, pc] += d[:, :, j, ur, uc]
+        return dx
+
+    def vjp_w(grad):
+        dw = np.zeros(wd.shape, np.result_type(grad, pt))
+        dwr = dw.reshape(g, o // g, c // g, k, k)
+        for y0, m, taps in walk(strips(s_row + o * pw)):  # S and the gradient on its pitch
+            gm = shifted(grad, 1, y0, m)[..., : m * pw]
+            for i in range(k):
+                ti = taps[..., i * pw : (i + m) * pw]
+                dwr[:, :, :, i] += _gemm(gm, ti.swapaxes(2, 3)).sum(axis=0).reshape(dwr.shape[:4])
+        return dw
+
+    def vjp_b(grad):
+        return grad.sum(axis=(0, 2, 3))
+
+    out = np.empty((n, o, h, wid), np.result_type(wr, pt))
+    if k == 1 and compressor is None:  # nothing sums: one GEMM from the plane into the output
         _gemm(wr[0], xd.reshape(n, g, c // g, -1), out=out.reshape(n, g, o // g, -1))
+        vjp_w, vjp_x = _pointwise_vjps(xd, wd, g)  # and one GEMM each, with no strips
     else:
         # the k kernel rows stacked as (g, k o/g, c/g k)
         wk = wr.swapaxes(0, 1).reshape(g, -1, c // g * k)
@@ -425,67 +537,54 @@ def _conv(x, w, bias, k, groups, name):
         bd = value_of(bias)[None, :, None, None]
         out = np.add(out, bd, out=out if np.result_type(out, bd) == out.dtype else None)
 
-    def vjp_x(grad):
-        wt = wr.transpose(1, 3, 0, 2).reshape(g, c // g * k, -1)
-        dt = np.result_type(wr, grad)
-        if view:  # dS is dx itself: one GEMM from the gradient, no stack
-            dx = np.empty(xd.shape, dt)
-            _gemm(wt, grad.reshape(n, g, o // g, -1), out=dx.reshape(n, g, c // g, -1))
-            return dx
-        part = strips(s_row + k * o * pw)  # dS and the stack of k gradient copies
-        ds = np.empty((n, g, c // g * k, (part[0][1] + halo) * pw), dt)
-        dx = None
-        for y0, m in part:
-            d = ds[..., : (m + halo) * pw]
-            _gemm(wt, shifted(grad, k, y0, m), out=d)
-            if dx is None:  # allocated once the first strip's stack is freed
-                dx = np.zeros(xd.shape, dt)
-            d = d.reshape(n, c, k, m + halo, pw)
-            for j, ur, uc, pi in blocks(y0, m + halo):
-                dx[pi] += d[:, :, j, ur, uc]
-        return dx
-
-    def vjp_w(grad):
-        dw = np.zeros(wd.shape, np.result_type(grad, xd))
-        dwr = dw.reshape(g, o // g, c // g, k, k)
-        for y0, m, taps in walk(strips(s_row + o * pw)):  # S and the gradient on its pitch
-            if view:  # the gradient is already on S's grid
-                gm = grad.reshape(n, g, o // g, -1)
-            else:
-                gm = shifted(grad, 1, y0, m)[..., : m * pw]
-            for i in range(k):
-                ti = taps[..., i * pw : (i + m) * pw]
-                dwr[:, :, :, i] += _gemm(gm, ti.swapaxes(2, 3)).sum(axis=0).reshape(dwr.shape[:4])
-        return dw
-
-    def vjp_b(grad):
-        return grad.sum(axis=(0, 2, 3))
-
-    return _emit(out, [(w, vjp_w), (bias, vjp_b), (x, vjp_x)], name=name)
+    plane = x
+    if compressor is not None:
+        cw, cx = _pointwise_vjps(xd, wcd, 1)
+        pairs = [(compressor[0], cw), (compressor[1], vjp_b), (x, cx)]
+        plane = _record((n, c, h, wid), pt, pairs, name="compress")
+    return _emit(out, [(w, vjp_w), (bias, vjp_b), (plane, vjp_x)], name=name)
 
 
-def conv2d(x, w, bias=None):
-    """Dense cross-correlation, "same" padding; w is (out, in, k, k), bias (out,) or None."""
-    xd, wd = value_of(x), value_of(w)
-    k = wd.shape[2]
-    if xd.shape[1] != wd.shape[1]:
+def _plane_channels(x, compressor, name):
+    """The channels of the plane a conv reads: x's, or those of the 1 x 1
+    ``compressor`` (wc, bc) applied to x first."""
+    c = value_of(x).shape[1]
+    if compressor is None:
+        return c
+    wc, bc = (value_of(a) for a in compressor)
+    if wc.ndim != 4 or wc.shape[1:] != (c, 1, 1):
+        raise ShapeError(f"{name} compressor weights {wc.shape} are not (d, {c}, 1, 1)")
+    if bc is not None and bc.shape != wc.shape[:1]:
+        raise ShapeError(f"{name} compressor bias {bc.shape} does not match {wc.shape[:1]}")
+    return wc.shape[0]
+
+
+def conv2d(x, w, bias=None, compressor=None):
+    """Dense cross-correlation, "same" padding; w is (out, in, k, k), bias
+    (out,) or None.  ``compressor`` (wc, bc), weights (in, c, 1, 1) and
+    bias (in,) or None, maps x's c channels to the in it convolves first,
+    inside the convolution's strips (see :func:`_conv`)."""
+    wd = value_of(w)
+    c = _plane_channels(x, compressor, "conv2d")
+    if c != wd.shape[1]:
         raise ShapeError(
-            f"conv2d channel mismatch: input has {xd.shape[1]}, "
+            f"conv2d channel mismatch: input has {c}, "
             f"weights expect {wd.shape[1]}"
         )
-    return _conv(x, w, bias, k, 1, "conv2d")
+    return _conv(x, w, bias, wd.shape[2], 1, "conv2d", compressor)
 
 
-def conv2d_depthwise(x, w, bias=None):
-    """Per-channel convolution, "same" padding; w is (c, k, k), bias (c,) or None."""
-    xd, wd = value_of(x), value_of(w)
-    k = wd.shape[1]
-    if xd.shape[1] != wd.shape[0]:
+def conv2d_depthwise(x, w, bias=None, compressor=None):
+    """Per-channel convolution, "same" padding; w is (c, k, k), bias (c,)
+    or None, and ``compressor`` as for :func:`conv2d`."""
+    wd = value_of(w)
+    c = _plane_channels(x, compressor, "dwconv2d")
+    if c != wd.shape[0]:
         raise ShapeError(
-            f"depthwise channel mismatch: input has {xd.shape[1]}, "
+            f"depthwise channel mismatch: input has {c}, "
             f"weights expect {wd.shape[0]}"
         )
-    return _conv(x, w, bias, k, xd.shape[1], "dwconv2d")
+    return _conv(x, w, bias, wd.shape[1], c, "dwconv2d", compressor)
 
 
 def conv1x1(x, w, bias=None):

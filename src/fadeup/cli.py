@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -300,10 +300,13 @@ def _gradcheck_battery(seed: int):
             _op.install_parameters(list(params))
             if form is None:
                 return ag.sum_all(_op.forward(XE, XD))
-            return ag.sum_all(kernelgen.SEMISHIFT_FORMS[form](XE, XD, _op.kernel_params).data)
+            return ag.sum_all(form(XE, XD, _op.kernel_params).data)
 
-        for form in ("h2l", "l2h"):
-            check(f"{variant} semishift_{form}", partial(loss, form=form), arrays)
+        # h2l and l2h are one function: check each distinct fast form once
+        for form in dict.fromkeys(
+            f for name, f in kernelgen.SEMISHIFT_FORMS.items() if name != "direct"
+        ):
+            check(f"{variant} {form.__name__}", partial(loss, form=form), arrays)
         check(f"{variant} forward", loss, arrays)
     # the remaining ops, each against a probe so every entry's gradient counts.
     # A (2, 1, 4) operand broadcasts against x, so add/sub/mul's VJPs sum
@@ -346,6 +349,26 @@ def _gradcheck_battery(seed: int):
         "add_nearest_x2",
         lambda A, B: ag.sum_all(ag.mul(ag.add_nearest_x2(A, B), probe_up)),
         [rng.normal(size=(2, 2, 8, 8)), x],
+    )
+    # the generator convs with their 1x1 compressor inside: dense with the
+    # compressor's bias, depthwise without one
+    wc, bc = rng.normal(size=(3, 2, 1, 1)), rng.normal(size=3)
+    wg, bg = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+    probe_gen = rng.normal(size=(2, 4, 4, 4))
+    check(
+        "conv2d+compressor",
+        lambda X, WC, BC, W, B: ag.sum_all(
+            ag.mul(ag.conv2d(X, W, B, compressor=(WC, BC)), probe_gen)
+        ),
+        [x, wc, bc, wg, bg],
+    )
+    probe_dw = rng.normal(size=(2, 3, 4, 4))
+    check(
+        "conv2d_depthwise+compressor",
+        lambda X, WC, W: ag.sum_all(
+            ag.mul(ag.conv2d_depthwise(X, W, compressor=(WC, None)), probe_dw)
+        ),
+        [x, wc, rng.normal(size=(3, 3, 3))],
     )
     return results
 
@@ -665,7 +688,10 @@ def _cmd_cost(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it as it was, and
+    its errors raise rather than exit."""
     parser = _Parser(prog="fadeup", description=__doc__)
     parser.add_argument("--config", help="key=value config file", default=None)
     sub = parser.add_subparsers(dest="command", required=True)

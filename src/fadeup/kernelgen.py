@@ -218,20 +218,18 @@ def semishift_direct(x_en, x_de, p: SemiShiftParams) -> KernelMap:
     return KernelMap(out, p.kernel_size, normalized=False)
 
 
-def _generate(x, generator, bias):
-    """The 3x3 generator conv: depthwise for DepthwiseWeights, else dense.
+def _compress_generate(x, compressor: ConvWeights, generator, generator_bias: bool = True):
+    """The 1x1 compressor with its own bias, then the stride-1 3x3 generator,
+    depthwise for DepthwiseWeights, else dense: one convolution that
+    compresses each strip's rows as it reads them, so the compressed map
+    never exists in full.
 
     The autograd convs are looked up at call time, so a wrapper installed
     on those module attributes sees every call.
     """
     conv = ag.conv2d_depthwise if isinstance(generator, DepthwiseWeights) else ag.conv2d
-    return conv(x, generator.weights, bias)
-
-
-def _compress_generate(x, compressor: ConvWeights, generator, generator_bias: bool = True):
-    """1x1 compressor with its own bias, then the stride-1 3x3 generator."""
-    compressed = ag.conv1x1(x, compressor.weights, compressor.bias)
-    return _generate(compressed, generator, generator.bias if generator_bias else None)
+    bias = generator.bias if generator_bias else None
+    return conv(x, generator.weights, bias, compressor=(compressor.weights, compressor.bias))
 
 
 def semishift_l2h(x_en, x_de, p: SemiShiftParams) -> KernelMap:

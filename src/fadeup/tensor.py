@@ -20,7 +20,6 @@ whatever its size, against under 0.1 ms for the rewrite in place.
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import stat
 import struct
@@ -319,12 +318,6 @@ def open_output(path, mode: str = "wb", **kw):
 def write_ften(path, x: np.ndarray) -> None:
     with open_output(path) as f:
         write_ften_to(f, x)
-
-
-def ften_bytes(x: np.ndarray) -> bytes:
-    f = io.BytesIO()
-    write_ften_to(f, x)
-    return f.getvalue()
 
 
 def _ften_header(head: bytes, size: int):

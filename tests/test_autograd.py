@@ -231,8 +231,9 @@ class TestTapeLiveness:
 
     def test_l2h_generator_interior_outputs_are_freed(self, monkeypatch):
         """Inside a taped l2h generator the 3x3 conv and add_nearest_x2
-        outputs are freed once the caller drops the kernel map; the 1x1
-        compressor outputs stay, as the 3x3 conv's weight gradient reads them."""
+        outputs are freed once the caller drops the kernel map.  No 1x1
+        compressor output exists to stay: the conv compresses its strips'
+        rows itself, and its weight gradient compresses them again."""
         rng = np.random.default_rng(22)
         p = kg.make_semishift_params(ShuffledLcg(3), 4, 6, 3, np.float64)
         x_en, x_de = rng.normal(size=(2, 4, 8, 10)), rng.normal(size=(2, 4, 4, 5))
@@ -262,11 +263,7 @@ class TestTapeLiveness:
             if hold:
                 assert all(a for _, a in alive)
             else:
-                assert alive == [
-                    ("conv1x1", True), ("conv2d", False),
-                    ("conv1x1", True), ("conv2d", False),
-                    ("add_nearest_x2", False),
-                ]
+                assert alive == [("conv2d", False), ("conv2d", False), ("add_nearest_x2", False)]
             backward(ag.mse_loss(soft, target))
             grads[hold] = (en.grad, de.grad)
         for a, b in zip(grads[True], grads[False]):
@@ -940,6 +937,107 @@ def conv_digest() -> str:
         for a in _conv_run(x, wt, b, gout, 3, 1, None, 1)[:3]:
             digest.update(np.ascontiguousarray(a).tobytes())
     return digest.hexdigest()
+
+
+class TestCompressorPrologue:
+    """A conv with its 1x1 compressor inside equals ``conv1x1`` then the
+    conv byte for byte, forward and every gradient, and never holds the
+    compressed map in full."""
+
+    @staticmethod
+    def _run(arrays, gout, fused):
+        """Output and the gradients of (x, wc, bc, w, b); bc may be None."""
+        x, wc, bc, w, b = (None if a is None else Node(a) for a in arrays)
+        conv = ag.conv2d if w.data.ndim == 4 else ag.conv2d_depthwise
+        if fused:
+            out = conv(x, w, b, compressor=(wc, bc))
+        else:
+            out = conv(ag.conv1x1(x, wc, bc), w, b)
+        backward(ag.sum_all(ag.mul(out, gout)))
+        return [out.data] + [a.grad for a in (x, wc, bc, w, b) if a is not None]
+
+    @pytest.mark.parametrize("floor", [1, 2000, None], ids=["1-row", "2-strips", "1-strip"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bc", "no-bc"])
+    @pytest.mark.parametrize("kind", ["dense", "depthwise"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_conv1x1_then_conv(self, dtype, kind, bias, floor, monkeypatch):
+        if floor is not None:
+            monkeypatch.setattr(ag, "_STRIP_FLOOR", floor)
+        rng = np.random.default_rng(28)
+        n, c, d, h, w, o = 2, 5, 6, 13, 9, 4
+        wt = rng.normal(size=(o, d, 3, 3) if kind == "dense" else (d, 3, 3))
+        arrays = [
+            rng.normal(size=(n, c, h, w)),
+            rng.normal(size=(d, c, 1, 1)),
+            rng.normal(size=d) if bias else None,
+            wt,
+            rng.normal(size=wt.shape[0]),
+        ]
+        arrays = [None if a is None else a.astype(dtype) for a in arrays]
+        gout = rng.normal(size=(n, wt.shape[0], h, w)).astype(dtype)
+        fused, composed = self._run(arrays, gout, True), self._run(arrays, gout, False)
+        names = ("out", "dx", "dwc", "dbc", "dw", "db") if bias else ("out", "dx", "dwc", "dw", "db")
+        assert len(fused) == len(composed) == len(names)
+        for name, a, b in zip(names, fused, composed):
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_other_kernel_sizes(self, k, monkeypatch):
+        """A 1x1 kernel with a compressor runs in strips like any other, so
+        its dw, which a plain 1x1 conv sums in one GEMM, is summed strip by
+        strip; everything else is equal byte for byte."""
+        monkeypatch.setattr(ag, "_STRIP_FLOOR", 1)
+        rng = np.random.default_rng(31)
+        arrays = [rng.normal(size=s) for s in ((2, 3, 11, 7), (4, 3, 1, 1), (4,), (5, 4, k, k), (5,))]
+        gout = rng.normal(size=(2, 5, 11, 7))
+        got, ref = self._run(arrays, gout, True), self._run(arrays, gout, False)
+        for name, a, b in zip(("out", "dx", "dwc", "dbc", "dw", "db"), got, ref):
+            np.testing.assert_allclose(a, b, rtol=1e-13 if k == 1 and name == "dw" else 0, atol=0)
+
+    def test_untaped_peak_stays_below_a_compressed_map(self):
+        """The l2h encoder branch at the CLI shape, C = d = 64 on a 64x64
+        plane: the generator holds its output and strip scratch, less than
+        the output and one full (1, 64, 64, 64) compressed map together."""
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(1, 64, 64, 64)).astype(np.float32)
+        p = kg.make_semishift_params(ShuffledLcg(5), 64, 64, 5, np.float32)
+        tracemalloc.start()
+        try:
+            out = kg._compress_generate(x, p.compressor_en, p.generator)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        compressed = x.nbytes  # d = C, so the map has x's size
+        assert peak < out.nbytes + compressed, f"peak {peak / compressed:.2f}x the compressed map"
+
+    def test_taped_forward_keeps_no_compressed_map(self):
+        """After a taped forward what stays allocated is the output, the
+        weight copy and the closures: the compressed map's record holds no
+        data, and vjp_w compresses each strip's rows again from x."""
+        rng = np.random.default_rng(30)
+        x = Node(rng.normal(size=(4, 12, 48, 48)).astype(np.float32))
+        wc = Node(rng.normal(size=(16, 12, 1, 1)).astype(np.float32))
+        w = Node(rng.normal(size=(25, 16, 3, 3)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = ag.conv2d(x, w, compressor=(wc, None))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= out.data.nbytes + w.data.nbytes + 16384, (
+            f"kept {kept / out.data.nbytes:.2f}x the output"
+        )
+
+    @pytest.mark.parametrize(
+        "wc,bc",
+        [((4, 3, 1, 1), None), ((4, 2, 3, 3), None), ((4, 2), None), ((4, 2, 1, 1), (3,))],
+        ids=["in-channels", "not-1x1", "rank-2", "bias"],
+    )
+    def test_bad_compressor_raises(self, wc, bc):
+        compressor = (np.zeros(wc), None if bc is None else np.zeros(bc))
+        with pytest.raises(T.ShapeError, match="compressor"):
+            ag.conv2d(np.zeros((1, 2, 4, 4)), np.zeros((3, 4, 3, 3)), compressor=compressor)
 
 
 class TestGradcheckExamples:

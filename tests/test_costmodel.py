@@ -134,12 +134,16 @@ class TestExecutedWork:
         def count(stage, n):
             macs[stage] = macs.get(stage, 0) + n
 
-        def conv(x, wt, bias, k, groups, name, _conv=ag._conv):
-            out = _conv(x, wt, bias, k, groups, name)
+        def conv(x, wt, bias, k, groups, name, compressor=None, _conv=ag._conv):
+            out = _conv(x, wt, bias, k, groups, name, compressor)
             n, o, oh, ow = ag.value_of(out).shape
             c = ag.value_of(x).shape[1]
-            count("gated fusion" if in_gate else "kernel generation",
-                  n * o * (c // groups) * k * k * oh * ow)
+            stage = "gated fusion" if in_gate else "kernel generation"
+            if compressor is not None:  # its 1x1 conv maps the c channels to d
+                d = ag.value_of(compressor[0]).shape[0]
+                count(stage, n * d * c * oh * ow)
+                c = d
+            count(stage, n * o * (c // groups) * k * k * oh * ow)
             return out
 
         def reassemble(x_de, kernels, k, _reassemble=ag.reassemble):

@@ -499,17 +499,19 @@ class TestSemiShiftDeterminism:
 
 def semishift_digest() -> str:
     """sha256 of a taped l2h generator's forward and its input and weight
-    gradients, f32, batch 2, 28x30 decoder: dense (16 -> 64 -> 25) and
-    depthwise (16 -> 25).  Every 3x3 conv of both generators runs its
+    gradients, f32, batch 2, 28x30 decoder: dense (16 -> 64 -> 25),
+    depthwise (16 -> 25) and dense (300 -> 16 -> 25), whose compressor GEMMs
+    split their 300 terms.  Every 3x3 conv of the generators runs its
     forward, vjp_w and vjp_x in several strips of output rows."""
     rng = np.random.default_rng(26)
     digest = hashlib.sha256()
-    for p in (
-        kg.make_semishift_params(ShuffledLcg(7), 16, 64, 5, np.float32),
-        kg.make_semishift_lite_params(ShuffledLcg(7), 16, 5, np.float32),
+    for c, p in (
+        (16, kg.make_semishift_params(ShuffledLcg(7), 16, 64, 5, np.float32)),
+        (16, kg.make_semishift_lite_params(ShuffledLcg(7), 16, 5, np.float32)),
+        (300, kg.make_semishift_params(ShuffledLcg(7), 300, 16, 5, np.float32)),
     ):
-        x_en = rng.normal(size=(2, 16, 56, 60)).astype(np.float32)
-        x_de = rng.normal(size=(2, 16, 28, 30)).astype(np.float32)
+        x_en = rng.normal(size=(2, c, 56, 60)).astype(np.float32)
+        x_de = rng.normal(size=(2, c, 28, 30)).astype(np.float32)
         nodes = [ag.Node(x_en), ag.Node(x_de)]
         for conv in (p.compressor_en, p.compressor_de, p.generator):
             conv.weights = ag.Node(conv.weights)
@@ -547,7 +549,8 @@ class TestConvCallsReachAutograd:
     """Every generator conv goes through the autograd module attribute, so
     a wrapper installed there (as the benchmark's tracer does) counts it."""
 
-    # calls of (conv1x1, conv2d, conv2d_depthwise) per generator forward
+    # (1x1 compressors, conv2d calls, conv2d_depthwise calls) per generator
+    # forward; each compressor runs inside its generator conv, not as conv1x1
     @pytest.mark.parametrize(
         "generator,expected",
         [("l2h", (2, 2, 0)), ("h2l", (2, 2, 0)), ("lite", (2, 0, 2)), ("lite-h2l", (2, 0, 2)),
@@ -583,14 +586,17 @@ class TestConvCallsReachAutograd:
         }[generator]
         names = ("conv1x1", "conv2d", "conv2d_depthwise")
         calls = dict.fromkeys(names, 0)
+        compressors = []  # per call: whether it ran a compressor
         for name in names:
             original = getattr(ag, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
+                compressors.append(kwargs.get("compressor") is not None)
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(ag, name, counted)
         kmap = run()
-        assert tuple(calls[n] for n in names) == expected
+        assert calls["conv1x1"] == 0
+        assert (sum(compressors), calls["conv2d"], calls["conv2d_depthwise"]) == expected
         assert kmap.data.shape == (1, k * k, 4, 6)
