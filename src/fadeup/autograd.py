@@ -30,8 +30,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import tensor as T
-from .tensor import ShapeError
+from .tensor import ShapeError, check_nchw
 
 
 class DivergenceError(RuntimeError):
@@ -277,12 +276,21 @@ def leaky_relu(a, slope: float = 0.1):
 
 
 def sigmoid(a):
-    s = T.sigmoid(value_of(a))
+    """Elementwise logistic, computed branch-wise so exp never overflows."""
+    ad = value_of(a)
+    pos = ad >= 0
+    s = np.empty_like(ad)
+    s[pos] = 1.0 / (1.0 + np.exp(-ad[pos]))
+    ex = np.exp(ad[~pos])
+    s[~pos] = ex / (1.0 + ex)
     return _emit(s, [(a, lambda g: g * s * (1.0 - s))], name="sigmoid")
 
 
 def softmax_channel(a):
-    s = T.softmax_channel(value_of(a))
+    """Softmax over the channel axis, max-subtracted for stability."""
+    ad = check_nchw(value_of(a))
+    e = np.exp(ad - ad.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
 
     def vjp(g):
         return s * (g - (g * s).sum(axis=1, keepdims=True))
@@ -575,16 +583,17 @@ def conv2d(x, w, bias=None, compressor=None):
 
 
 def conv2d_depthwise(x, w, bias=None, compressor=None):
-    """Per-channel convolution, "same" padding; w is (c, k, k), bias (c,)
-    or None, and ``compressor`` as for :func:`conv2d`."""
+    """Per-channel convolution, "same" padding; w is (c, 1, k, k), the
+    grouped layout of c groups of one channel, bias (c,) or None, and
+    ``compressor`` as for :func:`conv2d`."""
     wd = value_of(w)
     c = _plane_channels(x, compressor, "dwconv2d")
-    if c != wd.shape[0]:
+    if wd.ndim != 4 or wd.shape[:2] != (c, 1):
         raise ShapeError(
             f"depthwise channel mismatch: input has {c}, "
-            f"weights expect {wd.shape[0]}"
+            f"weights {wd.shape} are not ({c}, 1, k, k)"
         )
-    return _conv(x, w, bias, wd.shape[1], c, "dwconv2d", compressor)
+    return _conv(x, w, bias, wd.shape[2], c, "dwconv2d", compressor)
 
 
 def conv1x1(x, w, bias=None):
@@ -612,7 +621,8 @@ def _window_sum(g):
 
 
 def interp_nearest_x2(x):
-    out = T.interp_nearest_x2(value_of(x))
+    """x2 nearest-neighbour: output (i, j) copies input (i//2, j//2)."""
+    out = np.repeat(np.repeat(check_nchw(value_of(x)), 2, axis=2), 2, axis=3)
     return _emit(out, [(x, _window_sum)], name="nn_x2")
 
 
@@ -630,15 +640,35 @@ def add_nearest_x2(hi, lo):
     return _emit(out, [(hi, lambda g: g), (lo, _window_sum)], name="add_nearest_x2")
 
 
+def _bilinear_axis(size: int, align_corners: bool, dtype) -> tuple:
+    """Source indices and blend weights for one doubled axis."""
+    out = 2 * size
+    idx = np.arange(out, dtype=dtype)
+    if align_corners:
+        src = idx * ((size - 1) / (out - 1)) if out > 1 else np.zeros(1, dtype)
+    else:
+        src = np.clip((idx + 0.5) / 2.0 - 0.5, 0.0, size - 1)
+    lo = np.floor(src).astype(np.int64)
+    lo = np.clip(lo, 0, size - 1)
+    hi = np.minimum(lo + 1, size - 1)
+    t = (src - lo).astype(dtype)
+    return lo, hi, t
+
+
 def interp_bilinear_x2(x, align_corners: bool = False):
-    xd = value_of(x)
-    out = T.interp_bilinear_x2(xd, align_corners)
+    """x2 bilinear resize; half-pixel centers unless align_corners."""
+    xd = check_nchw(value_of(x))
     (n, c, h, w), dtype = xd.shape, xd.dtype
+    y0, y1, ty = _bilinear_axis(h, align_corners, dtype)
+    x0, x1, tx = _bilinear_axis(w, align_corners, dtype)
+    rows = xd[:, :, :, x0] * (1 - tx) + xd[:, :, :, x1] * tx
+    out = rows[:, :, y0, :] * (1 - ty)[None, None, :, None] + rows[:, :, y1, :] * ty[
+        None, None, :, None
+    ]
+    out = out.astype(dtype, copy=False)
 
     def vjp(g):
         # adjoint of the separable gather: scatter along rows, then cols
-        y0, y1, ty = T._bilinear_axis(h, align_corners, dtype)
-        x0, x1, tx = T._bilinear_axis(w, align_corners, dtype)
         drows = np.zeros((n, c, h, 2 * w), dtype=g.dtype)
         gy = g.transpose(2, 0, 1, 3)
         dr = drows.transpose(2, 0, 1, 3)
@@ -656,10 +686,17 @@ def interp_bilinear_x2(x, align_corners: bool = False):
 
 def maxpool2x2(x):
     """2x2 max pool.  The gradient of a window goes to its first maximum in
-    row-major (r, s) order.  A window that holds a NaN has no entry equal
-    to its NaN output, so it passes no gradient on."""
-    xd = value_of(x)
-    out = T.maxpool2x2(xd)
+    row-major (r, s) order.  Spatial dims must be even.  A window that
+    holds a NaN gives NaN, as ``np.maximum`` propagates it, and has no
+    entry equal to its NaN output, so it passes no gradient on."""
+    xd = check_nchw(value_of(x))
+    h, w = xd.shape[2:]
+    if h % 2 or w % 2:
+        raise ShapeError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
+    out = np.maximum(
+        np.maximum(xd[..., 0::2, 0::2], xd[..., 0::2, 1::2]),
+        np.maximum(xd[..., 1::2, 0::2], xd[..., 1::2, 1::2]),
+    )
 
     def vjp(g):
         d = np.empty(xd.shape, g.dtype)  # the four phases cover it
@@ -674,8 +711,31 @@ def maxpool2x2(x):
 
 
 def pixel_shuffle_x2(x):
-    out = T.pixel_shuffle_x2(value_of(x))
-    return _emit(out, [(x, T.pixel_unshuffle_x2)], name="pixel_shuffle_x2")
+    """Depth-to-space: out(co, 2y+r, 2x+s) = in(4*co + 2*r + s, y, x)."""
+    xd = check_nchw(value_of(x))
+    n, c, h, w = xd.shape
+    if c % 4:
+        raise ShapeError(f"pixel_shuffle_x2 needs channels divisible by 4, got {c}")
+    out = (
+        xd.reshape(n, c // 4, 2, 2, h, w)
+        .transpose(0, 1, 4, 2, 5, 3)
+        .reshape(n, c // 4, 2 * h, 2 * w)
+    )
+    return _emit(out, [(x, pixel_unshuffle_x2)], name="pixel_shuffle_x2")
+
+
+def pixel_unshuffle_x2(x):
+    """Exact inverse of :func:`pixel_shuffle_x2`, and so its VJP, in an array
+    of its own (not a view or a reshape's copy), so a tape can keep it as a
+    gradient."""
+    check_nchw(x)
+    n, c, h, w = x.shape
+    if h % 2 or w % 2:
+        raise ShapeError(f"pixel_unshuffle_x2 needs even spatial dims, got {h}x{w}")
+    out = np.empty((n, 4 * c, h // 2, w // 2), x.dtype)
+    phases = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 5, 2, 4)
+    out.reshape(n, c, 2, 2, h // 2, w // 2)[...] = phases
+    return out
 
 
 def interleave2x2(tl, tr, bl, br):

@@ -234,7 +234,7 @@ def _gradcheck_battery(seed: int):
     check("conv2d/s1", lambda X, W, B: ag.sum_all(ag.conv2d(X, W, B)), [x, w, b])
     w1 = rng.normal(size=(3, 2, 1, 1))
     check("conv1x1", lambda X, W: ag.sum_all(ag.conv1x1(X, W)), [x, w1])
-    wd = rng.normal(size=(2, 3, 3))
+    wd = rng.normal(size=(2, 1, 3, 3))
     check(
         "conv2d_depthwise",
         lambda X, W: ag.sum_all(ag.conv2d_depthwise(X, W)),
@@ -368,7 +368,7 @@ def _gradcheck_battery(seed: int):
         lambda X, WC, W: ag.sum_all(
             ag.mul(ag.conv2d_depthwise(X, W, compressor=(WC, None)), probe_dw)
         ),
-        [x, wc, rng.normal(size=(3, 3, 3))],
+        [x, wc, rng.normal(size=(3, 1, 3, 3))],
     )
     return results
 
@@ -405,7 +405,7 @@ def _suite_identities(_seeds: int):
     kmap = kernelgen.KernelMap(onehot, k, normalized=True)
     out = assemble.reassemble(x, kmap)
     expect(
-        np.array_equal(out, T.interp_nearest_x2(x)),
+        np.array_equal(out, ag.interp_nearest_x2(x)),
         "center-one-hot reassembly == nearest upsampling (bit-exact)",
     )
     f_en = rng.normal(size=(1, 3, 4, 4))
@@ -428,17 +428,17 @@ def _suite_identities(_seeds: int):
     z = rng.normal(size=(1, 6, 3, 3))
     shift = z + rng.normal(size=(1, 1, 3, 3))
     expect(
-        float(np.abs(T.softmax_channel(z) - T.softmax_channel(shift)).max()) < 1e-12,
+        float(np.abs(ag.softmax_channel(z) - ag.softmax_channel(shift)).max()) < 1e-12,
         "softmax is invariant to per-position channel shifts",
     )
     y = rng.normal(size=(1, 2, 3, 3))
     expect(
-        np.array_equal(T.interp_nearest_x2(y)[:, :, ::2, ::2], y),
+        np.array_equal(ag.interp_nearest_x2(y)[:, :, ::2, ::2], y),
         "NN x2 then stride-2 subsampling is the identity (bit-exact)",
     )
     s = rng.normal(size=(1, 8, 3, 3))
     expect(
-        np.array_equal(T.pixel_unshuffle_x2(T.pixel_shuffle_x2(s)), s),
+        np.array_equal(ag.pixel_unshuffle_x2(ag.pixel_shuffle_x2(s)), s),
         "pixel shuffle round trip (bit-exact)",
     )
     return not failures, lines
@@ -547,7 +547,6 @@ _TRAIN_OPTS = {
     "classes": _Opt(int),  # default: the task's
     "count": _Opt(int, 16),
     "seed": _Opt(int, 0),
-    "impl": _Opt(str, kernelgen.DEFAULT_FORM, choices=toy.TRAIN_IMPLS),
 }
 
 
@@ -557,7 +556,7 @@ def _cmd_train(args) -> int:
     if s["classes"] is None:
         s["classes"] = default_classes
     task = toy.ToyTask(kind, s["size"], s["classes"], s["seed"], s["count"])
-    cfg = toy.TrainConfig(s["variant"], s["epochs"], s["lr"], seed=s["seed"], impl=s["impl"])
+    cfg = toy.TrainConfig(s["variant"], s["epochs"], s["lr"], seed=s["seed"])
     result = toy.train_toy(cfg, task)
     os.makedirs(args.outdir, exist_ok=True)
     csv_path = os.path.join(args.outdir, "metrics.csv")

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Node, value_of
-from .rng import ShuffledLcg, init_conv_weights, init_depthwise_weights
-from .tensor import ConvWeights, DepthwiseWeights, ShapeError
+from .rng import ShuffledLcg, init_conv_weights
+from .tensor import ConvWeights, ShapeError
 
 
 @dataclass
@@ -67,13 +67,23 @@ def _square_kernel_side(channels: int) -> int:
     return k
 
 
+def _is_depthwise(generator: ConvWeights, d: int) -> bool:
+    """Whether a 3x3 generator on a d-channel compressed map is depthwise,
+    (K^2 = d, 1, 3, 3), rather than dense, (K^2, d, 3, 3): its in_channels
+    are 1 and differ from d.  A dense generator at d = 1 has the depthwise
+    shape and stays dense; one with other in_channels than d stays dense,
+    so the dense conv reports the mismatch."""
+    return generator.in_channels == 1 != d
+
+
 @dataclass
 class SemiShiftParams:
     """Channel compressors plus the shared 3x3 kernel generator.
 
     The generator is dense (FADE: compressors map C -> d, generator
-    d -> K^2) or depthwise (FADE-Lite: compressors map C -> K^2, one 3x3
-    filter per channel); every semi-shift form takes either.  The
+    (K^2, d, 3, 3)) or depthwise (FADE-Lite: compressors map C -> K^2,
+    generator (K^2, 1, 3, 3), one 3x3 filter per channel; see
+    :func:`_is_depthwise`); every semi-shift form takes either.  The
     decomposition of the concatenated 1x1 compression into per-source
     compressors is exact only if the single affine bias lives on one
     branch; it is assigned to the decoder compressor, and the generator
@@ -82,7 +92,7 @@ class SemiShiftParams:
 
     compressor_en: ConvWeights  # k=1, C -> d, bias-free
     compressor_de: ConvWeights  # k=1, C -> d, with bias
-    generator: ConvWeights | DepthwiseWeights  # k=3, d -> K^2 or depthwise on K^2, with bias
+    generator: ConvWeights  # k=3, d -> K^2 or depthwise on K^2, with bias
 
     def __post_init__(self):
         if self.compressor_en.k != 1 or self.compressor_de.k != 1:
@@ -96,14 +106,12 @@ class SemiShiftParams:
         if self.generator.bias is None:
             raise ShapeError("generator bias is required")
         d = self.compressor_en.out_channels
-        if isinstance(self.generator, DepthwiseWeights):
-            if self.generator.channels != d:
+        if _is_depthwise(self.generator, d):
+            if self.generator.out_channels != d:
                 raise ShapeError("depthwise generator must cover K^2 channels")
-            k2 = self.generator.channels
-        else:
-            if self.generator.in_channels != d:
-                raise ShapeError("compressor/generator channel mismatch")
-            k2 = self.generator.out_channels
+        elif self.generator.in_channels != d:
+            raise ShapeError("compressor/generator channel mismatch")
+        k2 = self.generator.out_channels
         if self.compressor_de.out_channels != d:
             raise ShapeError("compressors must agree on compressed channels")
         self.kernel_size = _square_kernel_side(k2)
@@ -187,9 +195,11 @@ def semishift_direct(x_en, x_de, p: SemiShiftParams) -> KernelMap:
     a_en = value_of(p.compressor_en.weights)[:, :, 0, 0]
     a_de = value_of(p.compressor_de.weights)[:, :, 0, 0]
     a_bias = value_of(p.compressor_de.bias)
-    beta = value_of(p.generator.weights)  # (K^2, d, 3, 3), or (K^2, 3, 3) depthwise
+    beta = value_of(p.generator.weights)  # (K^2, d, 3, 3), or (K^2, 1, 3, 3) depthwise
     b = value_of(p.generator.bias)
-    taps = "mlij,lij->m" if beta.ndim == 4 else "mij,mij->m"
+    taps = "mlij,lij->m"
+    if _is_depthwise(p.generator, a_en.shape[0]):
+        beta, taps = beta[:, 0], "mij,mij->m"
     enc = np.einsum("dc,nchw->ndhw", a_en, x_en)
     dec = np.einsum("dc,nchw->ndhw", a_de, x_de) + a_bias[None, :, None, None]
 
@@ -220,14 +230,14 @@ def semishift_direct(x_en, x_de, p: SemiShiftParams) -> KernelMap:
 
 def _compress_generate(x, compressor: ConvWeights, generator, generator_bias: bool = True):
     """The 1x1 compressor with its own bias, then the stride-1 3x3 generator,
-    depthwise for DepthwiseWeights, else dense: one convolution that
+    depthwise or dense as :func:`_is_depthwise` tells: one convolution that
     compresses each strip's rows as it reads them, so the compressed map
     never exists in full.
 
     The autograd convs are looked up at call time, so a wrapper installed
     on those module attributes sees every call.
     """
-    conv = ag.conv2d_depthwise if isinstance(generator, DepthwiseWeights) else ag.conv2d
+    conv = ag.conv2d_depthwise if _is_depthwise(generator, compressor.out_channels) else ag.conv2d
     bias = generator.bias if generator_bias else None
     return conv(x, generator.weights, bias, compressor=(compressor.weights, compressor.bias))
 
@@ -313,7 +323,7 @@ def make_semishift_lite_params(
     return SemiShiftParams(
         init_conv_weights(rng, k2, channels, 1, dtype, bias=False),
         init_conv_weights(rng, k2, channels, 1, dtype),
-        init_depthwise_weights(rng, k2, 3, dtype),
+        init_conv_weights(rng, k2, 1, 3, dtype),
     )
 
 

@@ -33,7 +33,7 @@ class KernelSource:
     """One kernel-generator family.
 
     ``make_params(rng, C, d, K, dtype)`` draws the parameter dataclass,
-    whose fields are ConvWeights/DepthwiseWeights in slot order;
+    whose fields are ConvWeights in slot order;
     ``generate(guide, x_de, params, impl)`` returns the raw KernelMap;
     ``guided`` says whether it reads the encoder guide; ``counted(C, d,
     K2)`` is the closed-form weight count (biases excluded).
@@ -349,7 +349,7 @@ def build_operator(cfg: OperatorConfig) -> UpsampleOperator:
 #            start of the file
 # blobs:     FTEN v1 images in entry order, back to back from the end of
 #            the manifest to the end of the file (rank-4; rank-1 biases are
-#            stored as (len, 1, 1, 1) and depthwise (c, k, k) as (c, 1, k, k))
+#            stored as (len, 1, 1, 1))
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"FCKP"
@@ -361,8 +361,6 @@ _CKPT_ENTRY_DIMS = struct.Struct("<4IQ")
 def _as_rank4(a: np.ndarray) -> np.ndarray:
     if a.ndim == 4:
         return a
-    if a.ndim == 3:
-        return a[:, None]
     if a.ndim == 1:
         return a[:, None, None, None]
     raise ShapeError(f"cannot store rank-{a.ndim} tensor in a checkpoint")

@@ -29,7 +29,7 @@ import operator
 
 import numpy as np
 
-from .tensor import ConvWeights, DepthwiseWeights
+from .tensor import ConvWeights
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
@@ -117,14 +117,11 @@ class ShuffledLcg:
 def init_conv_weights(
     rng: ShuffledLcg, out_channels: int, in_channels: int, k: int, dtype, bias: bool = True
 ) -> ConvWeights:
-    """Uniform in +/- sqrt(6 / fan_in), fan_in = in_channels * k^2; zero bias or none."""
+    """Uniform in +/- sqrt(6 / fan_in), fan_in = in_channels * k^2; zero bias or none.
+
+    A depthwise layer over c channels is drawn as (c, 1, k, k), so fan_in = k^2."""
     bound = math.sqrt(6.0 / (in_channels * k * k))
     u = rng.uniform_array((out_channels, in_channels, k, k), dtype=np.float64)
     w = ((2.0 * u - 1.0) * bound).astype(dtype)
     return ConvWeights(w, np.zeros(out_channels, dtype) if bias else None)
 
-
-def init_depthwise_weights(rng: ShuffledLcg, channels: int, k: int, dtype) -> DepthwiseWeights:
-    """Depthwise filters see one input channel, so fan_in = k^2; zero bias."""
-    dense = init_conv_weights(rng, channels, 1, k, dtype)
-    return DepthwiseWeights(dense.weights[:, 0], dense.bias)

@@ -1,9 +1,10 @@
-"""NCHW tensor primitives and bit-exact file I/O.
+"""NCHW shape checks, the convolution weight layout, and bit-exact file I/O.
 
 Feature maps are plain ``numpy.ndarray`` values of shape (n, c, h, w),
-dtype float32 or float64, row-major.  Every function here is a pure
-function of its inputs; given identical inputs it returns bit-identical
-outputs across runs.
+dtype float32 or float64, row-major.  The NCHW operations themselves
+live in :mod:`fadeup.autograd`, one function each, taped or not.  Every
+function here is a pure function of its inputs; given identical inputs
+it returns bit-identical outputs across runs.
 
 Every file the library writes goes through :func:`open_output`.  It
 rewrites an existing file in place, without truncating it first, and cuts
@@ -73,9 +74,11 @@ class PadSpec:
 
 @dataclass
 class ConvWeights:
-    """Dense convolution weights (out, in, k, k) with optional per-out bias.
+    """Convolution weights (out, in, k, k) with optional per-out bias.
 
-    The weight array may be swapped for an autograd node during training;
+    A depthwise layer over c channels is (c, 1, k, k): c groups of one
+    input channel each, the layer :func:`fadeup.autograd.conv2d_depthwise`
+    takes.  The weight array may be swapped for an autograd node during training;
     only shapes are validated here.
     """
 
@@ -104,31 +107,6 @@ class ConvWeights:
         return self.weights.shape[2]
 
 
-@dataclass
-class DepthwiseWeights:
-    """One k x k kernel per channel: weights (c, k, k), optional bias (c,)."""
-
-    weights: object
-    bias: object = None
-
-    def __post_init__(self):
-        if len(self.weights.shape) != 3:
-            raise ShapeError("depthwise weights must be rank-3 (c, k, k)")
-        c, kh, kw = self.weights.shape
-        if kh != kw or kh % 2 == 0:
-            raise ShapeError(f"kernel must be square with odd side, got {kh}x{kw}")
-        if self.bias is not None and self.bias.shape != (c,):
-            raise ShapeError("bias length must equal channel count")
-
-    @property
-    def channels(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.weights.shape[1]
-
-
 def _out_dim(size: int, pad_lo: int, pad_hi: int, k: int, stride: int) -> int:
     out = (size + pad_lo + pad_hi - k) // stride + 1
     if out < 1:
@@ -142,7 +120,8 @@ def _out_dim(size: int, pad_lo: int, pad_hi: int, k: int, stride: int) -> int:
 def im2col(x: np.ndarray, k: int, stride: int, pad: PadSpec) -> np.ndarray:
     """Unfold k x k windows into an (n, c, k, k, oh, ow) array.
 
-    Used by the convolution core in :mod:`fadeup.autograd` and its gradients.
+    The convolutions in :mod:`fadeup.autograd` do not call it: the tests
+    use it and :func:`col2im` as the literal-GEMM reference for them.
     """
     n, c, h, w = x.shape
     oh = _out_dim(h, pad.top, pad.bottom, k, stride)
@@ -172,99 +151,6 @@ def col2im(
                 cols[:, :, i, j]
             )
     return acc[:, :, pad.top : pad.top + h, pad.left : pad.left + w]
-
-
-def interp_nearest_x2(x: np.ndarray) -> np.ndarray:
-    """x2 nearest-neighbour: output (i, j) copies input (i//2, j//2)."""
-    check_nchw(x)
-    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
-
-
-def _bilinear_axis(size: int, align_corners: bool, dtype) -> tuple:
-    """Source indices and blend weights for one doubled axis."""
-    out = 2 * size
-    idx = np.arange(out, dtype=dtype)
-    if align_corners:
-        src = idx * ((size - 1) / (out - 1)) if out > 1 else np.zeros(1, dtype)
-    else:
-        src = np.clip((idx + 0.5) / 2.0 - 0.5, 0.0, size - 1)
-    lo = np.floor(src).astype(np.int64)
-    lo = np.clip(lo, 0, size - 1)
-    hi = np.minimum(lo + 1, size - 1)
-    t = (src - lo).astype(dtype)
-    return lo, hi, t
-
-
-def interp_bilinear_x2(x: np.ndarray, align_corners: bool = False) -> np.ndarray:
-    """x2 bilinear resize; half-pixel centers unless align_corners."""
-    check_nchw(x)
-    n, c, h, w = x.shape
-    y0, y1, ty = _bilinear_axis(h, align_corners, x.dtype)
-    x0, x1, tx = _bilinear_axis(w, align_corners, x.dtype)
-    rows = x[:, :, :, x0] * (1 - tx) + x[:, :, :, x1] * tx
-    out = rows[:, :, y0, :] * (1 - ty)[None, None, :, None] + rows[:, :, y1, :] * ty[
-        None, None, :, None
-    ]
-    return out.astype(x.dtype, copy=False)
-
-
-def maxpool2x2(x: np.ndarray) -> np.ndarray:
-    """Non-overlapping 2x2 max; spatial dims must be even.
-
-    A window that holds a NaN gives NaN, as ``np.maximum`` propagates it.
-    """
-    check_nchw(x)
-    h, w = x.shape[2:]
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    return np.maximum(
-        np.maximum(x[..., 0::2, 0::2], x[..., 0::2, 1::2]),
-        np.maximum(x[..., 1::2, 0::2], x[..., 1::2, 1::2]),
-    )
-
-
-def softmax_channel(x: np.ndarray) -> np.ndarray:
-    """Softmax over the channel axis, max-subtracted for stability."""
-    check_nchw(x)
-    z = x - x.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic, computed branch-wise so exp never overflows."""
-    pos = x >= 0
-    out = np.empty_like(x)
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def pixel_shuffle_x2(x: np.ndarray) -> np.ndarray:
-    """Depth-to-space: out(co, 2y+r, 2x+s) = in(4*co + 2*r + s, y, x)."""
-    check_nchw(x)
-    n, c, h, w = x.shape
-    if c % 4:
-        raise ShapeError(f"pixel_shuffle_x2 needs channels divisible by 4, got {c}")
-    return (
-        x.reshape(n, c // 4, 2, 2, h, w)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(n, c // 4, 2 * h, 2 * w)
-    )
-
-
-def pixel_unshuffle_x2(x: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`pixel_shuffle_x2`, in an array of its own
-    (not a view or a reshape's copy), so a tape can keep it as a gradient."""
-    check_nchw(x)
-    n, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"pixel_unshuffle_x2 needs even spatial dims, got {h}x{w}")
-    out = np.empty((n, 4 * c, h // 2, w // 2), x.dtype)
-    phases = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 5, 2, 4)
-    out.reshape(n, c, 2, 2, h // 2, w // 2)[...] = phases
-    return out
 
 
 # ---------------------------------------------------------------------------

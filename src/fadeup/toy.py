@@ -17,7 +17,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import MomentumSGD, Node, backward, value_of
-from .kernelgen import DEFAULT_FORM, SEMISHIFT_FORMS
 from .operators import VARIANT_SPECS, OperatorConfig, build_operator
 from .rng import ShuffledLcg, init_conv_weights
 from .tensor import ShapeError
@@ -303,10 +302,8 @@ class ToyNet:
         compressed: int,
         kernel_size: int = 5,
         seed: int = 0,
-        impl: str = DEFAULT_FORM,
     ):
         self.variant = variant
-        self.impl = impl
         rng = ShuffledLcg(seed)
 
         def conv(out_c, in_c, k):
@@ -350,9 +347,9 @@ class ToyNet:
         e1 = ag.leaky_relu(ag.conv2d(ag.maxpool2x2(e0), self.enc1.weights, self.enc1.bias))
         z = ag.leaky_relu(ag.conv2d(ag.maxpool2x2(e1), self.bott.weights, self.bott.bias))
         guided = VARIANT_SPECS[self.variant].guided
-        u1, parts1 = self.up1.forward_parts(e1 if guided else None, z, impl=self.impl)
+        u1, parts1 = self.up1.forward_parts(e1 if guided else None, z)
         d1 = ag.leaky_relu(ag.conv2d(u1, self.dec1.weights, self.dec1.bias))
-        u2, parts2 = self.up2.forward_parts(e0 if guided else None, d1, impl=self.impl)
+        u2, parts2 = self.up2.forward_parts(e0 if guided else None, d1)
         d0 = ag.leaky_relu(ag.conv2d(u2, self.dec0.weights, self.dec0.bias))
         out = ag.conv1x1(d0, self.head.weights, self.head.bias)
         if want_parts:
@@ -376,11 +373,6 @@ _LR_DECAY_AT = 0.6
 _OUTPUT_BOUND = 1e4
 
 
-# the semi-shift forms a net trains through; direct is an inference-only
-# oracle and refuses autograd nodes
-TRAIN_IMPLS = tuple(f for f in SEMISHIFT_FORMS if f != "direct")
-
-
 @dataclass
 class TrainConfig:
     """What ``fadeup train`` and ``ablate`` set; class constants fix the rest."""
@@ -389,7 +381,6 @@ class TrainConfig:
     epochs: int = 60
     lr: float = 0.1
     seed: int = 0
-    impl: str = DEFAULT_FORM
 
     momentum: ClassVar[float] = 0.9
     clip_norm: ClassVar[float] = 5.0  # global gradient-norm clip
@@ -400,8 +391,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.impl not in TRAIN_IMPLS:
-            raise ValueError(f"impl must be one of {TRAIN_IMPLS}, got {self.impl!r}")
 
 
 @dataclass
@@ -493,7 +482,6 @@ def train_toy(cfg: TrainConfig, task: ToyTask) -> TrainResult:
         features=cfg.features,
         compressed=cfg.compressed,
         seed=cfg.seed,
-        impl=cfg.impl,
     )
     opt = MomentumSGD(net.parameters(), cfg.lr, cfg.momentum)
     n = x_train.shape[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fadeup import assemble, autograd as ag, tensor as T
+from fadeup import assemble, autograd as ag
 from fadeup.assemble import reassemble
 from fadeup.kernelgen import KernelMap
 from fadeup.tensor import ShapeError
@@ -69,7 +69,7 @@ def literal_kernel_grad(x, g, k):
 def phase_varying_kernels(rng, n, k, h, w, dtype, pad=0):
     """Softmax kernels on a (2h + 2pad, 2w + 2pad) plane, cropped by ``pad``."""
     logits = rng.normal(size=(n, k * k, 2 * h + 2 * pad, 2 * w + 2 * pad))
-    kern = T.softmax_channel(logits.astype(dtype))[
+    kern = ag.softmax_channel(logits.astype(dtype))[
         :, :, pad : pad + 2 * h, pad : pad + 2 * w
     ]
     phases = kern.reshape(n, k * k, h, 2, w, 2)
@@ -171,7 +171,7 @@ class TestReassemble:
     def test_center_onehot_is_nearest(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 3, 4))
         out = reassemble(x, center_onehot(2, 5, 6, 8))
-        np.testing.assert_array_equal(out, T.interp_nearest_x2(x))
+        np.testing.assert_array_equal(out, ag.interp_nearest_x2(x))
 
     def test_uniform_kernels_window_mean(self):
         x = np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3)
@@ -189,7 +189,7 @@ class TestReassemble:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 4, 3, 3))
         kmap = KernelMap(
-            T.softmax_channel(rng.normal(size=(1, 9, 6, 6))), 3, normalized=True
+            ag.softmax_channel(rng.normal(size=(1, 9, 6, 6))), 3, normalized=True
         )
         out = np.asarray(reassemble(x, kmap))
         perm = [3, 1, 0, 2]
@@ -200,7 +200,7 @@ class TestReassemble:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(1, 2, 4, 4))
         kmap = KernelMap(
-            T.softmax_channel(rng.normal(size=(1, 25, 8, 8))), 5, normalized=True
+            ag.softmax_channel(rng.normal(size=(1, 25, 8, 8))), 5, normalized=True
         )
         out = reassemble(x, kmap)
         # zero-padded taps can pull toward 0 but never outside [min(x,0), max(x,0)]
@@ -212,7 +212,7 @@ class TestReassemble:
         x = rng.normal(size=(1, 2, 3, 3))
         y = rng.normal(size=(1, 2, 3, 3))
         kmap = KernelMap(
-            T.softmax_channel(rng.normal(size=(1, 9, 6, 6))), 3, normalized=True
+            ag.softmax_channel(rng.normal(size=(1, 9, 6, 6))), 3, normalized=True
         )
         a, b = 0.7, -1.3
         lhs = reassemble(a * x + b * y, kmap)
@@ -256,14 +256,14 @@ class TestBaselineOperators:
     def test_nearest_delegates_bit_exact(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 4, 5))
         np.testing.assert_array_equal(
-            assemble.upsample_nearest(x), T.interp_nearest_x2(x)
+            assemble.upsample_nearest(x), ag.interp_nearest_x2(x)
         )
 
     def test_bilinear_delegates_bit_exact(self):
         x = np.random.default_rng(1).normal(size=(2, 3, 4, 5))
         for ac in (False, True):
             np.testing.assert_array_equal(
-                assemble.upsample_bilinear(x, ac), T.interp_bilinear_x2(x, ac)
+                assemble.upsample_bilinear(x, ac), ag.interp_bilinear_x2(x, ac)
             )
 
     def test_output_shapes(self):

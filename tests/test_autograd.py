@@ -35,7 +35,7 @@ def _tape_cases():
         "sigmoid": (ag.sigmoid, [x]),
         "softmax_channel": (ag.softmax_channel, [x]),
         "conv2d": (ag.conv2d, [x, r(3, 2, 3, 3), r(3)]),
-        "conv2d_depthwise": (ag.conv2d_depthwise, [x, r(2, 3, 3), r(2)]),
+        "conv2d_depthwise": (ag.conv2d_depthwise, [x, r(2, 1, 3, 3), r(2)]),
         "conv1x1": (ag.conv1x1, [x, r(3, 2, 1, 1), r(3)]),
         "interp_nearest_x2": (ag.interp_nearest_x2, [x]),
         "add_nearest_x2": (ag.add_nearest_x2, [r(1, 2, 8, 8), x]),
@@ -429,7 +429,7 @@ class TestReassembleGradient:
         kern[:, 4] = 1.0
         xn, kn = Node(x), Node(kern)
         out = ag.reassemble(xn, kn, k)
-        np.testing.assert_array_equal(out.data, T.interp_nearest_x2(x))
+        np.testing.assert_array_equal(out.data, ag.interp_nearest_x2(x))
         g = rng.normal(size=(1, 2, 4, 4))
         backward(ag.sum_all(ag.mul(out, g)))
         # d/dx: scatter of g summed over the 2x2 block that copies each pixel
@@ -441,7 +441,7 @@ class TestReassembleGradient:
         transpose of the dense matrix of the forward map."""
         rng = np.random.default_rng(3)
         n, c, h, w, k = 1, 1, 2, 3, 3
-        kern = T.softmax_channel(rng.normal(size=(n, k * k, 2 * h, 2 * w)))
+        kern = ag.softmax_channel(rng.normal(size=(n, k * k, 2 * h, 2 * w)))
         size_in, size_out = h * w, 4 * h * w
         M = np.zeros((size_out, size_in))
         for i in range(size_in):
@@ -463,7 +463,7 @@ class TestReassembleMemory:
         kernel blocks; never a K^2-fold unfold or a whole-plane copy."""
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1, 64, 32, 32)).astype(np.float32)
-        kern = T.softmax_channel(rng.normal(size=(1, 25, 64, 64)).astype(np.float32))
+        kern = ag.softmax_channel(rng.normal(size=(1, 25, 64, 64)).astype(np.float32))
         tracemalloc.start()
         try:
             out = ag.reassemble(x, kern, 5)
@@ -485,7 +485,7 @@ class TestReassembleDeterminism:
         rng = np.random.default_rng(5)
         n, c, h, w, k = 2, 16, 6, 7, 5
         x = rng.normal(size=(n, c, h, w)).astype(np.float32)
-        kern = T.softmax_channel(
+        kern = ag.softmax_channel(
             rng.normal(size=(n, k * k, 2 * h, 2 * w)).astype(np.float32)
         )
         g = rng.normal(size=(n, c, 2 * h, 2 * w)).astype(np.float32)
@@ -521,7 +521,7 @@ def reassembly_digest() -> str:
     rng = np.random.default_rng(9)
     n, c, h, w, k = 1, 64, 20, 20, 5
     xn = Node(rng.normal(size=(n, c, h, w)).astype(np.float32))
-    kn = Node(T.softmax_channel(rng.normal(size=(n, k * k, 2 * h, 2 * w)).astype(np.float32)))
+    kn = Node(ag.softmax_channel(rng.normal(size=(n, k * k, 2 * h, 2 * w)).astype(np.float32)))
     g = rng.normal(size=(n, c, 2 * h, 2 * w)).astype(np.float32)
     out = ag.reassemble(xn, kn, k)
     backward(ag.sum_all(ag.mul(out, g)))
@@ -665,14 +665,14 @@ class TestCornerPadsArePhases:
         if kind == "dense":
             conv, wt, g = ag.conv2d, rng.normal(size=(25, c, 3, 3)), 1
         else:
-            conv, wt, g = ag.conv2d_depthwise, rng.normal(size=(c, 3, 3)), c
+            conv, wt, g = ag.conv2d_depthwise, rng.normal(size=(c, 1, 3, 3)), c
         o = wt.shape[0]
         wt, b = wt.astype(dtype), rng.normal(size=o).astype(dtype)
         full = conv(x, wt, b)
         scale = np.abs(full).max()
         gout = np.zeros((n, o, h // 2, w // 2), dtype)  # only the forward is compared
         for (r, s), pad in _H2L_PADS.items():
-            sub = _im2col_conv(x, wt.reshape(o, -1, 3, 3), b, gout, 3, 2, pad, g)[0]
+            sub = _im2col_conv(x, wt, b, gout, 3, 2, pad, g)[0]
             # on an odd side phase 0 has one row or column more than the sub-process
             assert sub.shape[2:] == (h // 2, w // 2) and sub.dtype == dtype
             phase = full[:, :, r::2, s::2][:, :, : h // 2, : w // 2]
@@ -948,7 +948,7 @@ class TestCompressorPrologue:
     def _run(arrays, gout, fused):
         """Output and the gradients of (x, wc, bc, w, b); bc may be None."""
         x, wc, bc, w, b = (None if a is None else Node(a) for a in arrays)
-        conv = ag.conv2d if w.data.ndim == 4 else ag.conv2d_depthwise
+        conv = ag.conv2d if w.shape[1] == wc.shape[0] else ag.conv2d_depthwise
         if fused:
             out = conv(x, w, b, compressor=(wc, bc))
         else:
@@ -965,7 +965,7 @@ class TestCompressorPrologue:
             monkeypatch.setattr(ag, "_STRIP_FLOOR", floor)
         rng = np.random.default_rng(28)
         n, c, d, h, w, o = 2, 5, 6, 13, 9, 4
-        wt = rng.normal(size=(o, d, 3, 3) if kind == "dense" else (d, 3, 3))
+        wt = rng.normal(size=(o, d, 3, 3) if kind == "dense" else (d, 1, 3, 3))
         arrays = [
             rng.normal(size=(n, c, h, w)),
             rng.normal(size=(d, c, 1, 1)),
@@ -1050,11 +1050,12 @@ class TestGradcheckExamples:
 
     @pytest.mark.parametrize("op", ["conv2d", "dwconv2d", "conv1x1"])
     def test_convs_at_batch_two(self, op):
-        """The battery's conv checks run at n=1, where a weight gradient that
-        drops batch items still passes; n=2 here, with a probe and a bias."""
+        """The battery's conv checks run at n=2 but sum the output, and the
+        depthwise and 1x1 checks take no bias; here each conv has a bias
+        and a random probe, so a gradient sent to the wrong position shows."""
         fn, w_shape = {
             "conv2d": (ag.conv2d, (3, 2, 3, 3)),
-            "dwconv2d": (ag.conv2d_depthwise, (2, 3, 3)),
+            "dwconv2d": (ag.conv2d_depthwise, (2, 1, 3, 3)),
             "conv1x1": (ag.conv1x1, (3, 2, 1, 1)),
         }[op]
         rng = np.random.default_rng(8)

@@ -9,9 +9,8 @@ import pytest
 
 from fadeup import autograd as ag
 from fadeup import kernelgen as kg
-from fadeup import tensor as T
 from fadeup.rng import ShuffledLcg
-from fadeup.tensor import ConvWeights, DepthwiseWeights, ShapeError
+from fadeup.tensor import ConvWeights, ShapeError
 
 
 def rel_dev(a, b):
@@ -63,7 +62,7 @@ class TestSemiShiftDirect:
         x_en, x_de = random_pair(2, 1, 3, 2, 2)
         got = kg.semishift_direct(np.zeros_like(x_en), x_de, p).data
         de_c = ag.conv1x1(x_de, p.compressor_de.weights, p.compressor_de.bias)
-        want = T.interp_nearest_x2(
+        want = ag.interp_nearest_x2(
             ag.conv2d(de_c, p.generator.weights)
         ) + p.generator.bias[None, :, None, None]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -175,7 +174,7 @@ class TestSemiShiftStructure:
         de_c = ag.conv1x1(x_de, p.compressor_de.weights, p.compressor_de.bias)
         de_branch = ag.conv2d(de_c, p.generator.weights)
         # subtracting the shared decoder value leaves pure encoder terms
-        residual = out - T.interp_nearest_x2(de_branch)
+        residual = out - ag.interp_nearest_x2(de_branch)
         en_c = ag.conv1x1(x_en, p.compressor_en.weights)
         en_branch = ag.conv2d(en_c, p.generator.weights, p.generator.bias)
         np.testing.assert_allclose(residual, en_branch, rtol=1e-10, atol=1e-12)
@@ -213,7 +212,7 @@ class TestSemiShiftLite:
     def test_params_carry_a_depthwise_generator(self):
         p = kg.make_semishift_lite_params(ShuffledLcg(0), 3, 5, np.float32)
         assert isinstance(p, kg.SemiShiftParams)
-        assert isinstance(p.generator, DepthwiseWeights)
+        assert p.generator.weights.shape == (25, 1, 3, 3)
         assert p.kernel_size == 5
 
     def test_parameter_count_formula(self):
@@ -232,14 +231,27 @@ class TestSemiShiftLite:
         k2 = k * k
         rngp = ShuffledLcg(1)
         p = kg.make_semishift_lite_params(rngp, c, k, np.float64)
-        ident = np.zeros((k2, 3, 3))
-        ident[:, 1, 1] = 1.0
-        p.generator = DepthwiseWeights(ident, np.zeros(k2))
+        ident = np.zeros((k2, 1, 3, 3))
+        ident[:, 0, 1, 1] = 1.0
+        p.generator = ConvWeights(ident, np.zeros(k2))
         x_en, x_de = random_pair(2, 1, c, 2, 3)
         out = kg.semishift_lite(x_en, x_de, p).data
         en_c = ag.conv1x1(x_en, p.compressor_en.weights)
         de_c = ag.conv1x1(x_de, p.compressor_de.weights, p.compressor_de.bias)
-        np.testing.assert_allclose(out, en_c + T.interp_nearest_x2(de_c), rtol=1e-12)
+        np.testing.assert_allclose(out, en_c + ag.interp_nearest_x2(de_c), rtol=1e-12)
+
+    def test_dense_generator_at_one_channel_stays_dense(self):
+        """At d = 1 FADE's dense generator has the (K^2, 1, 3, 3) shape of
+        FADE-Lite's depthwise one; its in_channels equal d, so it runs
+        dense and matches the oracle (:class:`TestConvCallsReachAutograd`
+        counts its conv2d calls)."""
+        c, k = 3, 5
+        dense = random_params(8, c, 1, k)
+        lite = kg.make_semishift_lite_params(ShuffledLcg(8), c, k, np.float64)
+        assert dense.generator.weights.shape == lite.generator.weights.shape == (25, 1, 3, 3)
+        x_en, x_de = random_pair(9, 2, c, 3, 4)
+        want = kg.semishift_direct(x_en, x_de, dense).data
+        assert rel_dev(kg.semishift_l2h(x_en, x_de, dense).data, want) < 1e-12
 
     def test_matches_depthwise_window_oracle(self):
         c, k = 2, 3
@@ -253,7 +265,7 @@ class TestSemiShiftLite:
 
         en_c = ag.conv1x1(x_en, p.compressor_en.weights)
         de_c = ag.conv1x1(x_de, p.compressor_de.weights, p.compressor_de.bias)
-        gw, gb = p.generator.weights, p.generator.bias
+        gw, gb = p.generator.weights[:, 0], p.generator.bias
         eh, ew = en_c.shape[2], en_c.shape[3]
         dh, dw = de_c.shape[2], de_c.shape[3]
         want = np.zeros_like(got)
@@ -389,7 +401,7 @@ def _conv(o, i, k, bias=True):
 
 
 def _dw(c, k, bias=True):
-    return DepthwiseWeights(np.zeros((c, k, k)), np.zeros(c) if bias else None)
+    return _conv(c, 1, k, bias)
 
 
 # C=2 input channels, d=3 compressed, K=5: one invalid construction per rule
@@ -553,8 +565,8 @@ class TestConvCallsReachAutograd:
     # forward; each compressor runs inside its generator conv, not as conv1x1
     @pytest.mark.parametrize(
         "generator,expected",
-        [("l2h", (2, 2, 0)), ("h2l", (2, 2, 0)), ("lite", (2, 0, 2)), ("lite-h2l", (2, 0, 2)),
-         ("naive", (1, 1, 0)), ("carafe", (1, 1, 0)), ("encoder_only", (1, 1, 0))],
+        [("l2h", (2, 2, 0)), ("h2l", (2, 2, 0)), ("l2h-d1", (2, 2, 0)), ("lite", (2, 0, 2)),
+         ("lite-h2l", (2, 0, 2)), ("naive", (1, 1, 0)), ("carafe", (1, 1, 0)), ("encoder_only", (1, 1, 0))],
         ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)),
     )
     def test_call_counts(self, monkeypatch, generator, expected):
@@ -567,6 +579,10 @@ class TestConvCallsReachAutograd:
             ),
             "h2l": lambda: kg.semishift_h2l(
                 x_en, x_de, kg.make_semishift_params(rng, c, d, k, np.float64)
+            ),
+            # dense at d = 1: the (K^2, 1, 3, 3) shape of lite's generator
+            "l2h-d1": lambda: kg.semishift_l2h(
+                x_en, x_de, kg.make_semishift_params(rng, c, 1, k, np.float64)
             ),
             "lite": lambda: kg.semishift_lite(
                 x_en, x_de, kg.make_semishift_lite_params(rng, c, k, np.float64)

@@ -112,42 +112,63 @@ class TestConv2d:
         assert np.array_equal(first, second)
 
 
+def test_no_public_callable_shares_an_autograd_name():
+    """Each NCHW op is declared once, in autograd, whose ops return a plain
+    array when nothing is taped; tensor keeps the shape checks, the
+    weight layout and the file I/O."""
+
+    def public(module):
+        return {
+            name for name, v in vars(module).items()
+            if callable(v) and not name.startswith("_") and v.__module__ == module.__name__
+        }
+
+    assert public(T) and public(ag)
+    assert not public(T) & public(ag)
+
+
 class TestDepthwise:
     def test_identity(self):
         x = np.random.default_rng(0).normal(size=(1, 4, 5, 5))
-        w = np.zeros((4, 3, 3))
-        w[:, 1, 1] = 1.0
+        w = np.zeros((4, 1, 3, 3))
+        w[:, 0, 1, 1] = 1.0
         np.testing.assert_array_equal(ag.conv2d_depthwise(x, w), x)
 
     def test_single_channel_reduces_to_conv2d(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(1, 1, 5, 4))
-        k = rng.normal(size=(1, 3, 3))
+        k = rng.normal(size=(1, 1, 3, 3))
         got = ag.conv2d_depthwise(x, k)
-        want = ag.conv2d(x, k[:, None])
+        want = ag.conv2d(x, k)
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_matches_per_channel_conv2d(self):
         """Forward, dx and dw of each group equal a one-channel conv2d, at n=2."""
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 4, 6, 6))
-        w = rng.normal(size=(4, 3, 3))
+        w = rng.normal(size=(4, 1, 3, 3))
         b = rng.normal(size=4)
         probe = rng.normal(size=(2, 4, 6, 6))
         xn, wn = ag.Node(x), ag.Node(w)
         got = ag.conv2d_depthwise(xn, wn, b)
         ag.backward(ag.sum_all(ag.mul(got, probe)))
         for c in range(4):
-            xc, wc = ag.Node(x[:, c : c + 1]), ag.Node(w[c][None, None])
+            xc, wc = ag.Node(x[:, c : c + 1]), ag.Node(w[c][None])
             want = ag.conv2d(xc, wc, b[c : c + 1])
             ag.backward(ag.sum_all(ag.mul(want, probe[:, c : c + 1])))
             np.testing.assert_allclose(got.data[:, c : c + 1], want.data, rtol=1e-12)
             np.testing.assert_allclose(xn.grad[:, c : c + 1], xc.grad, rtol=1e-12)
-            np.testing.assert_allclose(wn.grad[c], wc.grad[0, 0], rtol=1e-12)
+            np.testing.assert_allclose(wn.grad[c], wc.grad[0], rtol=1e-12)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channel"):
-            ag.conv2d_depthwise(np.zeros((1, 2, 4, 4)), np.zeros((3, 3, 3)))
+            ag.conv2d_depthwise(np.zeros((1, 2, 4, 4)), np.zeros((3, 1, 3, 3)))
+
+    def test_rank_three_weights_rejected(self):
+        """Depthwise weights are (c, 1, k, k), one input channel per group;
+        the (c, k, k) layout is not accepted."""
+        with pytest.raises(ShapeError, match=r"not \(2, 1, k, k\)"):
+            ag.conv2d_depthwise(np.zeros((1, 2, 4, 4)), np.zeros((2, 3, 3)))
 
 
 class TestConv1x1:
@@ -179,18 +200,18 @@ class TestConv1x1:
 class TestInterpNearest:
     def test_single_pixel(self):
         x = np.full((1, 1, 1, 1), 7.0)
-        np.testing.assert_array_equal(T.interp_nearest_x2(x), np.full((1, 1, 2, 2), 7.0))
+        np.testing.assert_array_equal(ag.interp_nearest_x2(x), np.full((1, 1, 2, 2), 7.0))
 
     def test_definition(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
         want = np.array(
             [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]], dtype=np.float64
         )
-        np.testing.assert_array_equal(T.interp_nearest_x2(x)[0, 0], want)
+        np.testing.assert_array_equal(ag.interp_nearest_x2(x)[0, 0], want)
 
     def test_round_trip(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 4, 5))
-        up = T.interp_nearest_x2(x)
+        up = ag.interp_nearest_x2(x)
         np.testing.assert_array_equal(up[:, :, ::2, ::2], x)
 
 
@@ -199,13 +220,13 @@ class TestInterpBilinear:
         x = np.full((1, 2, 3, 3), 4.25)
         for ac in (False, True):
             np.testing.assert_allclose(
-                T.interp_bilinear_x2(x, ac), np.full((1, 2, 6, 6), 4.25), rtol=1e-12
+                ag.interp_bilinear_x2(x, ac), np.full((1, 2, 6, 6), 4.25), rtol=1e-12
             )
 
     def test_align_corners_closed_form(self):
         a, b = 2.0, 8.0
         x = np.array([a, b]).reshape(1, 1, 1, 2)
-        out = T.interp_bilinear_x2(x, align_corners=True)
+        out = ag.interp_bilinear_x2(x, align_corners=True)
         want = np.array([a, (2 * a + b) / 3, (a + 2 * b) / 3, b])
         np.testing.assert_allclose(out[0, 0, 0], want, rtol=1e-12)
         np.testing.assert_allclose(out[0, 0, 1], want, rtol=1e-12)
@@ -213,42 +234,42 @@ class TestInterpBilinear:
     def test_bounded_by_input(self):
         x = np.random.default_rng(1).normal(size=(1, 3, 5, 7))
         for ac in (False, True):
-            out = T.interp_bilinear_x2(x, ac)
+            out = ag.interp_bilinear_x2(x, ac)
             assert out.max() <= x.max() + 1e-12
             assert out.min() >= x.min() - 1e-12
 
     def test_preserves_dtype(self):
         x = np.zeros((1, 1, 2, 2), dtype=np.float32)
-        assert T.interp_bilinear_x2(x).dtype == np.float32
+        assert ag.interp_bilinear_x2(x).dtype == np.float32
 
 
 class TestMaxpool:
     def test_basic(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        np.testing.assert_array_equal(T.maxpool2x2(x), np.full((1, 1, 1, 1), 4.0))
+        np.testing.assert_array_equal(ag.maxpool2x2(x), np.full((1, 1, 1, 1), 4.0))
 
     def test_constant(self):
         x = np.full((1, 2, 4, 4), 3.5)
-        np.testing.assert_array_equal(T.maxpool2x2(x), np.full((1, 2, 2, 2), 3.5))
+        np.testing.assert_array_equal(ag.maxpool2x2(x), np.full((1, 2, 2, 2), 3.5))
 
     def test_nn_then_pool_is_identity(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 4, 5))
-        np.testing.assert_array_equal(T.maxpool2x2(T.interp_nearest_x2(x)), x)
+        np.testing.assert_array_equal(ag.maxpool2x2(ag.interp_nearest_x2(x)), x)
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError, match="even"):
-            T.maxpool2x2(np.zeros((1, 1, 3, 4)))
+            ag.maxpool2x2(np.zeros((1, 1, 3, 4)))
 
 
 class TestSoftmaxChannel:
     def test_uniform(self):
         x = np.full((1, 5, 2, 2), 3.0)
-        np.testing.assert_allclose(T.softmax_channel(x), np.full((1, 5, 2, 2), 0.2), rtol=1e-12)
+        np.testing.assert_allclose(ag.softmax_channel(x), np.full((1, 5, 2, 2), 0.2), rtol=1e-12)
 
     def test_saturation(self):
         x = np.zeros((1, 4, 1, 1))
         x[0, 2] = 1000.0
-        out = T.softmax_channel(x)
+        out = ag.softmax_channel(x)
         want = np.zeros(4)
         want[2] = 1.0
         np.testing.assert_allclose(out[0, :, 0, 0], want, atol=1e-6)
@@ -258,27 +279,27 @@ class TestSoftmaxChannel:
         x = rng.normal(size=(2, 6, 3, 4))
         shift = rng.normal(size=(2, 1, 3, 4))
         np.testing.assert_allclose(
-            T.softmax_channel(x), T.softmax_channel(x + shift), atol=1e-12
+            ag.softmax_channel(x), ag.softmax_channel(x + shift), atol=1e-12
         )
 
     def test_sums_and_range(self):
         x = np.random.default_rng(3).normal(size=(2, 7, 3, 3)) * 10
-        out = T.softmax_channel(x)
+        out = ag.softmax_channel(x)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
         assert (out > 0).all() and (out < 1).all()
 
 
 class TestSigmoid:
     def test_zero(self):
-        assert T.sigmoid(np.zeros((1, 1, 1, 1)))[0, 0, 0, 0] == 0.5
+        assert ag.sigmoid(np.zeros((1, 1, 1, 1)))[0, 0, 0, 0] == 0.5
 
     def test_symmetry(self):
         x = np.random.default_rng(0).normal(size=(1, 2, 3, 3)) * 5
-        np.testing.assert_allclose(T.sigmoid(x) + T.sigmoid(-x), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(ag.sigmoid(x) + ag.sigmoid(-x), 1.0, rtol=1e-12)
 
     def test_large_negative_no_overflow(self):
         with np.errstate(over="raise"):
-            out = T.sigmoid(np.full((1, 1, 1, 2), -1e4))
+            out = ag.sigmoid(np.full((1, 1, 1, 2), -1e4))
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
         assert np.isfinite(out).all()
 
@@ -286,21 +307,21 @@ class TestSigmoid:
 class TestPixelShuffle:
     def test_definition(self):
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1, 1)
-        out = T.pixel_shuffle_x2(x)
+        out = ag.pixel_shuffle_x2(x)
         np.testing.assert_array_equal(out[0, 0], np.array([[1.0, 2.0], [3.0, 4.0]]))
 
     def test_round_trip(self):
         x = np.random.default_rng(0).normal(size=(2, 8, 3, 4))
-        np.testing.assert_array_equal(T.pixel_unshuffle_x2(T.pixel_shuffle_x2(x)), x)
+        np.testing.assert_array_equal(ag.pixel_unshuffle_x2(ag.pixel_shuffle_x2(x)), x)
 
     def test_multiset_preserved(self):
         x = np.random.default_rng(1).normal(size=(1, 4, 2, 3))
-        out = T.pixel_shuffle_x2(x)
+        out = ag.pixel_shuffle_x2(x)
         np.testing.assert_array_equal(np.sort(out.ravel()), np.sort(x.ravel()))
 
     def test_channel_multiple_of_four(self):
         with pytest.raises(ShapeError, match="divisible by 4"):
-            T.pixel_shuffle_x2(np.zeros((1, 6, 2, 2)))
+            ag.pixel_shuffle_x2(np.zeros((1, 6, 2, 2)))
 
 
 class TestFten:

@@ -232,7 +232,7 @@ class TestTraining:
 class TestTrainConfig:
     def test_fields_are_what_the_cli_sets(self):
         assert [f.name for f in dataclasses.fields(TrainConfig)] == [
-            "variant", "epochs", "lr", "seed", "impl"
+            "variant", "epochs", "lr", "seed"
         ]
 
     def test_recipe_constants_readable_off_a_config(self):
@@ -244,14 +244,6 @@ class TestTrainConfig:
     def test_epochs_below_one_rejected(self, epochs):
         with pytest.raises(ValueError, match="epochs must be >= 1"):
             TrainConfig("fade", epochs=epochs)
-
-    @pytest.mark.parametrize("impl", ["direct", "bogus"])
-    def test_untrainable_impl_rejected_naming_the_forms(self, impl):
-        """direct is an inference-only oracle; the config refuses it before
-        any dataset or net is built, naming the forms the CLI offers."""
-        with pytest.raises(ValueError, match=r"impl must be one of \('h2l', 'l2h'\)"):
-            TrainConfig("fade", impl=impl)
-        assert toy.TRAIN_IMPLS == ("h2l", "l2h")
 
 
 class TestClipGradients:
