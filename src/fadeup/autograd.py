@@ -46,7 +46,10 @@ class Record:
     nor a view is the VJP's to give away, and the first :meth:`accumulate`
     keeps it as the gradient when it has the record's shape and dtype;
     any other first gradient is added into zeros of ``shape`` and
-    ``dtype``.  Either way no two records share a gradient array."""
+    ``dtype``.  The hand-off rule: a child's gradient that :func:`backward`
+    gives up is kept the same way by the parent whose VJP, the last to
+    run, returns it unchanged (see :func:`_record`).  Either way no two
+    records share a gradient array."""
 
     __slots__ = ("grad", "name", "shape", "dtype", "_parents", "_backprop")
 
@@ -124,7 +127,13 @@ def _record(shape, dtype, pairs, name=None):
     the :class:`Record` contract: it returns a view of g or an array
     nobody else keeps.  Backprop runs the vjps in pair order, and a
     parent's first gradient is the vjp's own array when that is neither
-    g nor a view."""
+    g nor a view.  ``backprop(g, own=True)`` says the caller gives g up,
+    as :func:`backward` does; then a last vjp that returns g itself hands
+    g on, as no later vjp reads it, and a parent with no gradient yet
+    takes g instead of a copy.  g += 0.0 runs first, so the parent holds
+    the bits that zeros + g would give (-0.0 becomes 0.0).  An op saves
+    that copy by listing its pass-through parent last (add's b,
+    add_nearest_x2's hi)."""
     links = [
         (p.record if isinstance(p, Node) else p, vjp)
         for p, vjp in pairs
@@ -133,10 +142,17 @@ def _record(shape, dtype, pairs, name=None):
     if not links:
         return None
 
-    def backprop(g):
-        for r, vjp in links:
+    def backprop(g, own=False):
+        for i, (r, vjp) in enumerate(links):
             d = vjp(g)
-            r.accumulate(d, owned=d is not g and isinstance(d, np.ndarray) and d.base is None)
+            if d is not g:
+                owned = isinstance(d, np.ndarray) and d.base is None
+            elif own and i == len(links) - 1:  # no later vjp reads g: hand it on
+                g += 0.0  # as zeros + g gives: -0.0 becomes 0.0
+                owned = True
+            else:
+                owned = False
+            r.accumulate(d, owned)
 
     return Record(shape, dtype, [r for r, _ in links], backprop, name)
 
@@ -173,9 +189,12 @@ def backward(loss: Node, seed: float = 1.0) -> None:
     drops its gradient once it has passed it on to its parents, which
     is the last time the pass reads it.  So a second call on the same
     graph adds exactly one more gradient to every leaf.  A record's first
-    gradient may be the array a VJP returned (see :class:`Record`), so a
-    leaf's ``.grad`` shares memory with no other record's, and a first
-    gradient of -0.0 stays -0.0.
+    gradient may be the array a VJP returned (see :class:`Record`), or,
+    as backward gives each record's gradient up when it passes it on, the
+    child's gradient handed to a last pass-through parent (see
+    :func:`_record`).  Either way a leaf's ``.grad`` shares memory with no
+    other record's.  A VJP's own first gradient of -0.0 stays -0.0; a
+    handed one becomes 0.0, as in a copy into zeros.
     """
     if not isinstance(loss, Node):
         raise TypeError("backward needs a recorded Node; run a tracked forward first")
@@ -183,8 +202,8 @@ def backward(loss: Node, seed: float = 1.0) -> None:
     loss.record.accumulate(np.full_like(loss.data, seed), owned=True)
     for rec in reversed(order):
         if rec._backprop is not None and rec.grad is not None:
-            rec._backprop(rec.grad)
-            rec.grad = None
+            g, rec.grad = rec.grad, None
+            rec._backprop(g, own=True)
 
 
 def zero_grad(nodes) -> None:
@@ -356,13 +375,43 @@ def _pointwise_vjps(xd, wd, g):
     return vjp_w, vjp_x
 
 
+def _strips(h, halo, budget, per_row):
+    """The strips (y0, m) of h rows for a pass whose scratch holds ``per_row``
+    values for each of a strip's m rows and ``halo`` more: as many rows as
+    fit ``budget``, and at least one."""
+    rows = min(max(budget // per_row - halo, 1), h)
+    return [(y0, min(rows, h - y0)) for y0 in range(0, h, rows)]
+
+
+def _rolling_rows(fill, shape, dtype):
+    """A reader of a plane's rows one block at a time, in a buffer of
+    ``shape`` (..., size, w): ``read(pr)`` gives plane rows pr, at most
+    ``size`` of them, as the buffer's first rows.  The blocks move down the
+    plane and each row is made once: the rows a block shares with the one
+    before are moved to the front of the buffer, and ``fill(dst, rows)``
+    writes the others, plane rows ``rows``, into dst."""
+    buf = np.empty(shape, dtype)
+    held = slice(0, 0)
+
+    def read(pr):
+        nonlocal held
+        if pr.start >= pr.stop:  # a block of padding rows only
+            return buf[..., :0, :]
+        keep = max(held.stop - pr.start, 0)
+        buf[..., :keep, :] = buf[..., pr.start - held.start : held.stop - held.start, :]
+        if pr.start + keep < pr.stop:
+            fill(buf[..., keep : pr.stop - pr.start, :], slice(pr.start + keep, pr.stop))
+        held = pr
+        return buf[..., : pr.stop - pr.start, :]
+
+    return read
+
+
 def _compressed_rows(xd, wd, bias, size, dtype):
-    """A reader of the 1 x 1 conv wd x + bias of the plane xd (n, c, h, w)
-    by weights wd (d, c, 1, 1), one block of rows at a time: ``read(pr)``
-    gives plane rows pr, at most ``size`` of them, as (n, d, rows, w) in
-    ``dtype``.  The blocks move down the plane and each row is computed
-    once: the rows a block shares with the one before are moved to the
-    front of the buffer, and the others are one GEMM, :func:`conv1x1`'s
+    """A reader (see :func:`_rolling_rows`) of the 1 x 1 conv wd x + bias of
+    the plane xd (n, c, h, w) by weights wd (d, c, 1, 1): ``read(pr)`` gives
+    plane rows pr, at most ``size`` of them, as (n, d, rows, w) in
+    ``dtype``.  The new rows of a block are one GEMM, :func:`conv1x1`'s
     whole-plane GEMM over fewer columns.  OpenBLAS rounds a GEMM of a few
     hundred columns or fewer with another kernel, so a short block's last
     bits can differ from conv1x1's; like the strips, they depend on the
@@ -370,23 +419,13 @@ def _compressed_rows(xd, wd, bias, size, dtype):
     n, c, h, w = xd.shape
     d = wd.shape[0]
     wm = wd.reshape(1, d, c)
-    buf = np.empty((n, d, size, w), dtype)
-    held = slice(0, 0)
 
-    def read(pr):
-        nonlocal held
-        keep = max(held.stop - pr.start, 0)
-        buf[:, :, :keep] = buf[:, :, pr.start - held.start : held.stop - held.start]
-        if pr.start + keep < pr.stop:
-            new = buf[:, :, keep : pr.stop - pr.start]
-            rows = xd[:, :, pr.start + keep : pr.stop]
-            _gemm(wm, rows.reshape(n, 1, c, -1), out=new.reshape(n, 1, d, -1))
-            if bias is not None:
-                new += bias[:, None, None]
-        held = pr
-        return buf[:, :, : pr.stop - pr.start]
+    def fill(dst, rows):
+        _gemm(wm, xd[:, :, rows].reshape(n, 1, c, -1), out=dst.reshape(n, 1, d, -1))
+        if bias is not None:
+            dst += bias[:, None, None]
 
-    return read
+    return _rolling_rows(fill, (n, d, size, w), dtype)
 
 
 def _conv(x, w, bias, k, groups, name, compressor=None):
@@ -407,26 +446,33 @@ def _conv(x, w, bias, k, groups, name, compressor=None):
     is then the view of S at offset i pw.
 
     The forward, ``vjp_w`` and ``vjp_x`` each walk their own list of
-    strips.  Strip (y0, m) has output rows y0 .. y0 + m and reads S's grid
-    rows y0 .. y0 + m + halo, which hold plane rows pr: building S copies
-    them into one reused buffer, and ``vjp_x``'s fold, its adjoint, adds
-    back onto them.  A compressed plane's rows come from
-    :func:`_compressed_rows`, which keeps the halo rows two strips share,
-    so a pass computes each row once.  A pass's strip has as many rows as
-    keep S and the pass's other scratch per row within max(o h w,
+    strips, building S in one reused buffer.  A forward strip (u0, m) holds
+    S's grid rows u0 .. u0 + m, so each grid row is built and multiplied
+    once.  A backward strip (y0, m) has output rows y0 .. y0 + m and reads
+    grid rows y0 .. y0 + m + halo, which hold plane rows pr; ``vjp_x``'s
+    fold, the adjoint of building S, adds back onto them.  A compressed
+    plane's rows come from :func:`_compressed_rows`, which keeps the rows
+    two strips share, so a pass computes each row once.  A pass's strip has
+    as many rows as keep its scratch per row within max(o h w,
     _STRIP_FLOOR) values per batch item (o h w is the output); the
     compressed rows add 1/k of S again.  No GEMM shape depends on the
     batch size, but every buffer holds all n items, so the scratch grows
-    linearly with the batch.  The forward's scratch is S; ``vjp_w``'s is S
-    and the gradient copied onto S's pitch; ``vjp_x``'s is dS and the stack
-    of gradient rows.  A 1 x 1 kernel with no compressor takes S as x
+    linearly with the batch.  The forward's scratch is S and the k kernel
+    rows' products, k o m pw values per item; ``vjp_w``'s is S and the
+    gradient copied onto S's pitch; ``vjp_x``'s is dS and the stack of
+    gradient rows.  A 1 x 1 kernel with no compressor takes S as x
     itself: one GEMM into the output, and VJPs of one GEMM each
     (:func:`_pointwise_vjps`).
 
-    Per strip, batch item and group, one (k o/g, c/g k) @ (c/g k, (m +
-    halo) pw) GEMM gives the products of all k kernel rows; kernel row i's
-    is read i pw further on, and the k products sum in row order on the pw
-    pitch.  ``vjp_w`` builds S again, as the tape holds none, and adds one
+    Per forward strip, batch item and group, one (k o/g, c/g k) @ (c/g k,
+    m pw) GEMM gives the products of all k kernel rows.  Grid row u of
+    kernel row i is a term of output row u - i, which the strip writes
+    into the output (the first term) or adds to it (the others).  An
+    output row's terms can come from two strips, but strips run in order
+    and add their kernel rows in order, so the k terms sum in row order
+    wherever the strips split the grid; a strip's height can still move
+    late bits through the GEMM's column count (see :func:`_compressed_rows`).
+    ``vjp_w`` builds S again, as the tape holds none, and adds one
     transposed GEMM per kernel row, summed over the batch; the gradient's
     junk columns are zeros.  ``vjp_x`` stacks the strip's gradient rows
     once per kernel row i, shifted down by i rows, so dS is one GEMM with
@@ -453,28 +499,23 @@ def _conv(x, w, bias, k, groups, name, compressor=None):
     budget = max(o * h * wid, _STRIP_FLOOR)
     s_row = c * k * pw  # S's values per grid row and batch item
 
-    def strips(per_row):
-        """The strips (y0, m) of a pass whose scratch holds ``per_row``
-        values per grid row and batch item: as many rows as fit the budget."""
-        rows = min(max(budget // per_row - halo, 1), h)
-        return [(y0, min(rows, h - y0)) for y0 in range(0, h, rows)]
-
-    def walk(part):
-        """Each strip (y0, m) of ``part`` with its S, (n, g, c/g k, (m + halo) pw);
-        the buffer's padding columns are zeroed once, its padding rows per strip."""
-        taps = np.zeros((n, c, k, part[0][1] + halo, pw), pt)
+    def walk(part, extra=halo):
+        """Each strip (y0, m) of ``part`` with its S on grid rows y0 .. y0 + m +
+        ``extra``, (n, g, c/g k, (m + extra) pw); the buffer's padding columns
+        are zeroed once, its padding rows per strip."""
+        taps = np.zeros((n, c, k, part[0][1] + extra, pw), pt)
         read = (
             (lambda pr: xd[:, :, pr]) if compressor is None
-            else _compressed_rows(xd, wcd, bcd, min(part[0][1] + halo, h), pt)
+            else _compressed_rows(xd, wcd, bcd, min(part[0][1] + extra, h), pt)
         )
         for y0, m in part:
-            pr, ur = _tap_run(h, k // 2, y0, m + halo)
+            pr, ur = _tap_run(h, k // 2, y0, m + extra)
             rows = read(pr)
             for j, (pc, uc) in enumerate(cols):
                 t = taps[:, :, j]
                 t[..., : ur.start, uc] = t[..., ur.stop :, uc] = 0
                 t[..., ur, uc] = rows[..., pc]
-            yield y0, m, taps.reshape(n, g, c // g * k, -1)[..., : (m + halo) * pw]
+            yield y0, m, taps.reshape(n, g, c // g * k, -1)[..., : (m + extra) * pw]
 
     def shifted(grad, r, y0, m):
         """The gradient's rows y0 .. y0 + m on S's grid once per kernel row
@@ -493,7 +534,7 @@ def _conv(x, w, bias, k, groups, name, compressor=None):
     def vjp_x(grad):
         wt = wr.transpose(1, 3, 0, 2).reshape(g, c // g * k, -1)
         dt = np.result_type(wr, grad)
-        part = strips(s_row + k * o * pw)  # dS and the stack of k gradient copies
+        part = _strips(h, halo, budget, s_row + k * o * pw)  # dS and the stack of k gradient copies
         ds = np.empty((n, g, c // g * k, (part[0][1] + halo) * pw), dt)
         dx = None
         for y0, m in part:
@@ -510,7 +551,7 @@ def _conv(x, w, bias, k, groups, name, compressor=None):
     def vjp_w(grad):
         dw = np.zeros(wd.shape, np.result_type(grad, pt))
         dwr = dw.reshape(g, o // g, c // g, k, k)
-        for y0, m, taps in walk(strips(s_row + o * pw)):  # S and the gradient on its pitch
+        for y0, m, taps in walk(_strips(h, halo, budget, s_row + o * pw)):  # S and the gradient on its pitch
             gm = shifted(grad, 1, y0, m)[..., : m * pw]
             for i in range(k):
                 ti = taps[..., i * pw : (i + m) * pw]
@@ -527,20 +568,23 @@ def _conv(x, w, bias, k, groups, name, compressor=None):
     else:
         # the k kernel rows stacked as (g, k o/g, c/g k)
         wk = wr.swapaxes(0, 1).reshape(g, -1, c // g * k)
-        fwd = strips(s_row)
-        strip = fwd[0][1]
-        prod = np.empty(n * k * o * (strip + halo) * pw, out.dtype)
-        acc = np.empty(n * o * strip * pw, out.dtype)
-        for y0, m, taps in walk(fwd):
-            span = (m + halo) * pw
-            p = prod[: n * k * o * span].reshape(n, g, -1, span)
+        # strips of grid rows, each with S and the k kernel rows' products
+        fwd = _strips(h + halo, 0, budget, s_row + k * o * pw)
+        prod = np.empty(n * k * o * fwd[0][1] * pw, out.dtype)
+        out5 = out.reshape(n, g, o // g, h, wid)
+        for u0, m, taps in walk(fwd, 0):
+            p = prod[: n * k * o * m * pw].reshape(n, g, k * o // g, m * pw)
             _gemm(wk, taps, out=p)
-            p = p.reshape(n, g, k, o // g, span)
-            head = p[:, :, 0, :, : m * pw]
-            for i in range(1, k):
-                term = p[:, :, i, :, i * pw : (i + m) * pw]
-                head = np.add(head, term, out=acc[: n * o * m * pw].reshape(head.shape))
-            out[:, :, y0 : y0 + m] = head.reshape(n, o, m, pw)[..., :wid]
+            terms = p.reshape(n, g, k, o // g, m, pw)[..., :wid]
+            for i in range(k):  # grid row u of kernel row i adds to output row u - i
+                y0, y1 = max(u0 - i, 0), min(u0 + m - i, h)
+                if y0 >= y1:
+                    continue
+                term, dst = terms[:, :, i, :, y0 + i - u0 : y1 + i - u0], out5[..., y0:y1, :]
+                if i == 0:  # every output row's first term
+                    dst[...] = term
+                else:
+                    dst += term
     if bias is not None:
         bd = value_of(bias)[None, :, None, None]
         out = np.add(out, bd, out=out if np.result_type(out, bd) == out.dtype else None)
@@ -637,7 +681,7 @@ def add_nearest_x2(hi, lo):
     out = np.empty(hd.shape, np.result_type(hd, ld))
     for r, s in _PHASES:
         np.add(hd[..., r::2, s::2], ld, out=out[..., r::2, s::2])
-    return _emit(out, [(hi, lambda g: g), (lo, _window_sum)], name="add_nearest_x2")
+    return _emit(out, [(lo, _window_sum), (hi, lambda g: g)], name="add_nearest_x2")
 
 
 def _bilinear_axis(size: int, align_corners: bool, dtype) -> tuple:
@@ -775,15 +819,14 @@ def concat_channels(a, b):
 _PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _to_phases(a):
-    """(n, ch, 2h, 2w) -> contiguous (n, 2, 2, ch, h, w), phase (i % 2, j % 2) first.
-
-    :func:`interleave2x2` of the four phases in ``_PHASES`` order inverts it.
-    """
+def _phase_rows(a, rows, dst):
+    """Write rows ``rows`` of the phases of a (n, ch, 2h, 2w), the rows 2y and
+    2y + 1 of each y in ``rows``, into dst (n, 2, 2, ch, len(rows), w):
+    dst[:, p, q, :, y, x] is entry (2y + p, 2x + q)."""
     n, ch, h2, w2 = a.shape
-    return np.ascontiguousarray(
-        a.reshape(n, ch, h2 // 2, 2, w2 // 2, 2).transpose(0, 3, 5, 1, 2, 4)
-    )
+    m = rows.stop - rows.start
+    block = a[:, :, 2 * rows.start : 2 * rows.stop].reshape(n, ch, m, 2, w2 // 2, 2)
+    dst[...] = block.transpose(0, 3, 5, 1, 2, 4)
 
 
 def _by_position(a):
@@ -817,14 +860,15 @@ def _shifted_rows(xd, k, y0, xs):
     return xs
 
 
-def _window_matrices(xd, k, dtype):
-    """(n, c, h, w) decoder -> view (n, h, w, 1, c, K^2) of every zero-padded K x K window."""
-    n, c, h, w = xd.shape
-    xs = _shifted_rows(xd, k, 0, np.zeros((n, c, h, w + k - 1, k), dtype))
+def _window_matrices(xs):
+    """The row-shifted copy xs (n, c, rows, w + K - 1, K) of :func:`_shifted_rows`
+    -> view (n, rows, w, 1, c, K^2) of each of its decoder positions'
+    zero-padded K x K window."""
+    n, c, rows, wp, k = xs.shape
     return (
         sliding_window_view(xs, k, axis=3)
         .transpose(0, 2, 3, 1, 5, 4)
-        .reshape(n, h, w, 1, c, k * k)
+        .reshape(n, rows, wp - k + 1, 1, c, k * k)
     )
 
 
@@ -890,40 +934,65 @@ def reassemble(x_de, kernels, k: int):
                 out=dst.reshape(n, c, rows, 2, nb, 2 * bw).transpose(0, 2, 4, 3, 1, 5),
             )
 
+    # Each VJP walks strips of decoder rows whose scratch stays within half
+    # the output per batch item.  A strip pays each tap's NumPy calls again,
+    # so the floor is twice the convolution's: a toy net's 24^2 plane is one
+    # strip, as it was one whole-plane pass.
+    budget = max(2 * c * h * w, 2 * _STRIP_FLOOR)
+
     def vjp_x(g):
         # A tap loop, not the transposed GEMM: that would scatter K^2
         # overlapping windows back onto the decoder, which at toy-training
         # planes is slower and allocates more.  Each tap's four phase products
         # scatter-add onto the part of the decoder that tap read; what it
         # read of the zero padding gets nothing, so dx needs no padded border.
-        gph, kph = _to_phases(g), _to_phases(kd)
+        # It runs by strips of dx rows; a strip's taps read the gradient's and
+        # the kernel map's phases on the strip's decoder rows and r more on
+        # each side, which _rolling_rows reads once each, so every dx entry
+        # sums its taps in tap order, whatever the strips.
+        per_row = (4 * (c + k2) + 2 * c) * w  # both phase blocks, part and prod
+        part_rows = _strips(h, 2 * r, budget, per_row)
+        size = min(part_rows[0][1] + 2 * r, h)
+        gph = _rolling_rows(lambda dst, rows: _phase_rows(g, rows, dst), (n, 2, 2, c, size, w), g.dtype)
+        kph = _rolling_rows(lambda dst, rows: _phase_rows(kd, rows, dst), (n, 2, 2, k2, size, w), kd.dtype)
         dxd = np.zeros((n, c, h, w), g.dtype)
-        part = np.empty((n, c, h, w), g.dtype)
-        prod = np.empty((n, c, h, w), g.dtype)
-        for m in range(k2):
-            dy, dx = divmod(m, k)
-            np.multiply(gph[:, 0, 0], kph[:, 0, 0, m, None], out=part)
-            for a, b in _PHASES[1:]:
-                np.multiply(gph[:, a, b], kph[:, a, b, m, None], out=prod)
-                part += prod
-            (ty, sy), (tx, sx) = _tap_run(h, r, dy, h), _tap_run(w, r, dx, w)
-            dxd[:, :, ty, tx] += part[:, :, sy, sx]
+        part = np.empty(n * c * part_rows[0][1] * w, g.dtype)  # flat, so each tap's is contiguous
+        prod = np.empty_like(part)
+        cols = [_tap_run(w, r, dx, w) for dx in range(k)]
+        for y0, m in part_rows:
+            pr = slice(max(y0 - r, 0), min(y0 + m + r, h))
+            gs, ks = gph(pr), kph(pr)
+            for t in range(k2):
+                dy, dx = divmod(t, k)
+                ty, sy = _tap_run(m, r + y0 - pr.start, dy, pr.stop - pr.start)
+                tx, sx = cols[dx]
+                count = n * c * (sy.stop - sy.start) * w
+                pt, pd = part[:count].reshape(n, c, -1, w), prod[:count].reshape(n, c, -1, w)
+                np.multiply(gs[:, 0, 0, :, sy], ks[:, 0, 0, t, None, sy], out=pt)
+                for a, b in _PHASES[1:]:
+                    np.multiply(gs[:, a, b, :, sy], ks[:, a, b, t, None, sy], out=pd)
+                    pt += pd
+                dxd[:, :, y0 + ty.start : y0 + ty.stop, tx] += pt[..., sx]
         return dxd
 
     def vjp_k(g):
-        # the transposed GEMM over the same windows: (K^2, C) @ (C, 2).  The
-        # windows are rebuilt here rather than kept on the tape, which would
-        # hold a K-fold copy of the decoder per node until backward.  g takes
+        # the transposed GEMM over the same windows: (K^2, C) @ (C, 2), by
+        # strips of decoder rows whose row-shifted copy is built as the
+        # forward builds it, rather than kept on the tape, which would hold
+        # a K-fold copy of the decoder per node until backward.  g takes
         # the window's dtype, as a mixed-dtype matmul would copy the K^2-fold
         # window view to cast it.  The result is written into an array in
         # the kernel map's shape and dtype, which the tape keeps as is.
-        dkq = np.matmul(
-            _window_matrices(xd, k, dtype).swapaxes(-1, -2),
-            _by_position(np.asarray(g, dtype=dtype)),
-        )
-        dk = np.empty(kd.shape, kd.dtype)
-        taps = dkq.reshape(n, h, w, 2, k, k, 2).transpose(0, 5, 4, 1, 3, 2, 6)
-        dk.reshape(n, k, k, h, 2, w, 2)[...] = taps
+        dk = None
+        for y0, m in _strips(h, 0, budget, c * (w + 2 * r) * k + 4 * k2 * w):  # xs and the products
+            xs = _shifted_rows(xd, k, y0, np.zeros((n, c, m, w + 2 * r, k), dtype))
+            gm = np.asarray(g[:, :, 2 * y0 : 2 * (y0 + m)], dtype=dtype)
+            dkq = np.matmul(_window_matrices(xs).swapaxes(-1, -2), _by_position(gm))
+            del xs  # before dk exists, so one strip holds what one whole-plane pass did
+            if dk is None:
+                dk = np.empty(kd.shape, kd.dtype)
+            taps = dkq.reshape(n, m, w, 2, k, k, 2).transpose(0, 5, 4, 1, 3, 2, 6)
+            dk.reshape(n, k, k, h, 2, w, 2)[:, :, :, y0 : y0 + m] = taps
         return dk
 
     return _emit(out, [(x_de, vjp_x), (kernels, vjp_k)], name="reassemble")
@@ -959,7 +1028,18 @@ def blend(f_en, f_up, g, *, overwrite_up: bool = False):
         out[:, chunk] += fe[:, chunk] * gd
 
     def vjp_g(grad):
-        return _unbroadcast(grad * (fe - fu), gd.shape)
+        # grad (fe - fu) summed over the channels, _BLEND_CHUNK of them at a
+        # time and added in channel order, as the full product's sum adds them
+        dg = None
+        for c0 in range(0, shape[1], _BLEND_CHUNK):
+            chunk = slice(c0, c0 + _BLEND_CHUNK)
+            d = grad[:, chunk] * (fe[:, chunk] - fu[:, chunk])
+            if dg is None:
+                dg = d.sum(axis=1, keepdims=True)
+                continue
+            for i in range(d.shape[1]):
+                dg += d[:, i : i + 1]
+        return _unbroadcast(dg, gd.shape)
 
     return _emit(
         out,

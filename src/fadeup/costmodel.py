@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .autograd import value_of
 from .operators import VARIANT_SPECS, OperatorConfig, UpsampleOperator, effective_gate_mode
 

@@ -76,6 +76,16 @@ def _is_depthwise(generator: ConvWeights, d: int) -> bool:
     return generator.in_channels == 1 != d
 
 
+def _check_generator_input(compressor: ConvWeights, generator: ConvWeights) -> None:
+    """A dense generator convolves the compressed map, so its in_channels are
+    the compressor's out_channels."""
+    if generator.in_channels != compressor.out_channels:
+        raise ShapeError(
+            f"compressor/generator channel mismatch: the compressor emits "
+            f"{compressor.out_channels} channels, the generator reads {generator.in_channels}"
+        )
+
+
 @dataclass
 class SemiShiftParams:
     """Channel compressors plus the shared 3x3 kernel generator.
@@ -109,8 +119,8 @@ class SemiShiftParams:
         if _is_depthwise(self.generator, d):
             if self.generator.out_channels != d:
                 raise ShapeError("depthwise generator must cover K^2 channels")
-        elif self.generator.in_channels != d:
-            raise ShapeError("compressor/generator channel mismatch")
+        else:
+            _check_generator_input(self.compressor_en, self.generator)
         k2 = self.generator.out_channels
         if self.compressor_de.out_channels != d:
             raise ShapeError("compressors must agree on compressed channels")
@@ -129,6 +139,7 @@ class NaiveParams:
             raise ShapeError("naive compressor must be 1x1")
         if self.generator.k != 3:
             raise ShapeError("generator window is fixed at 3x3")
+        _check_generator_input(self.compressor, self.generator)
         self.kernel_size = _square_kernel_side(self.generator.out_channels)
 
 
@@ -148,6 +159,7 @@ class CarafeParams:
             raise ShapeError("content encoder window is fixed at 3x3")
         if self.content_encoder.out_channels % 4:
             raise ShapeError("content encoder must emit 4*K^2 channels")
+        _check_generator_input(self.compressor, self.content_encoder)
         self.kernel_size = _square_kernel_side(self.content_encoder.out_channels // 4)
 
 
@@ -165,6 +177,7 @@ class EncoderOnlyParams:
             raise ShapeError("encoder compressor must be bias-free")
         if self.generator.k != 3:
             raise ShapeError("generator window is fixed at 3x3")
+        _check_generator_input(self.compressor, self.generator)
         self.kernel_size = _square_kernel_side(self.generator.out_channels)
 
 

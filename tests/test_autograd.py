@@ -409,6 +409,77 @@ class TestGradientOwnership:
         out._backprop(rng.normal(size=out.shape).astype(out.dtype))
         assert kept == [True] * len(out.record._parents)
 
+    def test_pass_through_gradient_is_handed_to_the_last_parent(self, monkeypatch):
+        """backward gives up each record's gradient: a last VJP that returns
+        it unchanged hands the array itself to a parent with no gradient yet
+        (add_nearest_x2's hi, then add's y), while earlier parents get
+        arrays of their own."""
+        arrays = {}
+        accumulate = ag.Record.accumulate
+
+        def logged(rec, g, owned=False):
+            arrays.setdefault(rec, g)
+            accumulate(rec, g, owned)
+
+        rng = np.random.default_rng(37)
+        x, y = Node(rng.normal(size=(2, 3, 4, 4))), Node(rng.normal(size=(2, 3, 4, 4)))
+        lo = Node(rng.normal(size=(2, 3, 2, 2)))
+        out = ag.add_nearest_x2(ag.add(x, y), lo)
+        monkeypatch.setattr(ag.Record, "accumulate", logged)
+        backward(ag.sum_all(ag.mul(out, rng.normal(size=out.shape))))
+        first = arrays[out.record]  # mul's VJP result, kept by add_nearest_x2's record
+        assert y.grad is first and arrays[out.record._parents[1]] is first
+        assert x.grad is not first and lo.grad is not first
+        assert not any(np.shares_memory(a.grad, b.grad) for a, b in ((x, y), (x, lo), (y, lo)))
+
+    def test_handed_gradients_are_never_shared(self):
+        """Leaves reached through chains of pass-throughs, one of them twice:
+        after two backward passes no two leaves share a gradient array, and
+        each holds twice its first gradient."""
+        rng = np.random.default_rng(38)
+        x, y, z = (Node(rng.normal(size=(1, 2, 4, 4))) for _ in range(3))
+        c = rng.normal(size=(1, 2, 4, 4))
+        loss = ag.sum_all(ag.mul(ag.add(ag.add(x, y), ag.add(z, y)), c))
+        backward(loss)
+        once = [a.grad.copy() for a in (x, y, z)]
+        backward(loss)
+        for a, b in ((x, y), (x, z), (y, z)):
+            assert not np.shares_memory(a.grad, b.grad)
+        for a, first in zip((x, y, z), once):
+            np.testing.assert_array_equal(a.grad, 2 * first)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_handed_gradient_turns_negative_zero_as_a_copy_does(self, dtype):
+        """A handed first gradient has the bits that zeros plus the gradient
+        would have: -0.0 arrives as 0.0 in the parent that takes the array
+        and in the one that gets a copy; every other entry is unchanged."""
+        x, y = Node(np.ones(4, dtype)), Node(np.ones(4, dtype))
+        c = np.array([-0.0, 1.0, -2.5, np.inf], dtype)
+        backward(ag.sum_all(ag.mul(ag.add(x, y), c)))
+        want = np.zeros(4, dtype) + c
+        for a in (x, y):
+            assert a.grad.dtype == dtype and a.grad.tobytes() == want.tobytes()
+        assert not np.signbit(y.grad[0])
+
+    def test_add_nearest_backward_allocates_no_gradient_for_hi(self):
+        """Given up by its caller, add_nearest_x2's gradient becomes hi's: its
+        backprop leaves lo's gradient allocated and nothing for hi, one
+        full-size gradient fewer than a pass that copies it into zeros."""
+        rng = np.random.default_rng(39)
+        kept = {}
+        for own in (True, False):
+            hi, lo = Node(rng.normal(size=(2, 8, 32, 32))), Node(rng.normal(size=(2, 8, 16, 16)))
+            out = ag.add_nearest_x2(hi, lo)
+            g = rng.normal(size=out.shape)
+            tracemalloc.start()
+            try:
+                out._backprop(g, own=own)
+                kept[own] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert (hi.grad is g) == own
+        assert kept[True] <= lo.grad.nbytes + 4096 < kept[False] - 0.95 * g.nbytes, kept
+
     def test_owned_first_gradient_keeps_negative_zero(self):
         """A kept first gradient is the VJP's array bit for bit: -0.0 stays
         -0.0, which zeros plus the gradient would make +0.0."""
@@ -765,6 +836,37 @@ class TestConvAgainstIm2col:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
+
+    @pytest.mark.parametrize(
+        "n,c,d,o,size",
+        [(4, 12, 16, 100, 24), (4, 1, None, 12, 48)],
+        ids=["carafe-content-encoder", "toy-enc0"],
+    )
+    def test_untaped_forward_scratch_is_within_the_budget(self, n, c, d, o, size):
+        """The toy CARAFE content encoder (12 channels through a 16-channel
+        compressor to 100) and the toy net's first conv: beside its output,
+        an untaped forward holds S and the k kernel rows' products within
+        n max(o h w, _STRIP_FLOOR) values, plus the compressed rows,
+        reordered copies of the weights and NumPy's buffers for the strided
+        adds of the products into the output.  With the
+        products outside the budget the encoder peaked at 5.69 MiB for a
+        0.88 MiB output."""
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(n, c, size, size)).astype(np.float32)
+        plane = c if d is None else d
+        w = rng.normal(size=(o, plane, 3, 3)).astype(np.float32)
+        b = rng.normal(size=o).astype(np.float32)
+        comp = None if d is None else (rng.normal(size=(d, c, 1, 1)).astype(np.float32), None)
+        tracemalloc.start()
+        try:
+            out = ag.conv2d(x, w, b, compressor=comp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = n * max(o * size * size, ag._STRIP_FLOOR) * 4
+        rows = 0 if d is None else n * d * size * size * 4  # at most the whole compressed plane
+        scratch = peak - out.nbytes - 2 * w.nbytes - 3 * np.getbufsize() * 4
+        assert scratch <= budget + rows, f"scratch {scratch / budget:.2f}x the budget"
 
     @pytest.mark.parametrize("stride,pad", [(1, None), *((2, p) for p in _H2L_PADS.values())])
     def test_forward_and_gradients_across_strips(self, stride, pad, monkeypatch):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fadeup import gate
 from fadeup.gate import GateParams, fixed_gate, fuse_gated, generate_gate, make_gate_params
 from fadeup.rng import ShuffledLcg
 from fadeup.tensor import ConvWeights, ShapeError

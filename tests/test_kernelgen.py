@@ -438,6 +438,8 @@ _INVALID_PARAMS = [
                  "naive compressor must be 1x1", id="naive-compressor-1x1"),
     pytest.param(lambda: kg.NaiveParams(_conv(3, 4, 1), _conv(25, 3, 1)),
                  "generator window is fixed at 3x3", id="naive-generator-3x3"),
+    pytest.param(lambda: kg.NaiveParams(_conv(3, 4, 1), _conv(25, 5, 3)),
+                 "compressor/generator channel mismatch", id="naive-generator-channels"),
     pytest.param(lambda: kg.CarafeParams(_conv(3, 2, 3, False), _conv(100, 3, 3)),
                  "compressor must be 1x1", id="carafe-compressor-1x1"),
     pytest.param(lambda: kg.CarafeParams(_conv(3, 2, 1), _conv(100, 3, 3)),
@@ -446,12 +448,16 @@ _INVALID_PARAMS = [
                  "content encoder window is fixed at 3x3", id="carafe-encoder-3x3"),
     pytest.param(lambda: kg.CarafeParams(_conv(3, 2, 1, False), _conv(25, 3, 3)),
                  "content encoder must emit 4*K^2 channels", id="carafe-encoder-4k2"),
+    pytest.param(lambda: kg.CarafeParams(_conv(3, 2, 1, False), _conv(100, 4, 3)),
+                 "compressor/generator channel mismatch", id="carafe-encoder-channels"),
     pytest.param(lambda: kg.EncoderOnlyParams(_conv(3, 2, 3, False), _conv(25, 3, 3)),
                  "compressor must be 1x1", id="encoder-only-compressor-1x1"),
     pytest.param(lambda: kg.EncoderOnlyParams(_conv(3, 2, 1), _conv(25, 3, 3)),
                  "encoder compressor must be bias-free", id="encoder-only-compressor-bias-free"),
     pytest.param(lambda: kg.EncoderOnlyParams(_conv(3, 2, 1, False), _conv(25, 3, 5)),
                  "generator window is fixed at 3x3", id="encoder-only-generator-3x3"),
+    pytest.param(lambda: kg.EncoderOnlyParams(_conv(3, 2, 1, False), _conv(25, 4, 3)),
+                 "compressor/generator channel mismatch", id="encoder-only-generator-channels"),
 ]
 
 

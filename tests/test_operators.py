@@ -289,6 +289,42 @@ class TestForwardMemory:
             tracemalloc.stop()
         assert peak <= 1.5 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
+    @pytest.mark.parametrize("variant,bound", [("fade", 5.4), ("fade_lite", 5.4), ("carafe", 3.1)])
+    def test_taped_forward_and_backward_peak_is_bounded(self, variant, bound):
+        """A taped forward and backward at C=256 with a 32^2 decoder, both
+        inputs and every weight taped, loss sum_all: the blend's gate VJP
+        sums by channel chunks and reassembly's VJPs run by strips of
+        decoder rows, so the peak is 5.26x the output for fade and 3.00x for
+        carafe (6.14x and 4.03x with whole-plane VJP buffers)."""
+        op = build_operator(OperatorConfig(variant, channels=256, compressed=64, kernel_size=5))
+        op.wrap_parameters()
+        x_en, x_de = (ag.Node(a) for a in rnd_pair(20, 1, 256, 32, 32))
+        tracemalloc.start()
+        try:
+            out = op.forward(x_en, x_de)
+            ag.backward(ag.sum_all(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
+
+    def test_naive_peak_is_at_least_twice_fades(self):
+        """The paper's memory claim for semi-shift against the naive concat
+        pipeline, at C=256 with a 32^2 decoder: untaped, b3_naive peaks at
+        3.00x the output and fade at 1.31x.  The ratio depends on the shape:
+        at C=64 with a 56^2 decoder it is only 1.88."""
+        peaks = {}
+        for variant in ("b3_naive", "fade"):
+            op = build_operator(OperatorConfig(variant, channels=256, compressed=64, kernel_size=5))
+            x_en, x_de = rnd_pair(20, 1, 256, 32, 32)
+            tracemalloc.start()
+            try:
+                op.forward(x_en, x_de)
+                peaks[variant] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["b3_naive"] >= 2 * peaks["fade"], peaks
+
     @pytest.mark.parametrize("variant", ["fade", "fade_lite", "fade_g1", "b6_full"])
     @pytest.mark.parametrize("impl", ["l2h", "h2l"])
     def test_untaped_output_equals_taped_bit_for_bit(self, variant, impl):

@@ -7,6 +7,7 @@ import pytest
 from fadeup import autograd as ag
 from fadeup import toy
 from fadeup.autograd import DivergenceError, Node
+from fadeup.cli import ABLATION_VARIANTS
 from fadeup.tensor import ShapeError
 from fadeup.toy import (
     ToyTask,
@@ -280,3 +281,35 @@ class TestRecipeHelpers:
         assert recon.dtype == np.float64
         assert recon.min() == 0.0 and recon.max() == 1.0
         np.testing.assert_array_equal(recon, np.clip(out[:, :1].astype(np.float64), 0.0, 1.0))
+
+
+class TestTrainStepMemory:
+    """One training step of each ablation variant at the ``TrainConfig``
+    defaults (batch 4, 48 x 48 three-class shapes), as the train_ablation
+    benchmark runs it: zero_grad, forward, loss, backward, clipping and the
+    optimizer step.  The peak follows the tape, not the ops' scratch: the
+    conv forward counts its kernel-row products in its strip budget, and
+    backward hands pass-through gradients on.  Before both, b2 peaked at
+    6.896 MiB and b6 at 6.825."""
+
+    @pytest.mark.parametrize("variant", [v for v, _ in ABLATION_VARIANTS])
+    def test_step_peak_is_bounded(self, variant):
+        cfg = TrainConfig(variant)
+        task = ToyTask("multiclass_shapes_segmentation", size=48, classes=3, count=cfg.batch)
+        x, y = make_toy_task(task)
+        net = toy.ToyNet(
+            variant, in_channels=1, out_channels=3, features=cfg.features, compressed=cfg.compressed
+        )
+        opt = ag.MomentumSGD(net.parameters(), cfg.lr, cfg.momentum)
+        inputs = toy.net_inputs(x)
+        tracemalloc.start()
+        try:
+            opt.zero_grad()
+            loss = ag.softmax_cross_entropy(net.forward(inputs), y)
+            ag.backward(loss)
+            toy._clip_gradients(net.parameters(), cfg.clip_norm)
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.65 * 2**20, f"peak {peak / 2**20:.3f} MiB"
