@@ -16,8 +16,11 @@ forms are provided, two of them as one function:
   at low resolution.
 
 Each form serves FADE's dense generator and FADE-Lite's depthwise one.
-Plus the naive concat pipeline, and the decoder-only / encoder-only
-generators used by the ablations.
+Plus the naive concat pipeline, and the decoder-only (CARAFE) and
+encoder-only generators used by the ablations: each is a 1x1 compressor
+then a 3x3 generator, one :class:`PairParams` drawn by
+:func:`make_pair_params`, and they differ only in what the compressor reads
+and how many K^2 blocks the generator emits.
 """
 
 from __future__ import annotations
@@ -128,57 +131,26 @@ class SemiShiftParams:
 
 
 @dataclass
-class NaiveParams:
-    """Concat pipeline: 1x1 compressor 2C -> d, then 3x3 generator d -> K^2."""
+class PairParams:
+    """A 1x1 compressor, then a 3x3 generator emitting ``phases`` blocks of
+    K^2 channels: the naive concat pipeline (2C -> d, the compressor with a
+    bias), CARAFE's content encoder (C -> d -> 4K^2, ``phases=4``) and the
+    encoder-only generator (C -> d -> K^2).  The generator's bias is applied,
+    and the compressor's if it has one."""
 
-    compressor: ConvWeights  # k=1, 2C -> d, with bias
-    generator: ConvWeights  # k=3, d -> K^2, with bias
-
-    def __post_init__(self):
-        if self.compressor.k != 1:
-            raise ShapeError("naive compressor must be 1x1")
-        if self.generator.k != 3:
-            raise ShapeError("generator window is fixed at 3x3")
-        _check_generator_input(self.compressor, self.generator)
-        self.kernel_size = _square_kernel_side(self.generator.out_channels)
-
-
-@dataclass
-class CarafeParams:
-    """Decoder-only generator: 1x1 compressor, 3x3 content encoder to 4K^2."""
-
-    compressor: ConvWeights  # k=1, C -> d, bias-free
-    content_encoder: ConvWeights  # k=3, d -> 4K^2, with bias
+    compressor: ConvWeights  # k=1, in_channels -> d
+    generator: ConvWeights  # k=3, d -> phases * K^2, with bias
+    phases: int = 1
 
     def __post_init__(self):
         if self.compressor.k != 1:
             raise ShapeError("compressor must be 1x1")
-        if self.compressor.bias is not None:
-            raise ShapeError("compressor is bias-free; the content encoder has bias")
-        if self.content_encoder.k != 3:
-            raise ShapeError("content encoder window is fixed at 3x3")
-        if self.content_encoder.out_channels % 4:
-            raise ShapeError("content encoder must emit 4*K^2 channels")
-        _check_generator_input(self.compressor, self.content_encoder)
-        self.kernel_size = _square_kernel_side(self.content_encoder.out_channels // 4)
-
-
-@dataclass
-class EncoderOnlyParams:
-    """Encoder-only generator at high resolution."""
-
-    compressor: ConvWeights  # k=1, C -> d, bias-free
-    generator: ConvWeights  # k=3, d -> K^2, with bias
-
-    def __post_init__(self):
-        if self.compressor.k != 1:
-            raise ShapeError("compressor must be 1x1")
-        if self.compressor.bias is not None:
-            raise ShapeError("encoder compressor must be bias-free")
         if self.generator.k != 3:
             raise ShapeError("generator window is fixed at 3x3")
         _check_generator_input(self.compressor, self.generator)
-        self.kernel_size = _square_kernel_side(self.generator.out_channels)
+        if self.generator.out_channels % self.phases:
+            raise ShapeError(f"generator must emit {self.phases}*K^2 channels")
+        self.kernel_size = _square_kernel_side(self.generator.out_channels // self.phases)
 
 
 def check_x2_pair(x_en, x_de) -> None:
@@ -287,7 +259,7 @@ SEMISHIFT_FORMS = {
 DEFAULT_FORM = "l2h"
 
 
-def naive_kernelgen(x_en, x_de, p: NaiveParams) -> KernelMap:
+def naive_kernelgen(x_en, x_de, p: PairParams) -> KernelMap:
     """Interpolate-concat-compress-convolve pipeline, all at high resolution.
 
     Channel order in the concatenation is (encoder, decoder).
@@ -297,13 +269,13 @@ def naive_kernelgen(x_en, x_de, p: NaiveParams) -> KernelMap:
     return KernelMap(_compress_generate(stacked, p.compressor, p.generator), p.kernel_size)
 
 
-def carafe_kernelgen(x_de, p: CarafeParams) -> KernelMap:
+def carafe_kernelgen(x_de, p: PairParams) -> KernelMap:
     """Decoder-only generation at low resolution, expanded by pixel shuffle."""
-    encoded = _compress_generate(x_de, p.compressor, p.content_encoder)
+    encoded = _compress_generate(x_de, p.compressor, p.generator)
     return KernelMap(ag.pixel_shuffle_x2(encoded), p.kernel_size)
 
 
-def encoder_only_kernelgen(x_en, p: EncoderOnlyParams) -> KernelMap:
+def encoder_only_kernelgen(x_en, p: PairParams) -> KernelMap:
     """Kernel map straight from the high-res encoder feature."""
     return KernelMap(_compress_generate(x_en, p.compressor, p.generator), p.kernel_size)
 
@@ -340,44 +312,20 @@ def make_semishift_lite_params(
     )
 
 
-def make_naive_params(
-    rng: ShuffledLcg, channels: int, compressed: int, kernel_size: int, dtype
-) -> NaiveParams:
-    k2 = kernel_size * kernel_size
-    return NaiveParams(
-        init_conv_weights(rng, compressed, 2 * channels, 1, dtype),
-        init_conv_weights(rng, k2, compressed, 3, dtype),
+def make_pair_params(
+    rng: ShuffledLcg,
+    in_channels: int,
+    compressed: int,
+    kernel_size: int,
+    dtype,
+    compressor_bias: bool = False,
+    phases: int = 1,
+) -> PairParams:
+    return PairParams(
+        init_conv_weights(rng, compressed, in_channels, 1, dtype, bias=compressor_bias),
+        init_conv_weights(rng, phases * kernel_size**2, compressed, 3, dtype),
+        phases,
     )
-
-
-def make_carafe_params(
-    rng: ShuffledLcg, channels: int, compressed: int, kernel_size: int, dtype
-) -> CarafeParams:
-    k2 = kernel_size * kernel_size
-    return CarafeParams(
-        init_conv_weights(rng, compressed, channels, 1, dtype, bias=False),
-        init_conv_weights(rng, 4 * k2, compressed, 3, dtype),
-    )
-
-
-def make_encoder_only_params(
-    rng: ShuffledLcg, channels: int, compressed: int, kernel_size: int, dtype
-) -> EncoderOnlyParams:
-    k2 = kernel_size * kernel_size
-    return EncoderOnlyParams(
-        init_conv_weights(rng, compressed, channels, 1, dtype, bias=False),
-        init_conv_weights(rng, k2, compressed, 3, dtype),
-    )
-
-
-def make_channel_adapter(
-    rng: ShuffledLcg, in_channels: int, out_channels: int, dtype
-) -> ConvWeights:
-    """Optional 1x1 adapter for unequal encoder/decoder channel counts.
-
-    Counted outside the standard parameter formulas.
-    """
-    return init_conv_weights(rng, out_channels, in_channels, 1, dtype)
 
 
 def apply_channel_adapter(x, adapter: ConvWeights):

@@ -20,7 +20,7 @@ import numpy as np
 from . import assemble, gate, kernelgen
 from . import tensor as T
 from .autograd import Node, value_of
-from .rng import ShuffledLcg
+from .rng import ShuffledLcg, init_conv_weights
 from .tensor import FormatError, ShapeError, check_nchw
 
 # The generator and baseline lambdas below look kernelgen/assemble functions
@@ -33,7 +33,8 @@ class KernelSource:
     """One kernel-generator family.
 
     ``make_params(rng, C, d, K, dtype)`` draws the parameter dataclass,
-    whose fields are ConvWeights in slot order;
+    whose leading fields are ConvWeights in slot order; ``slots`` names
+    them, as the checkpoint does (``<slot>.weights``, ``<slot>.bias``);
     ``generate(guide, x_de, params, impl)`` returns the raw KernelMap;
     ``guided`` says whether it reads the encoder guide; ``counted(C, d,
     K2)`` is the closed-form weight count (biases excluded).
@@ -43,6 +44,7 @@ class KernelSource:
     generate: Callable
     guided: bool
     counted: Callable[[int, int, int], int]
+    slots: tuple[str, ...] = ("compressor", "generator")
 
 
 _SEMISHIFT = KernelSource(
@@ -50,27 +52,32 @@ _SEMISHIFT = KernelSource(
     lambda guide, x_de, p, impl: kernelgen.SEMISHIFT_FORMS[impl](guide, x_de, p),
     guided=True,
     counted=lambda C, d, K2: 2 * C * d + 9 * K2 * d,
+    slots=("compressor_en", "compressor_de", "generator"),
 )
 _LITE = KernelSource(
     lambda rng, C, d, K, dtype: kernelgen.make_semishift_lite_params(rng, C, K, dtype),
     _SEMISHIFT.generate,  # each semi-shift form takes the depthwise generator too
     guided=True,
     counted=lambda C, d, K2: 2 * C * K2 + 9 * K2,
+    slots=_SEMISHIFT.slots,
 )
 _CARAFE = KernelSource(
-    kernelgen.make_carafe_params,
+    lambda rng, C, d, K, dtype: kernelgen.make_pair_params(rng, C, d, K, dtype, phases=4),
     lambda guide, x_de, p, impl: kernelgen.carafe_kernelgen(x_de, p),
     guided=False,
     counted=lambda C, d, K2: C * d + 36 * K2 * d,
+    slots=("compressor", "content_encoder"),
 )
 _ENCODER_ONLY = KernelSource(
-    kernelgen.make_encoder_only_params,
+    kernelgen.make_pair_params,
     lambda guide, x_de, p, impl: kernelgen.encoder_only_kernelgen(guide, p),
     guided=True,
     counted=lambda C, d, K2: C * d + 9 * K2 * d,
 )
 _NAIVE = KernelSource(
-    kernelgen.make_naive_params,
+    lambda rng, C, d, K, dtype: kernelgen.make_pair_params(
+        rng, 2 * C, d, K, dtype, compressor_bias=True
+    ),
     lambda guide, x_de, p, impl: kernelgen.naive_kernelgen(guide, x_de, p),
     guided=True,
     counted=lambda C, d, K2: 2 * C * d + 9 * K2 * d,
@@ -209,15 +216,13 @@ class UpsampleOperator:
             self.kernel_params = source.make_params(
                 rng, cfg.channels, cfg.compressed, cfg.kernel_size, cfg.dtype
             )
-            for f in fields(self.kernel_params):
-                self._slots += _weight_slots(f.name, getattr(self.kernel_params, f.name))
+            for name, f in zip(source.slots, fields(self.kernel_params)):
+                self._slots += _weight_slots(name, getattr(self.kernel_params, f.name))
         if effective_gate_mode(cfg) == "learned":
             self.gate_params = gate.make_gate_params(rng, cfg.channels, cfg.dtype)
             self._slots += _weight_slots("gate", self.gate_params.projector)
         if cfg.encoder_channels is not None and cfg.encoder_channels != cfg.channels:
-            self.adapter = kernelgen.make_channel_adapter(
-                rng, cfg.encoder_channels, cfg.channels, cfg.dtype
-            )
+            self.adapter = init_conv_weights(rng, cfg.channels, cfg.encoder_channels, 1, cfg.dtype)
             self._slots += _weight_slots("adapter", self.adapter, "adapter", "adapter")
 
     # -- parameter access ----------------------------------------------------
@@ -254,6 +259,12 @@ class UpsampleOperator:
         for s, v in zip(self._slots, values):
             if value_of(v).shape != value_of(getattr(s.owner, s.attr)).shape:
                 raise ShapeError(f"shape mismatch for parameter {s.name}")
+            if value_of(v).dtype != self.config.dtype:
+                raise ShapeError(
+                    f"parameter {s.name} dtype {value_of(v).dtype} does not match "
+                    f"operator precision {self.config.precision}"
+                )
+        for s, v in zip(self._slots, values):
             setattr(s.owner, s.attr, v)
 
     # -- forward -------------------------------------------------------------

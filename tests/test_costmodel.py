@@ -197,6 +197,16 @@ class TestReconcile:
             assert report.ok
             assert report.counted == cm.params_of(cfg)
 
+    @pytest.mark.parametrize(
+        "row,gate_mode", [("fade", None), ("fade", "none"), ("fade_lite", None),
+                          ("fade_lite", "none"), ("carafe", None)]
+    )
+    def test_live_bias_names_match_the_table_extras(self, row, gate_mode):
+        """The operator's slot names and the cost table's extras keys agree."""
+        cfg = OperatorConfig(row, channels=6, compressed=4, kernel_size=3, gate_mode=gate_mode)
+        q = cm.CostQuery(row, channels=6, compressed=4, kernel_size=3, gate=gate_mode is None)
+        assert cm.reconcile(build_operator(cfg)).extras == cm.flops_of(q).extras
+
     def test_gate_toggle_on_fade_lite(self):
         c, k2 = 256, 25
         gated = OperatorConfig("fade_lite", channels=c, kernel_size=5)

@@ -286,7 +286,7 @@ class TestSemiShiftLite:
 
 class TestNaive:
     def test_shape(self):
-        p = kg.make_naive_params(ShuffledLcg(0), 3, 4, 5, np.float64)
+        p = kg.make_pair_params(ShuffledLcg(0), 6, 4, 5, np.float64, compressor_bias=True)
         x_en, x_de = random_pair(1, 2, 3, 2, 3)
         out = kg.naive_kernelgen(x_en, x_de, p)
         assert out.data.shape == (2, 25, 4, 6)
@@ -296,7 +296,7 @@ class TestNaive:
         pipeline is NOT the semi-shift operator."""
         c, d = 3, 4
         p = random_params(2, c, d)
-        naive = kg.NaiveParams(
+        naive = kg.PairParams(
             ConvWeights(
                 np.concatenate(
                     [p.compressor_en.weights, p.compressor_de.weights], axis=1
@@ -313,8 +313,8 @@ class TestNaive:
     def test_zeroed_decoder_columns_equal_encoder_only(self):
         c, d, k = 2, 3, 5
         rngp = ShuffledLcg(4)
-        enc = kg.make_encoder_only_params(rngp, c, d, k, np.float64)
-        naive = kg.NaiveParams(
+        enc = kg.make_pair_params(rngp, c, d, k, np.float64)
+        naive = kg.PairParams(
             ConvWeights(
                 np.concatenate(
                     [enc.compressor.weights, np.zeros((d, c, 1, 1))], axis=1
@@ -331,13 +331,13 @@ class TestNaive:
 
 class TestCarafe:
     def test_shape(self):
-        p = kg.make_carafe_params(ShuffledLcg(0), 3, 4, 5, np.float64)
+        p = kg.make_pair_params(ShuffledLcg(0), 3, 4, 5, np.float64, phases=4)
         x_de = np.random.default_rng(1).normal(size=(2, 3, 3, 4))
         out = kg.carafe_kernelgen(x_de, p)
         assert out.data.shape == (2, 25, 6, 8)
 
     def test_constant_input_constant_phases_interior(self):
-        p = kg.make_carafe_params(ShuffledLcg(2), 2, 3, 3, np.float64)
+        p = kg.make_pair_params(ShuffledLcg(2), 2, 3, 3, np.float64, phases=4)
         x_de = np.full((1, 2, 5, 5), 0.7)
         out = kg.carafe_kernelgen(x_de, p).data
         interior = out[:, :, 2:-2, 2:-2]
@@ -358,14 +358,14 @@ class TestEncoderOnly:
             ConvWeights(np.zeros_like(p.compressor_de.weights), np.zeros(d)),
             p.generator,
         )
-        enc = kg.EncoderOnlyParams(p.compressor_en, p.generator)
+        enc = kg.PairParams(p.compressor_en, p.generator)
         x_en, x_de = random_pair(7, 1, c, 2, 3)
         want = kg.semishift_direct(x_en, np.zeros_like(x_de), p_zero).data
         got = kg.encoder_only_kernelgen(x_en, enc).data
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_zero_input_gives_bias(self):
-        p = kg.make_encoder_only_params(ShuffledLcg(8), 2, 3, 5, np.float64)
+        p = kg.make_pair_params(ShuffledLcg(8), 2, 3, 5, np.float64)
         rng = np.random.default_rng(9)
         p.generator.bias = rng.normal(size=25)
         out = kg.encoder_only_kernelgen(np.zeros((1, 2, 4, 4)), p).data
@@ -434,29 +434,25 @@ _INVALID_PARAMS = [
                  "generator bias is required", id="lite-generator-bias"),
     pytest.param(lambda: kg.SemiShiftParams(_conv(25, 2, 1, False), _conv(25, 2, 1), _dw(9, 3)),
                  "depthwise generator must cover K^2 channels", id="lite-generator-channels"),
-    pytest.param(lambda: kg.NaiveParams(_conv(3, 4, 3), _conv(25, 3, 3)),
-                 "naive compressor must be 1x1", id="naive-compressor-1x1"),
-    pytest.param(lambda: kg.NaiveParams(_conv(3, 4, 1), _conv(25, 3, 1)),
+    pytest.param(lambda: kg.PairParams(_conv(3, 4, 3), _conv(25, 3, 3)),
+                 "compressor must be 1x1", id="naive-compressor-1x1"),
+    pytest.param(lambda: kg.PairParams(_conv(3, 4, 1), _conv(25, 3, 1)),
                  "generator window is fixed at 3x3", id="naive-generator-3x3"),
-    pytest.param(lambda: kg.NaiveParams(_conv(3, 4, 1), _conv(25, 5, 3)),
+    pytest.param(lambda: kg.PairParams(_conv(3, 4, 1), _conv(25, 5, 3)),
                  "compressor/generator channel mismatch", id="naive-generator-channels"),
-    pytest.param(lambda: kg.CarafeParams(_conv(3, 2, 3, False), _conv(100, 3, 3)),
+    pytest.param(lambda: kg.PairParams(_conv(3, 2, 3, False), _conv(100, 3, 3), 4),
                  "compressor must be 1x1", id="carafe-compressor-1x1"),
-    pytest.param(lambda: kg.CarafeParams(_conv(3, 2, 1), _conv(100, 3, 3)),
-                 "compressor is bias-free", id="carafe-compressor-bias-free"),
-    pytest.param(lambda: kg.CarafeParams(_conv(3, 2, 1, False), _conv(100, 3, 5)),
-                 "content encoder window is fixed at 3x3", id="carafe-encoder-3x3"),
-    pytest.param(lambda: kg.CarafeParams(_conv(3, 2, 1, False), _conv(25, 3, 3)),
-                 "content encoder must emit 4*K^2 channels", id="carafe-encoder-4k2"),
-    pytest.param(lambda: kg.CarafeParams(_conv(3, 2, 1, False), _conv(100, 4, 3)),
+    pytest.param(lambda: kg.PairParams(_conv(3, 2, 1, False), _conv(100, 3, 5), 4),
+                 "generator window is fixed at 3x3", id="carafe-encoder-3x3"),
+    pytest.param(lambda: kg.PairParams(_conv(3, 2, 1, False), _conv(25, 3, 3), 4),
+                 "generator must emit 4*K^2 channels", id="carafe-encoder-4k2"),
+    pytest.param(lambda: kg.PairParams(_conv(3, 2, 1, False), _conv(100, 4, 3), 4),
                  "compressor/generator channel mismatch", id="carafe-encoder-channels"),
-    pytest.param(lambda: kg.EncoderOnlyParams(_conv(3, 2, 3, False), _conv(25, 3, 3)),
+    pytest.param(lambda: kg.PairParams(_conv(3, 2, 3, False), _conv(25, 3, 3)),
                  "compressor must be 1x1", id="encoder-only-compressor-1x1"),
-    pytest.param(lambda: kg.EncoderOnlyParams(_conv(3, 2, 1), _conv(25, 3, 3)),
-                 "encoder compressor must be bias-free", id="encoder-only-compressor-bias-free"),
-    pytest.param(lambda: kg.EncoderOnlyParams(_conv(3, 2, 1, False), _conv(25, 3, 5)),
+    pytest.param(lambda: kg.PairParams(_conv(3, 2, 1, False), _conv(25, 3, 5)),
                  "generator window is fixed at 3x3", id="encoder-only-generator-3x3"),
-    pytest.param(lambda: kg.EncoderOnlyParams(_conv(3, 2, 1, False), _conv(25, 4, 3)),
+    pytest.param(lambda: kg.PairParams(_conv(3, 2, 1, False), _conv(25, 4, 3)),
                  "compressor/generator channel mismatch", id="encoder-only-generator-channels"),
 ]
 
@@ -466,6 +462,26 @@ class TestParamValidation:
     def test_invalid_construction(self, build, message):
         with pytest.raises(ShapeError, match=re.escape(message)):
             build()
+
+    # one source's pair handed to another source's generator: each CARAFE pair
+    # reads what its generator gives it, so the K^2 check of the map decides
+    @pytest.mark.parametrize(
+        "in_scale,phases,generate,message",
+        [
+            pytest.param(1, 4, lambda x_en, x_de, p: kg.encoder_only_kernelgen(x_en, p),
+                         "kernel map must have K^2=25 channels", id="carafe-to-encoder-only"),
+            pytest.param(2, 4, kg.naive_kernelgen,
+                         "kernel map must have K^2=25 channels", id="carafe-to-naive"),
+            pytest.param(1, 1, lambda x_en, x_de, p: kg.carafe_kernelgen(x_de, p),
+                         "channels divisible by 4", id="encoder-only-to-carafe"),
+        ],
+    )
+    def test_another_sources_pair_raises(self, in_scale, phases, generate, message):
+        c, d, k = 2, 3, 5
+        p = kg.make_pair_params(ShuffledLcg(0), in_scale * c, d, k, np.float64, phases=phases)
+        x_en, x_de = random_pair(1, 1, c, 2, 3)
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            generate(x_en, x_de, p)
 
     def test_encoder_compressor_must_be_bias_free(self):
         d, c, k2 = 3, 2, 25
@@ -597,13 +613,13 @@ class TestConvCallsReachAutograd:
                 x_en, x_de, kg.make_semishift_lite_params(rng, c, k, np.float64)
             ),
             "naive": lambda: kg.naive_kernelgen(
-                x_en, x_de, kg.make_naive_params(rng, c, d, k, np.float64)
+                x_en, x_de, kg.make_pair_params(rng, 2 * c, d, k, np.float64, compressor_bias=True)
             ),
             "carafe": lambda: kg.carafe_kernelgen(
-                x_de, kg.make_carafe_params(rng, c, d, k, np.float64)
+                x_de, kg.make_pair_params(rng, c, d, k, np.float64, phases=4)
             ),
             "encoder_only": lambda: kg.encoder_only_kernelgen(
-                x_en, kg.make_encoder_only_params(rng, c, d, k, np.float64)
+                x_en, kg.make_pair_params(rng, c, d, k, np.float64)
             ),
         }[generator]
         names = ("conv1x1", "conv2d", "conv2d_depthwise")

@@ -253,6 +253,18 @@ class TestForward:
         with pytest.raises(ShapeError, match="encoder dtype float64 .* precision f32"):
             op.forward(x_en.astype(np.float64), x_de)
 
+    def test_installed_parameter_precision_mismatch_names_the_slot(self):
+        """An f64 array in an f32 operator raises, and no slot changes."""
+        op = build_operator(OperatorConfig("fade", channels=2, seed=0, precision="f32"))
+        before = [ag.value_of(v).copy() for _, v in op.named_parameters()]
+        values = [w + np.float32(1.0) for w in before]
+        values[-1] = values[-1].astype(np.float64)  # gate.bias
+        with pytest.raises(ShapeError, match="gate.bias dtype float64 .* precision f32"):
+            op.install_parameters(values)
+        for want, (_, v) in zip(before, op.named_parameters()):
+            np.testing.assert_array_equal(ag.value_of(v), want)
+            assert ag.value_of(v).dtype == np.float32
+
     def test_deterministic_forward(self):
         x_en, x_de = rnd_pair(10, 1, 3, 3, 3)
         op = build_operator(OperatorConfig("fade", channels=3, seed=12))
