@@ -23,6 +23,10 @@ it needs (a convolution's shifted copy, the reassembly windows, a
 log-softmax) instead of holding it from forward to backward.  And only
 leaves keep ``.grad``: :func:`backward` drops an interior record's
 gradient once it has passed it on.
+
+:func:`backward` consumes the tape: it releases each record's VJPs, and
+the forward arrays only they read, once they have run, so the tape
+shrinks as the pass walks back and a graph is backpropagated once.
 """
 
 from __future__ import annotations
@@ -49,7 +53,11 @@ class Record:
     ``dtype``.  The hand-off rule: a child's gradient that :func:`backward`
     gives up is kept the same way by the parent whose VJP, the last to
     run, returns it unchanged (see :func:`_record`).  Either way no two
-    records share a gradient array."""
+    records share a gradient array.
+
+    ``_backprop`` is None on a leaf, the record's VJPs on an interior
+    record, and :func:`_consumed` once :func:`backward` has released
+    them; ``_parents`` stays, so a consumed graph can still be walked."""
 
     __slots__ = ("grad", "name", "shape", "dtype", "_parents", "_backprop")
 
@@ -164,6 +172,17 @@ def _emit(out_data, pairs, name=None):
     return out_data if record is None else Node(out_data, record=record)
 
 
+_CONSUMED_MSG = (
+    "backward already ran through this graph and released its tape; "
+    "run the forward again to get a new graph"
+)
+
+
+def _consumed(g, own=False):
+    """The backprop of a record whose VJPs :func:`backward` has released."""
+    raise RuntimeError(_CONSUMED_MSG)
+
+
 def _topo(root: Node):
     """The records reachable from ``root``'s, parents before children."""
     order, seen, stack = [], set(), [(root.record, False)]
@@ -187,23 +206,36 @@ def backward(loss: Node, seed: float = 1.0) -> None:
 
     Only leaves keep ``.grad``: an interior record, one with a backprop,
     drops its gradient once it has passed it on to its parents, which
-    is the last time the pass reads it.  So a second call on the same
-    graph adds exactly one more gradient to every leaf.  A record's first
-    gradient may be the array a VJP returned (see :class:`Record`), or,
-    as backward gives each record's gradient up when it passes it on, the
-    child's gradient handed to a last pass-through parent (see
-    :func:`_record`).  Either way a leaf's ``.grad`` shares memory with no
-    other record's.  A VJP's own first gradient of -0.0 stays -0.0; a
-    handed one becomes 0.0, as in a copy into zeros.
+    is the last time the pass reads it.  The pass consumes the graph, as
+    PyTorch's default ``retain_graph=False`` does: it releases each
+    interior record's VJPs once they have run, or once it skips them
+    because no gradient reached the record, which frees every forward
+    array only they read.  A later call whose graph reaches a released
+    record, the same loss or a new one built on an interior Node of
+    this graph, raises RuntimeError before any VJP runs, so no leaf's
+    ``.grad`` changes; run the forward again.
+
+    A record's first gradient may be the array a VJP returned (see
+    :class:`Record`), or, as backward gives each record's gradient up
+    when it passes it on, the child's gradient handed to a last
+    pass-through parent (see :func:`_record`).  Either way a leaf's
+    ``.grad`` shares memory with no other record's.  A VJP's own first
+    gradient of -0.0 stays -0.0; a handed one becomes 0.0, as in a copy
+    into zeros.
     """
     if not isinstance(loss, Node):
         raise TypeError("backward needs a recorded Node; run a tracked forward first")
     order = _topo(loss)
+    if any(rec._backprop is _consumed for rec in order):
+        raise RuntimeError(_CONSUMED_MSG)
     loss.record.accumulate(np.full_like(loss.data, seed), owned=True)
     for rec in reversed(order):
-        if rec._backprop is not None and rec.grad is not None:
+        if rec._backprop is None:
+            continue
+        if rec.grad is not None:
             g, rec.grad = rec.grad, None
             rec._backprop(g, own=True)
+        rec._backprop = _consumed
 
 
 def zero_grad(nodes) -> None:
@@ -288,10 +320,17 @@ def leaky_relu(a, slope: float = 0.1):
     """For slope > 0 the output has the input's sign mask (a NaN, a -0.0 or
     a negative that underflows to -0.0 is not > 0 either way), so the VJP
     reads the output and the input is not kept for it.  The VJP runs in the
-    gradient's dtype: the forward multiplies by slope in the data's."""
+    gradient's dtype, as the forward multiplies by slope in the data's, and
+    builds one array: g * slope, with g copied in where the output is > 0."""
     ad = value_of(a)
     out = np.where(ad > 0, ad, slope * ad)
-    return _emit(out, [(a, lambda g: np.where(out > 0, g, g * slope))], name="leaky_relu")
+
+    def vjp(g):
+        d = g * slope
+        np.copyto(d, g, where=out > 0)
+        return d
+
+    return _emit(out, [(a, vjp)], name="leaky_relu")
 
 
 def sigmoid(a):

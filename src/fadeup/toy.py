@@ -508,7 +508,7 @@ def train_toy(cfg: TrainConfig, task: ToyTask) -> TrainResult:
             backward(loss)
             _clip_gradients(net.parameters(), cfg.clip_norm)
             opt.step()
-            del out, loss  # free this step's tape before the next forward
+            del out, loss  # backward freed the tape; free the logits before the next forward
             total += lval
             batches += 1
         metrics = _evaluate(net, val_task, x_val, y_val, epoch)

@@ -85,30 +85,57 @@ class TestBackwardBasics:
         np.testing.assert_array_equal(ag.grad_of(x), np.zeros((2, 2)))
 
     def test_replay_produces_identical_gradients(self):
+        """A second forward and backward from the same leaves gives the
+        first pass's gradients bit for bit."""
         rng = np.random.default_rng(0)
         x = Node(rng.normal(size=(1, 2, 4, 4)))
         w = Node(rng.normal(size=(2, 2, 3, 3)))
-        loss = ag.sum_all(ag.sigmoid(ag.conv2d(x, w)))
-        backward(loss)
+        backward(ag.sum_all(ag.sigmoid(ag.conv2d(x, w))))
         first = (x.grad.copy(), w.grad.copy())
-        ag.zero_grad([x, w, loss])
-        # clear interior nodes by re-walking is unnecessary: reuse the same
-        # graph and check the second pass matches the first bit for bit
-        for node in ag._topo(loss):
-            node.grad = None
-        backward(loss)
+        ag.zero_grad([x, w])
+        backward(ag.sum_all(ag.sigmoid(ag.conv2d(x, w))))
         np.testing.assert_array_equal(first[0], x.grad)
         np.testing.assert_array_equal(first[1], w.grad)
 
-    def test_second_backward_doubles_leaf_gradients(self):
-        """Interior gradients are dropped once passed on, so a second pass
-        over the same graph adds exactly one more gradient to the leaf."""
+    def test_second_backward_raises_and_keeps_leaf_gradients(self):
+        """backward consumes the graph: a second pass over it raises before
+        any VJP runs, so the leaf keeps the first pass's gradient."""
         x = Node(np.random.default_rng(2).normal(size=(1, 2, 3, 3)))
         loss = ag.sum_all(ag.sigmoid(ag.add(x, x)))
         backward(loss)
         once = x.grad.copy()
+        with pytest.raises(RuntimeError, match="run the forward again"):
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, once)
+
+    def test_loss_on_an_interior_node_of_a_consumed_graph_raises(self):
+        """A new loss built on an interior Node of a consumed graph reaches
+        released records: backward raises before the new loss's own VJPs
+        run, and no leaf's gradient changes."""
+        rng = np.random.default_rng(4)
+        x, w = Node(rng.normal(size=(1, 2, 4, 4))), Node(rng.normal(size=(2, 2, 3, 3)))
+        h = ag.sigmoid(ag.conv2d(x, w))
+        backward(ag.sum_all(h))
+        before = (x.grad.copy(), w.grad.copy())
+        y = Node(rng.normal(size=h.shape))
+        with pytest.raises(RuntimeError, match="run the forward again"):
+            backward(ag.sum_all(ag.mul(h, y)))
+        assert y.grad is None
+        np.testing.assert_array_equal(x.grad, before[0])
+        np.testing.assert_array_equal(w.grad, before[1])
+
+    @pytest.mark.parametrize("op", ["leaky_relu", "sigmoid"])
+    def test_forward_array_only_a_vjp_holds_is_freed_by_backward(self, op):
+        """The op's VJP reads its output; once the caller drops the Node,
+        only the closure keeps that array, and backward releases it."""
+        x = Node(np.random.default_rng(5).normal(size=(2, 3, 4, 4)))
+        h = getattr(ag, op)(x)
+        data = weakref.ref(h.data)
+        loss = ag.sum_all(h)
+        del h
+        assert data() is not None
         backward(loss)
-        np.testing.assert_array_equal(x.grad, 2 * once)
+        assert data() is None
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(4, 25, 24, 24), (1, 3, 5, 7), (2, 12, 3, 2)])
@@ -301,6 +328,24 @@ class TestTapeLiveness:
         assert xn.grad.dtype == dtype
         np.testing.assert_array_equal(xn.grad, np.where(x > 0, g, g * dtype(0.1)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_vjp_is_the_where_formula_bit_for_bit(self, dtype):
+        """The VJP copies g into g * slope where the output is > 0: the bits
+        of np.where(out > 0, g, g * slope), for every pair of NaN, signed
+        zeros, infinities and subnormals in the gradient and the output."""
+        info = np.finfo(dtype)
+        special = np.array(
+            [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal,
+             -info.smallest_subnormal, -info.smallest_normal, info.max, 1.0, -1.0],
+            dtype,
+        )
+        x, g = np.repeat(special, special.size), np.tile(special, special.size)
+        xn = Node(x)
+        out = ag.leaky_relu(xn)
+        out._backprop(g.copy())
+        want = np.where(out.data > 0, g, g * 0.1)
+        assert xn.grad.dtype == want.dtype and xn.grad.tobytes() == want.tobytes()
+
 
 class TestGradientOwnership:
     """A record's first gradient may be the array its VJP returned, but
@@ -372,7 +417,7 @@ class TestGradientOwnership:
     @pytest.mark.parametrize("graph", ["mul_const", "conv", "leaf_is_summed"])
     def test_second_backward_doubles_a_kept_first_gradient(self, graph):
         """The leaf's first gradient is the array its parent's VJP returned;
-        a second pass over the same graph adds exactly one more gradient."""
+        a second forward and backward adds exactly one more gradient."""
         rng = np.random.default_rng(35)
         x = Node(rng.normal(size=(1, 2, 3, 3)))
         c, w = rng.normal(size=(1, 2, 3, 3)), rng.normal(size=(2, 2, 3, 3))
@@ -380,10 +425,10 @@ class TestGradientOwnership:
             "mul_const": lambda: ag.sum_all(ag.mul(x, c)),
             "conv": lambda: ag.sum_all(ag.sigmoid(ag.conv2d(x, w))),
             "leaf_is_summed": lambda: ag.sum_all(x),
-        }[graph]()
-        backward(loss)
+        }[graph]
+        backward(loss())
         once = x.grad.copy()
-        backward(loss)
+        backward(loss())
         np.testing.assert_array_equal(x.grad, 2 * once)
 
     @pytest.mark.parametrize("op", ["reassemble", "pixel_shuffle_x2"])
@@ -434,15 +479,18 @@ class TestGradientOwnership:
 
     def test_handed_gradients_are_never_shared(self):
         """Leaves reached through chains of pass-throughs, one of them twice:
-        after two backward passes no two leaves share a gradient array, and
-        each holds twice its first gradient."""
+        after two forward and backward passes no two leaves share a gradient
+        array, and each holds twice its first gradient."""
         rng = np.random.default_rng(38)
         x, y, z = (Node(rng.normal(size=(1, 2, 4, 4))) for _ in range(3))
         c = rng.normal(size=(1, 2, 4, 4))
-        loss = ag.sum_all(ag.mul(ag.add(ag.add(x, y), ag.add(z, y)), c))
-        backward(loss)
+
+        def loss():
+            return ag.sum_all(ag.mul(ag.add(ag.add(x, y), ag.add(z, y)), c))
+
+        backward(loss())
         once = [a.grad.copy() for a in (x, y, z)]
-        backward(loss)
+        backward(loss())
         for a, b in ((x, y), (x, z), (y, z)):
             assert not np.shares_memory(a.grad, b.grad)
         for a, first in zip((x, y, z), once):

@@ -301,13 +301,18 @@ class TestForwardMemory:
             tracemalloc.stop()
         assert peak <= 1.5 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
-    @pytest.mark.parametrize("variant,bound", [("fade", 5.4), ("fade_lite", 5.4), ("carafe", 3.1)])
+    @pytest.mark.parametrize(
+        "variant,bound", [("fade", 5.4), ("fade_lite", 5.4), ("carafe", 3.1), ("b3_naive", 5.7)]
+    )
     def test_taped_forward_and_backward_peak_is_bounded(self, variant, bound):
         """A taped forward and backward at C=256 with a 32^2 decoder, both
         inputs and every weight taped, loss sum_all: the blend's gate VJP
         sums by channel chunks and reassembly's VJPs run by strips of
         decoder rows, so the peak is 5.26x the output for fade and 3.00x for
-        carafe (6.14x and 4.03x with whole-plane VJP buffers)."""
+        carafe (6.14x and 4.03x with whole-plane VJP buffers).  backward
+        releases each record's VJPs once they have run, so b3_naive's later
+        VJPs no longer sit beside every earlier forward array: 5.55x, not
+        7.41x.  The first VJP, the blend's, sets fade's and carafe's peaks."""
         op = build_operator(OperatorConfig(variant, channels=256, compressed=64, kernel_size=5))
         op.wrap_parameters()
         x_en, x_de = (ag.Node(a) for a in rnd_pair(20, 1, 256, 32, 32))

@@ -207,7 +207,7 @@ class TestTraining:
         net = toy.ToyNet("b6_full", in_channels=x.shape[1], out_channels=3, features=8, compressed=4)
         loss = ag.softmax_cross_entropy(net.forward(toy.net_inputs(x)), y)
         ag.backward(loss)
-        interior = [n for n in ag._topo(loss) if n._backprop is not None]
+        interior = [n for n in ag._topo(loss) if n._parents]
         assert interior and all(n.grad is None for n in interior)
         for p in net.parameters():
             assert p.grad is not None and p.grad.shape == p.data.shape, p.name
@@ -290,7 +290,10 @@ class TestTrainStepMemory:
     optimizer step.  The peak follows the tape, not the ops' scratch: the
     conv forward counts its kernel-row products in its strip budget, and
     backward hands pass-through gradients on.  Before both, b2 peaked at
-    6.896 MiB and b6 at 6.825."""
+    6.896 MiB and b6 at 6.825.  backward also releases each record's VJPs,
+    and the forward arrays they read, once they have run, so the tape
+    shrinks as the pass walks back: b3_naive now peaks at 5.42 MiB and b6
+    at 5.01, from 6.59 and 6.61 with the whole tape kept to the end."""
 
     @pytest.mark.parametrize("variant", [v for v, _ in ABLATION_VARIANTS])
     def test_step_peak_is_bounded(self, variant):
@@ -312,4 +315,4 @@ class TestTrainStepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.65 * 2**20, f"peak {peak / 2**20:.3f} MiB"
+        assert peak <= 5.6 * 2**20, f"peak {peak / 2**20:.3f} MiB"
