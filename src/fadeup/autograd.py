@@ -376,9 +376,11 @@ def _gemm(a, b, out=None):
     return acc
 
 
-# the least S a strip holds per batch item, in values (256 KiB of f32): with
-# 1-row strips, which each pay the halo rows and a dozen NumPy calls again, a
-# 12 -> 12 conv's backward at 12^2 took 0.51 ms, against 0.08 ms in one strip
+# the least S a forward strip holds per batch item, in values (256 KiB of
+# f32): with 1-row strips, which each pay the halo rows and a dozen NumPy
+# calls again, a 12 -> 12 conv's backward at 12^2 took 0.51 ms, against 0.08
+# ms in one strip.  The VJPs' floor is half of it: their scratch comes on
+# top of the tape, and at toy planes it set the training step's peak
 _STRIP_FLOOR = 1 << 16
 
 
@@ -492,14 +494,15 @@ def _conv(x, w, bias, k, groups, name, compressor=None):
     fold, the adjoint of building S, adds back onto them.  A compressed
     plane's rows come from :func:`_compressed_rows`, which keeps the rows
     two strips share, so a pass computes each row once.  A pass's strip has
-    as many rows as keep its scratch per row within max(o h w,
-    _STRIP_FLOOR) values per batch item (o h w is the output); the
-    compressed rows add 1/k of S again.  No GEMM shape depends on the
-    batch size, but every buffer holds all n items, so the scratch grows
-    linearly with the batch.  The forward's scratch is S and the k kernel
-    rows' products, k o m pw values per item; ``vjp_w``'s is S and the
-    gradient copied onto S's pitch; ``vjp_x``'s is dS and the stack of
-    gradient rows.  A 1 x 1 kernel with no compressor takes S as x
+    as many rows as keep its scratch per row within max(o h w, f) values per
+    batch item (o h w is the output), where the floor f is _STRIP_FLOOR in
+    the forward and half of it in the VJPs; the compressed rows add 1/k of
+    S again.  No GEMM shape depends on the batch size, but every buffer
+    holds all n items, so the scratch grows linearly with the batch.  The
+    forward's scratch is S and the k kernel rows' products, k o m pw
+    values per item; ``vjp_w``'s is S and the gradient copied onto S's
+    pitch; ``vjp_x``'s is dS and the stack of gradient rows.  A 1 x 1
+    kernel with no compressor takes S as x
     itself: one GEMM into the output, and VJPs of one GEMM each
     (:func:`_pointwise_vjps`).
 
@@ -536,6 +539,7 @@ def _conv(x, w, bias, k, groups, name, compressor=None):
     pw = wid + halo
     cols = [_tap_run(wid, k // 2, j, pw) for j in range(k)]
     budget = max(o * h * wid, _STRIP_FLOOR)
+    vjp_budget = max(o * h * wid, _STRIP_FLOOR // 2)
     s_row = c * k * pw  # S's values per grid row and batch item
 
     def walk(part, extra=halo):
@@ -573,7 +577,7 @@ def _conv(x, w, bias, k, groups, name, compressor=None):
     def vjp_x(grad):
         wt = wr.transpose(1, 3, 0, 2).reshape(g, c // g * k, -1)
         dt = np.result_type(wr, grad)
-        part = _strips(h, halo, budget, s_row + k * o * pw)  # dS and the stack of k gradient copies
+        part = _strips(h, halo, vjp_budget, s_row + k * o * pw)  # dS and the stack of k gradient copies
         ds = np.empty((n, g, c // g * k, (part[0][1] + halo) * pw), dt)
         dx = None
         for y0, m in part:
@@ -590,7 +594,8 @@ def _conv(x, w, bias, k, groups, name, compressor=None):
     def vjp_w(grad):
         dw = np.zeros(wd.shape, np.result_type(grad, pt))
         dwr = dw.reshape(g, o // g, c // g, k, k)
-        for y0, m, taps in walk(_strips(h, halo, budget, s_row + o * pw)):  # S and the gradient on its pitch
+        part = _strips(h, halo, vjp_budget, s_row + o * pw)  # S and the gradient on its pitch
+        for y0, m, taps in walk(part):
             gm = shifted(grad, 1, y0, m)[..., : m * pw]
             for i in range(k):
                 ti = taps[..., i * pw : (i + m) * pw]
@@ -974,9 +979,12 @@ def reassemble(x_de, kernels, k: int):
             )
 
     # Each VJP walks strips of decoder rows whose scratch stays within half
-    # the output per batch item.  A strip pays each tap's NumPy calls again,
-    # so the floor is twice the convolution's: a toy net's 24^2 plane is one
-    # strip, as it was one whole-plane pass.
+    # the output per batch item, or a floor.  vjp_x's strip pays each tap's
+    # NumPy calls again, so its floor is twice the convolution forward's and
+    # a toy net's 24^2 plane is one strip.  vjp_k's pays a handful, so its
+    # floor is 2^14 values, a quarter of the forward's, and that plane takes
+    # 4-row strips, whose copy and products are under a third of its kernel
+    # map.
     budget = max(2 * c * h * w, 2 * _STRIP_FLOOR)
 
     def vjp_x(g):
@@ -985,31 +993,35 @@ def reassemble(x_de, kernels, k: int):
         # planes is slower and allocates more.  Each tap's four phase products
         # scatter-add onto the part of the decoder that tap read; what it
         # read of the zero padding gets nothing, so dx needs no padded border.
-        # It runs by strips of dx rows; a strip's taps read the gradient's and
-        # the kernel map's phases on the strip's decoder rows and r more on
-        # each side, which _rolling_rows reads once each, so every dx entry
-        # sums its taps in tap order, whatever the strips.
-        per_row = (4 * (c + k2) + 2 * c) * w  # both phase blocks, part and prod
+        # It runs by strips of dx rows; a strip's taps read the gradient's
+        # phases on the strip's decoder rows and r more on each side, which
+        # _rolling_rows reads once each, so every dx entry sums its taps in
+        # tap order, whatever the strips.  Each tap copies the phases of its
+        # own kernel-map channel on the rows it reads, and no more.
+        per_row = (4 * c + 4 + 2 * c) * w  # the gradient's phases, one tap's, part and prod
         part_rows = _strips(h, 2 * r, budget, per_row)
         size = min(part_rows[0][1] + 2 * r, h)
         gph = _rolling_rows(lambda dst, rows: _phase_rows(g, rows, dst), (n, 2, 2, c, size, w), g.dtype)
-        kph = _rolling_rows(lambda dst, rows: _phase_rows(kd, rows, dst), (n, 2, 2, k2, size, w), kd.dtype)
+        kt = np.empty((n, 2, 2, 1, size, w), kd.dtype)
         dxd = np.zeros((n, c, h, w), g.dtype)
         part = np.empty(n * c * part_rows[0][1] * w, g.dtype)  # flat, so each tap's is contiguous
         prod = np.empty_like(part)
         cols = [_tap_run(w, r, dx, w) for dx in range(k)]
         for y0, m in part_rows:
             pr = slice(max(y0 - r, 0), min(y0 + m + r, h))
-            gs, ks = gph(pr), kph(pr)
+            gs = gph(pr)
             for t in range(k2):
                 dy, dx = divmod(t, k)
                 ty, sy = _tap_run(m, r + y0 - pr.start, dy, pr.stop - pr.start)
                 tx, sx = cols[dx]
-                count = n * c * (sy.stop - sy.start) * w
+                rows = sy.stop - sy.start
+                ks = kt[..., :rows, :]
+                _phase_rows(kd[:, t : t + 1], slice(pr.start + sy.start, pr.start + sy.stop), ks)
+                count = n * c * rows * w
                 pt, pd = part[:count].reshape(n, c, -1, w), prod[:count].reshape(n, c, -1, w)
-                np.multiply(gs[:, 0, 0, :, sy], ks[:, 0, 0, t, None, sy], out=pt)
+                np.multiply(gs[:, 0, 0, :, sy], ks[:, 0, 0], out=pt)
                 for a, b in _PHASES[1:]:
-                    np.multiply(gs[:, a, b, :, sy], ks[:, a, b, t, None, sy], out=pd)
+                    np.multiply(gs[:, a, b, :, sy], ks[:, a, b], out=pd)
                     pt += pd
                 dxd[:, :, y0 + ty.start : y0 + ty.stop, tx] += pt[..., sx]
         return dxd
@@ -1020,17 +1032,22 @@ def reassemble(x_de, kernels, k: int):
         # forward builds it, rather than kept on the tape, which would hold
         # a K-fold copy of the decoder per node until backward.  g takes
         # the window's dtype, as a mixed-dtype matmul would copy the K^2-fold
-        # window view to cast it.  The result is written into an array in
-        # the kernel map's shape and dtype, which the tape keeps as is.
-        dk = None
-        for y0, m in _strips(h, 0, budget, c * (w + 2 * r) * k + 4 * k2 * w):  # xs and the products
-            xs = _shifted_rows(xd, k, y0, np.zeros((n, c, m, w + 2 * r, k), dtype))
+        # window view to cast it.  Each strip's copy and products go into
+        # one buffer each, and the products are then copied into an array
+        # in the kernel map's shape and dtype, which the tape keeps as is.
+        part = _strips(h, 0, max(2 * c * h * w, _STRIP_FLOOR // 4), c * (w + 2 * r) * k + 4 * k2 * w)
+        rows = part[0][1]
+        xs = np.zeros((n, c, rows, w + 2 * r, k), dtype)
+        dkq = np.empty((n, rows, w, 2, k2, 2), dtype)
+        dk = None if len(part) == 1 else np.empty(kd.shape, kd.dtype)
+        for y0, m in part:
+            win = _window_matrices(_shifted_rows(xd, k, y0, xs[:, :, :m]))
             gm = np.asarray(g[:, :, 2 * y0 : 2 * (y0 + m)], dtype=dtype)
-            dkq = np.matmul(_window_matrices(xs).swapaxes(-1, -2), _by_position(gm))
-            del xs  # before dk exists, so one strip holds what one whole-plane pass did
-            if dk is None:
+            np.matmul(win.swapaxes(-1, -2), _by_position(gm), out=dkq[:, :m])
+            if dk is None:  # one strip: xs goes before dk exists, as in a whole-plane pass
+                del xs, win
                 dk = np.empty(kd.shape, kd.dtype)
-            taps = dkq.reshape(n, m, w, 2, k, k, 2).transpose(0, 5, 4, 1, 3, 2, 6)
+            taps = dkq[:, :m].reshape(n, m, w, 2, k, k, 2).transpose(0, 5, 4, 1, 3, 2, 6)
             dk.reshape(n, k, k, h, 2, w, 2)[:, :, :, y0 : y0 + m] = taps
         return dk
 

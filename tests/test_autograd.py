@@ -207,9 +207,11 @@ class TestAddNearest:
             ag.add_nearest_x2(np.zeros((1, 2, 4, 5)), np.zeros((1, 2, 2, 2)))
 
     def test_l2h_backward_holds_no_expanded_decoder_gradient(self):
-        """The backward of a taped l2h generator peaks at 3.9x its kernel map;
+        """The backward of a taped l2h generator peaks at 2.6x its kernel map;
         add plus interp_nearest_x2 in its place kept the full-size gradient of
-        the expansion pending through the encoder conv's backward: 4.6x."""
+        the expansion pending through the encoder conv's backward: 3.5x.
+        (With the convolution VJPs' strips at a floor of 2^16 values, the
+        two read 3.9x and 4.6x.)"""
         rng = np.random.default_rng(24)
         p = kg.make_semishift_params(ShuffledLcg(1), 8, 8, 5, np.float64)
         x_en, x_de = rng.normal(size=(2, 8, 32, 32)), rng.normal(size=(2, 8, 16, 16))
@@ -230,7 +232,7 @@ class TestAddNearest:
                 peaks[name] = tracemalloc.get_traced_memory()[1] / probe.nbytes
             finally:
                 tracemalloc.stop()
-        assert peaks["fused"] <= 4.25 < peaks["expanded"], peaks
+        assert peaks["fused"] <= 3.0 < peaks["expanded"], peaks
 
 
 class TestTapeLiveness:
@@ -591,6 +593,29 @@ class TestReassembleMemory:
             tracemalloc.stop()
         assert peak <= 2 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
+    @pytest.mark.parametrize(
+        "shape, bound", [((4, 12, 24, 24), 1.45), ((4, 12, 12, 12), 2.19), ((1, 64, 32, 32), 2.85)]
+    )
+    def test_backprop_peak_is_a_few_kernel_maps(self, shape, bound):
+        """One backprop of a taped K=5 reassembly holds dx, dk, the
+        gradient's phases and one tap's kernel-map phases in vjp_x, and one
+        strip's row-shifted copy and products in vjp_k.  With the whole
+        kernel map's phases in vjp_x and a whole-plane vjp_k at the toy
+        plane, it peaked at 2.12, 2.19 and 3.05 kernel maps."""
+        rng = np.random.default_rng(14)
+        n, c, h, w = shape
+        x = rng.normal(size=shape).astype(np.float32)
+        kern = ag.softmax_channel(rng.normal(size=(n, 25, 2 * h, 2 * w)).astype(np.float32))
+        g = rng.normal(size=(n, c, 2 * h, 2 * w)).astype(np.float32)
+        out = ag.reassemble(Node(x), Node(kern), 5)
+        tracemalloc.start()
+        try:
+            out.record._backprop(g, own=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * kern.nbytes, f"peak {peak / kern.nbytes:.3f}x the kernel map"
+
 
 class TestReassembleDeterminism:
     @staticmethod
@@ -615,6 +640,33 @@ class TestReassembleDeterminism:
             alone = self._run(x[i : i + 1], kern[i : i + 1], g[i : i + 1], k)
             for a, b in zip(first, alone):
                 np.testing.assert_array_equal(a[i : i + 1], b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 12, 24, 24), (2, 5, 7, 9)])
+    def test_vjps_do_not_depend_on_strip_heights(self, shape, dtype, monkeypatch):
+        """dx and dk have the same bytes with the VJPs' own strips, with
+        one-row strips and with the whole plane as one strip."""
+        rng = np.random.default_rng(13)
+        n, c, h, w = shape
+        k = 5
+        x = rng.normal(size=shape).astype(dtype)
+        kern = ag.softmax_channel(rng.normal(size=(n, k * k, 2 * h, 2 * w)).astype(dtype))
+        g = rng.normal(size=(n, c, 2 * h, 2 * w)).astype(dtype)
+        own = self._run(x, kern, g, k)[1:]
+        strips = ag._strips
+        for rows, budget in ((1, 0), (h, 1 << 40)):  # a budget of 0 gives one-row strips
+            heights = set()
+
+            def forced(size, halo, _, per_row, budget=budget):
+                part = strips(size, halo, budget, per_row)
+                heights.update(m for _, m in part)
+                return part
+
+            monkeypatch.setattr(ag, "_strips", forced)
+            forced_grads = self._run(x, kern, g, k)[1:]
+            assert heights == {rows}
+            for a, b in zip(own, forced_grads):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_bit_identical_with_one_blas_thread(self):
         """Forward, dx and dk hash the same in this process and in one whose
