@@ -377,10 +377,12 @@ def _gemm(a, b, out=None):
 
 
 # the least S a forward strip holds per batch item, in values (256 KiB of
-# f32): with 1-row strips, which each pay the halo rows and a dozen NumPy
-# calls again, a 12 -> 12 conv's backward at 12^2 took 0.51 ms, against 0.08
-# ms in one strip.  The VJPs' floor is half of it: their scratch comes on
-# top of the tape, and at toy planes it set the training step's peak
+# f32): with 1-row strips, which each pay a dozen NumPy calls again, a
+# 12 -> 12 conv's forward at 12^2 took 0.43-0.67 ms, against 0.09-0.14 ms in
+# one strip (one BLAS thread).  The VJPs' floor is half of it: their scratch
+# comes on top of the tape, and a 12 -> 12 conv's forward and backward at
+# 48^2 went from 2.83 to 3.05 ms with it, for 0.36 MiB off the toy training
+# step's peak
 _STRIP_FLOOR = 1 << 16
 
 
@@ -1039,14 +1041,11 @@ def reassemble(x_de, kernels, k: int):
         rows = part[0][1]
         xs = np.zeros((n, c, rows, w + 2 * r, k), dtype)
         dkq = np.empty((n, rows, w, 2, k2, 2), dtype)
-        dk = None if len(part) == 1 else np.empty(kd.shape, kd.dtype)
+        dk = np.empty(kd.shape, kd.dtype)
         for y0, m in part:
             win = _window_matrices(_shifted_rows(xd, k, y0, xs[:, :, :m]))
             gm = np.asarray(g[:, :, 2 * y0 : 2 * (y0 + m)], dtype=dtype)
             np.matmul(win.swapaxes(-1, -2), _by_position(gm), out=dkq[:, :m])
-            if dk is None:  # one strip: xs goes before dk exists, as in a whole-plane pass
-                del xs, win
-                dk = np.empty(kd.shape, kd.dtype)
             taps = dkq[:, :m].reshape(n, m, w, 2, k, k, 2).transpose(0, 5, 4, 1, 3, 2, 6)
             dk.reshape(n, k, k, h, 2, w, 2)[:, :, :, y0 : y0 + m] = taps
         return dk

@@ -1048,21 +1048,26 @@ class TestConvAgainstIm2col:
             tracemalloc.stop()
         assert peak <= 1.8 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output"
 
-    def test_single_strip_backward_frees_the_stack_before_dx(self):
+    def test_single_strip_backward_frees_the_stack_before_dx(self, monkeypatch):
         """A conv whose backward runs in one strip: its backprop holds dS
-        with the gradient stack, then dS with dx, never all three."""
+        with the gradient stack, then dS with dx, never all three.  At 16^2
+        both VJPs fit one strip under their floor."""
         rng = np.random.default_rng(26)
-        x = Node(rng.normal(size=(4, 12, 24, 24)).astype(np.float32))
+        x = Node(rng.normal(size=(4, 12, 16, 16)).astype(np.float32))
         w = Node(rng.normal(size=(12, 12, 3, 3)).astype(np.float32))
         out = ag.conv2d(x, w)
         g = rng.normal(size=out.shape).astype(np.float32)
+        passes, strips = [], ag._strips
+        monkeypatch.setattr(ag, "_strips", lambda *a: passes.append(strips(*a)) or passes[-1])
         tracemalloc.start()
         try:
             out._backprop(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        grid = (24 + 2) * (24 + 2)  # S's grid, halo rows and junk columns included
+        monkeypatch.undo()
+        assert [len(p) for p in passes] == [1, 1], f"backward strips {passes}"
+        grid = (16 + 2) * (16 + 2)  # S's grid, halo rows and junk columns included
         ds = 4 * (12 * 3) * grid * 4  # (n, c k, grid) in f32
         stack = 4 * (3 * 12) * grid * 4  # the gradient once per kernel row, k = 3
         assert peak <= ds + stack + out.data.nbytes // 4, f"peak {peak / (ds + stack):.3f}x dS and stack"
