@@ -833,16 +833,13 @@ def interleave2x2(tl, tr, bl, br):
     subs = [value_of(s) for s in (tl, tr, bl, br)]
     n, c, h, w = subs[0].shape
     out = np.empty((n, c, 2 * h, 2 * w), dtype=subs[0].dtype)
-    phases = ((0, 0), (0, 1), (1, 0), (1, 1))
-    for (r, s), sub in zip(phases, subs):
+    for (r, s), sub in zip(_PHASES, subs):
         out[:, :, r::2, s::2] = sub
 
     def make_vjp(r, s):
         return lambda g: g[:, :, r::2, s::2]
 
-    pairs = [
-        (src, make_vjp(r, s)) for (r, s), src in zip(phases, (tl, tr, bl, br))
-    ]
+    pairs = [(src, make_vjp(r, s)) for (r, s), src in zip(_PHASES, (tl, tr, bl, br))]
     return _emit(out, pairs, name="interleave2x2")
 
 

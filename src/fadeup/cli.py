@@ -219,71 +219,60 @@ def _suite_equivalence(seeds: int):
     return ok, lines
 
 
-def _gradcheck_battery(seed: int):
-    """(name, max-rel-error) for every differentiable op at small shapes."""
+def _gradcheck_cases(seed: int):
+    """The gradcheck examples at small shapes, one (name, op, arrays, loss)
+    per check.  ``op`` is the public autograd function the case applies
+    alone to ``arrays`` (a partial binds its non-array arguments), or None
+    for a composite of several ops; ``loss`` maps the arrays to a scalar."""
     rng = np.random.default_rng(seed)
-    results = []
+    cases = []
 
-    def check(name, fn, arrays):
-        results.append((name, ag.gradcheck(fn, arrays)))
+    def case(name, op, arrays, probe=None, loss=None):
+        """By default the loss sums op's output, against ``probe`` if given."""
+
+        def summed(*A):
+            out = op(*A)
+            return ag.sum_all(out if probe is None else ag.mul(out, probe))
+
+        cases.append((name, op, arrays, loss or summed))
 
     # batch 2, so a weight gradient that drops batch items shows
     x = rng.normal(size=(2, 2, 4, 4))
     w = rng.normal(size=(3, 2, 3, 3))
     b = rng.normal(size=3)
-    check("conv2d/s1", lambda X, W, B: ag.sum_all(ag.conv2d(X, W, B)), [x, w, b])
-    w1 = rng.normal(size=(3, 2, 1, 1))
-    check("conv1x1", lambda X, W: ag.sum_all(ag.conv1x1(X, W)), [x, w1])
-    wd = rng.normal(size=(2, 1, 3, 3))
-    check(
-        "conv2d_depthwise",
-        lambda X, W: ag.sum_all(ag.conv2d_depthwise(X, W)),
-        [x, wd],
-    )
-    check("interp_nearest_x2", lambda X: ag.sum_all(ag.interp_nearest_x2(X)), [x])
-    check(
-        "interp_bilinear_x2/half",
-        lambda X: ag.sum_all(ag.interp_bilinear_x2(X, False)),
-        [x],
-    )
-    check(
-        "interp_bilinear_x2/corners",
-        lambda X: ag.sum_all(ag.interp_bilinear_x2(X, True)),
-        [x],
-    )
+    case("conv2d/s1", ag.conv2d, [x, w, b])
+    case("conv1x1", ag.conv1x1, [x, rng.normal(size=(3, 2, 1, 1))])
+    case("conv2d_depthwise", ag.conv2d_depthwise, [x, rng.normal(size=(2, 1, 3, 3))])
+    case("interp_nearest_x2", ag.interp_nearest_x2, [x])
+    for label, corners in (("half", False), ("corners", True)):
+        bilinear = partial(ag.interp_bilinear_x2, align_corners=corners)
+        case(f"interp_bilinear_x2/{label}", bilinear, [x])
     # strict maxima: a fixed ramp breaks ties so the subgradient is unique
     ramp = np.arange(32, dtype=np.float64).reshape(1, 2, 4, 4)
-    xm = ramp + 0.25 * rng.normal(size=(1, 2, 4, 4)).round(1)
-    check("maxpool2x2", lambda X: ag.sum_all(ag.maxpool2x2(X)), [xm])
+    case("maxpool2x2", ag.maxpool2x2, [ramp + 0.25 * rng.normal(size=(1, 2, 4, 4)).round(1)])
     probe = rng.normal(size=(1, 4, 2, 2))
-    check(
-        "softmax_channel",
-        lambda X: ag.sum_all(ag.mul(ag.softmax_channel(X), probe)),
-        [rng.normal(size=(1, 4, 2, 2))],
-    )
-    check("sigmoid", lambda X: ag.sum_all(ag.sigmoid(X)), [x])
-    shuffle_probe = rng.normal(size=(1, 1, 4, 4))
-    check(
-        "pixel_shuffle_x2",
-        lambda X: ag.sum_all(ag.mul(ag.pixel_shuffle_x2(X), shuffle_probe)),
-        [rng.normal(size=(1, 4, 2, 2))],
-    )
+    case("softmax_channel", ag.softmax_channel, [rng.normal(size=(1, 4, 2, 2))], probe)
+    case("sigmoid", ag.sigmoid, [x])
+    probe = rng.normal(size=(1, 1, 4, 4))
+    case("pixel_shuffle_x2", ag.pixel_shuffle_x2, [rng.normal(size=(1, 4, 2, 2))], probe)
     # batch 2 and K=5 on a non-square plane: most taps fall off a border
     for (n, c, h, w), k in (((1, 2, 2, 3), 3), ((2, 2, 1, 3), 5)):
         xd = rng.normal(size=(n, c, h, w))
         kraw = rng.normal(size=(n, k * k, 2 * h, 2 * w))
-        check(
+        case(
             "reassemble(+softmax)",
-            lambda X, K, k=k: ag.sum_all(ag.reassemble(X, ag.softmax_channel(K), k)),
+            None,
             [xd, kraw],
+            loss=lambda X, K, k=k: ag.sum_all(ag.reassemble(X, ag.softmax_channel(K), k)),
         )
     fe = rng.normal(size=(1, 2, 4, 4))
     fu = rng.normal(size=(1, 2, 4, 4))
     gr = rng.normal(size=(1, 1, 4, 4))
-    check(
+    case(
         "fuse_gated",
-        lambda A, B, G: ag.sum_all(ag.blend(A, B, ag.sigmoid(G))),
+        None,
         [fe, fu, gr],
+        loss=lambda A, B, G: ag.sum_all(ag.blend(A, B, ag.sigmoid(G))),
     )
     # semi-shift composites and full forwards, through each operator's own slots
     x_en = rng.normal(size=(1, 2, 4, 4))
@@ -306,71 +295,71 @@ def _gradcheck_battery(seed: int):
         for form in dict.fromkeys(
             f for name, f in kernelgen.SEMISHIFT_FORMS.items() if name != "direct"
         ):
-            check(f"{variant} {form.__name__}", partial(loss, form=form), arrays)
-        check(f"{variant} forward", loss, arrays)
+            case(f"{variant} {form.__name__}", None, arrays, loss=partial(loss, form=form))
+        case(f"{variant} forward", None, arrays, loss=loss)
     # the remaining ops, each against a probe so every entry's gradient counts.
     # A (2, 1, 4) operand broadcasts against x, so add/sub/mul's VJPs sum
     # over a leading axis and a size-1 axis
     px = rng.normal(size=x.shape)
     row = rng.normal(size=(2, 1, 4))
-    for name, fn in (("add", ag.add), ("sub", ag.sub), ("mul", ag.mul)):
-        check(
-            f"{name}/broadcast",
-            lambda A, B, fn=fn: ag.sum_all(ag.mul(fn(A, B), px)),
-            [x, row],
-        )
+    for fn in (ag.add, ag.sub, ag.mul):
+        case(f"{fn.__name__}/broadcast", fn, [x, row], px)
     # the unary ops at inputs at least 0.5 away from relu's kink at 0
     z = rng.normal(size=x.shape)
     away = np.sign(z) * (0.5 + np.abs(z))
     for name, fn in (
-        ("scale", lambda X: ag.scale(X, 0.7)),
+        ("scale", partial(ag.scale, s=0.7)),
         ("one_minus", ag.one_minus),
         ("relu", ag.relu),
         ("leaky_relu", ag.leaky_relu),
     ):
-        check(name, lambda X, fn=fn: ag.sum_all(ag.mul(fn(X), px)), [away])
-    check("mean_all", lambda X: ag.mean_all(ag.mul(X, px)), [x])
-    check("mse_loss", ag.mse_loss, [x, rng.normal(size=x.shape)])
-    labels = rng.integers(0, 3, size=(2, 2, 3))
-    check(
-        "softmax_cross_entropy",
-        lambda Z: ag.softmax_cross_entropy(Z, labels),
-        [rng.normal(size=(2, 3, 2, 3))],
-    )
+        case(name, fn, [away], px)
+    case("mean_all", None, [x], loss=lambda X: ag.mean_all(ag.mul(X, px)))
+    case("mse_loss", ag.mse_loss, [x, rng.normal(size=x.shape)], loss=ag.mse_loss)
+    ce = partial(ag.softmax_cross_entropy, labels=rng.integers(0, 3, size=(2, 2, 3)))
+    case("softmax_cross_entropy", ce, [rng.normal(size=(2, 3, 2, 3))], loss=ce)
     wide = rng.normal(size=(2, 3, 4, 4))
-    probe_cat = rng.normal(size=(2, 5, 4, 4))
-    check(
-        "concat_channels",
-        lambda A, B: ag.sum_all(ag.mul(ag.concat_channels(A, B), probe_cat)),
-        [x, wide],
-    )
-    probe_up = rng.normal(size=(2, 2, 8, 8))
-    check(
-        "add_nearest_x2",
-        lambda A, B: ag.sum_all(ag.mul(ag.add_nearest_x2(A, B), probe_up)),
-        [rng.normal(size=(2, 2, 8, 8)), x],
-    )
+    case("concat_channels", ag.concat_channels, [x, wide], rng.normal(size=(2, 5, 4, 4)))
+    probe = rng.normal(size=(2, 2, 8, 8))
+    case("add_nearest_x2", ag.add_nearest_x2, [rng.normal(size=(2, 2, 8, 8)), x], probe)
     # the generator convs with their 1x1 compressor inside: dense with the
     # compressor's bias, depthwise without one
     wc, bc = rng.normal(size=(3, 2, 1, 1)), rng.normal(size=3)
     wg, bg = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
     probe_gen = rng.normal(size=(2, 4, 4, 4))
-    check(
+    case(
         "conv2d+compressor",
-        lambda X, WC, BC, W, B: ag.sum_all(
+        None,
+        [x, wc, bc, wg, bg],
+        loss=lambda X, WC, BC, W, B: ag.sum_all(
             ag.mul(ag.conv2d(X, W, B, compressor=(WC, BC)), probe_gen)
         ),
-        [x, wc, bc, wg, bg],
     )
     probe_dw = rng.normal(size=(2, 3, 4, 4))
-    check(
+    case(
         "conv2d_depthwise+compressor",
-        lambda X, WC, W: ag.sum_all(
+        None,
+        [x, wc, rng.normal(size=(3, 1, 3, 3))],
+        loss=lambda X, WC, W: ag.sum_all(
             ag.mul(ag.conv2d_depthwise(X, W, compressor=(WC, None)), probe_dw)
         ),
-        [x, wc, rng.normal(size=(3, 1, 3, 3))],
     )
-    return results
+    # the ops the checks above reach only inside composites, each alone;
+    # drawn last, so every draw above keeps its value
+    probe = rng.normal(size=(2, 2, 4, 6))
+    decoder_and_kernels = [rng.normal(size=(2, 2, 2, 3)), rng.normal(size=(2, 9, 4, 6))]
+    case("reassemble", partial(ag.reassemble, k=3), decoder_and_kernels, probe)
+    case("blend", ag.blend, [x, rng.normal(size=x.shape), rng.normal(size=(2, 1, 4, 4))], px)
+    phases = [rng.normal(size=(2, 2, 2, 3)) for _ in range(4)]
+    case("interleave2x2", ag.interleave2x2, phases, probe)
+    case("mean_all/alone", ag.mean_all, [x], loss=ag.mean_all)
+    case("sum_all", ag.sum_all, [x], loss=ag.sum_all)
+    return cases
+
+
+def _gradcheck_battery(seed: int):
+    """(name, max-rel-error) for every gradcheck case."""
+    return [(name, ag.gradcheck(loss, A)) for name, _, A, loss in _gradcheck_cases(seed)]
 
 
 def _suite_gradcheck(seeds: int):

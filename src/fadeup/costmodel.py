@@ -18,7 +18,33 @@ from .operators import VARIANT_SPECS, OperatorConfig, UpsampleOperator, effectiv
 
 MAC_TO_FLOP = 2
 
-ROWS = ("carafe", "indexnet_hin", "indexnet_m2o", "a2u", "sapa", "fade", "fade_lite")
+# One row per operator: (C, d, K^2) -> ((kernel-generation MACs, weights),
+# feature-assembly MACs, bias extras).  A row built here takes its weights
+# from the variant table's polynomial, the one reconcile checks live
+# operators against.
+_ROW_COSTS = {
+    "carafe": lambda C, d, K2: (
+        (C * d + 36 * K2 * d, VARIANT_SPECS["carafe"].source.counted(C, d, K2)),
+        4 * K2 * C,
+        {"content_encoder.bias": 4 * K2},
+    ),
+    "indexnet_hin": lambda C, d, K2: ((32 * C * C + 8 * C, 32 * C * C + 8 * C), 4 * C, {}),
+    "indexnet_m2o": lambda C, d, K2: ((68 * C * C, 68 * C * C), 4 * C, {}),
+    "a2u": lambda C, d, K2: ((73 * C + 4 * K2, 4 * K2 * C + 2 * C), 4 * K2 * C, {}),
+    "sapa": lambda C, d, K2: ((5 * C * d + 4 * K2 * d, 2 * C * d), 4 * K2 * C, {}),
+    "fade": lambda C, d, K2: (
+        (5 * C * d + 45 * K2 * d, VARIANT_SPECS["fade"].source.counted(C, d, K2)),
+        4 * K2 * C,
+        {"compressor_de.bias": d, "generator.bias": K2},
+    ),
+    "fade_lite": lambda C, d, K2: (
+        (5 * C * K2 + 45 * K2, VARIANT_SPECS["fade_lite"].source.counted(C, d, K2)),
+        4 * K2 * C,
+        {"compressor_de.bias": K2, "generator.bias": K2},
+    ),
+}
+
+ROWS = tuple(_ROW_COSTS)
 
 GATED_ROWS = ("fade", "fade_lite")
 
@@ -77,62 +103,14 @@ def _gate_cost(C: int) -> tuple[int, int]:
     return 9 * C, C
 
 
-def _table_weights(q: CostQuery) -> int:
-    """Weight count of a row built here: the variant table's polynomial,
-    the one :func:`reconcile` checks live operators against."""
-    return VARIANT_SPECS[q.row].source.counted(q.channels, q.compressed, q.kernel_size**2)
-
-
 def _stages(q: CostQuery):
     """(stage -> (MACs, params)) plus the bias extras for rows built here."""
-    C, d, K = q.channels, q.compressed, q.kernel_size
-    K2 = K * K
-    if q.row == "carafe":
-        stages = {
-            "kernel generation": (C * d + 36 * K2 * d, _table_weights(q)),
-            "feature assembly": (4 * K2 * C, 0),
-        }
-        extras = {"content_encoder.bias": 4 * K2}
-    elif q.row == "indexnet_hin":
-        stages = {
-            "kernel generation": (32 * C * C + 8 * C, 32 * C * C + 8 * C),
-            "feature assembly": (4 * C, 0),
-        }
-        extras = {}
-    elif q.row == "indexnet_m2o":
-        stages = {
-            "kernel generation": (68 * C * C, 68 * C * C),
-            "feature assembly": (4 * C, 0),
-        }
-        extras = {}
-    elif q.row == "a2u":
-        stages = {
-            "kernel generation": (73 * C + 4 * K2, 4 * K2 * C + 2 * C),
-            "feature assembly": (4 * K2 * C, 0),
-        }
-        extras = {}
-    elif q.row == "sapa":
-        stages = {
-            "kernel generation": (5 * C * d + 4 * K2 * d, 2 * C * d),
-            "feature assembly": (4 * K2 * C, 0),
-        }
-        extras = {}
-    elif q.row == "fade":
-        stages = {
-            "kernel generation": (5 * C * d + 45 * K2 * d, _table_weights(q)),
-            "feature assembly": (4 * K2 * C, 0),
-        }
-        extras = {"compressor_de.bias": d, "generator.bias": K2}
-    elif q.row == "fade_lite":
-        stages = {
-            "kernel generation": (5 * C * K2 + 45 * K2, _table_weights(q)),
-            "feature assembly": (4 * K2 * C, 0),
-        }
-        extras = {"compressor_de.bias": K2, "generator.bias": K2}
-    else:  # pragma: no cover - guarded by CostQuery
-        raise UnknownRowError(q.row)
+    generation, assembly, extras = _ROW_COSTS[q.row](
+        q.channels, q.compressed, q.kernel_size**2
+    )
+    stages = {"kernel generation": generation, "feature assembly": (assembly, 0)}
     if q.row in GATED_ROWS and q.gate:
-        stages["gated fusion"] = _gate_cost(C)
+        stages["gated fusion"] = _gate_cost(q.channels)
         extras["gate.bias"] = 1
     return stages, extras
 

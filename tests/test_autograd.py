@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -12,48 +13,27 @@ from fadeup import autograd as ag
 from fadeup import kernelgen as kg
 from fadeup import tensor as T
 from fadeup.autograd import DivergenceError, MomentumSGD, Node, backward
+from fadeup.cli import _gradcheck_battery, _gradcheck_cases
 from fadeup.rng import ShuffledLcg
 
 
-def _tape_cases():
-    """Every public op as (fn of its array inputs, those inputs)."""
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(1, 2, 4, 4))
-
-    def r(*shape):
-        return rng.normal(size=shape)
-
-    labels = rng.integers(0, 2, size=(1, 4, 4))
-    return {
-        "add": (ag.add, [x, r(1, 2, 4, 4)]),
-        "sub": (ag.sub, [x, r(1, 2, 4, 4)]),
-        "mul": (ag.mul, [x, r(1, 2, 4, 4)]),
-        "scale": (lambda a: ag.scale(a, 0.5), [x]),
-        "one_minus": (ag.one_minus, [x]),
-        "relu": (ag.relu, [x]),
-        "leaky_relu": (ag.leaky_relu, [x]),
-        "sigmoid": (ag.sigmoid, [x]),
-        "softmax_channel": (ag.softmax_channel, [x]),
-        "conv2d": (ag.conv2d, [x, r(3, 2, 3, 3), r(3)]),
-        "conv2d_depthwise": (ag.conv2d_depthwise, [x, r(2, 1, 3, 3), r(2)]),
-        "conv1x1": (ag.conv1x1, [x, r(3, 2, 1, 1), r(3)]),
-        "interp_nearest_x2": (ag.interp_nearest_x2, [x]),
-        "add_nearest_x2": (ag.add_nearest_x2, [r(1, 2, 8, 8), x]),
-        "interp_bilinear_x2": (ag.interp_bilinear_x2, [x]),
-        "maxpool2x2": (ag.maxpool2x2, [x]),
-        "pixel_shuffle_x2": (ag.pixel_shuffle_x2, [r(1, 4, 2, 2)]),
-        "interleave2x2": (ag.interleave2x2, [x] + [r(1, 2, 4, 4) for _ in range(3)]),
-        "concat_channels": (ag.concat_channels, [x, r(1, 3, 4, 4)]),
-        "reassemble": (lambda a, k: ag.reassemble(a, k, 3), [x, r(1, 9, 8, 8)]),
-        "blend": (ag.blend, [x, r(1, 2, 4, 4), r(1, 1, 4, 4)]),
-        "sum_all": (ag.sum_all, [x]),
-        "mean_all": (ag.mean_all, [x]),
-        "mse_loss": (ag.mse_loss, [x, r(1, 2, 4, 4)]),
-        "softmax_cross_entropy": (lambda z: ag.softmax_cross_entropy(z, labels), [x]),
-    }
+def _op_name(op):
+    return getattr(op, "func", op).__name__
 
 
-TAPE_CASES = _tape_cases()
+def _op_cases():
+    """The gradcheck cases that apply one public op alone, each with an id:
+    the op's name, or the case's own name for a second case of that op."""
+    cases, ids = [], []
+    for name, op, arrays, _ in _gradcheck_cases(0):
+        if op is not None:
+            seen = any(_op_name(other) == _op_name(op) for other, _ in cases)
+            ids.append(name if seen else _op_name(op))
+            cases.append((op, arrays))
+    return cases, ids
+
+
+OP_CASES, OP_CASE_IDS = _op_cases()
 
 # the corner pads of h2l's four stride-2 sub-processes, by 2x2 phase (r, s):
 # each pads exactly the two sides its corner names
@@ -155,12 +135,11 @@ class TestBackwardBasics:
         with pytest.raises(TypeError, match="tracked forward"):
             backward(np.zeros(3))
 
-    @pytest.mark.parametrize("op", list(TAPE_CASES))
-    def test_untracked_ops_return_arrays(self, op):
+    @pytest.mark.parametrize("fn, arrays", OP_CASES, ids=OP_CASE_IDS)
+    def test_untracked_ops_return_arrays(self, fn, arrays):
         """All-ndarray inputs give a bare ndarray with the bits of the taped
         call's data; one Node among ndarrays gives a Node whose only parent
         is that Node."""
-        fn, arrays = TAPE_CASES[op]
         out = fn(*arrays)
         assert type(out) is np.ndarray
         for i in range(len(arrays)):
@@ -1408,8 +1387,19 @@ class TestSgd:
 
 class TestGradcheckBattery:
     def test_all_ops_pass_on_two_seeds(self):
-        from fadeup.cli import _gradcheck_battery
-
         for seed in (0, 1):
             for name, err in _gradcheck_battery(seed):
                 assert err < 1e-6, f"{name} seed {seed}: {err}"
+
+    def test_every_public_op_has_a_case_of_its_own(self):
+        """Each public function of the autograd module that is an op is
+        gradchecked alone, so a new op without a case fails here."""
+        not_ops = {
+            "backward", "gradcheck", "grad_of", "pixel_unshuffle_x2", "value_of", "zero_grad"
+        }
+        public = {
+            name
+            for name, fn in inspect.getmembers(ag, inspect.isfunction)
+            if fn.__module__ == ag.__name__ and not name.startswith("_")
+        }
+        assert public - not_ops == {_op_name(op) for op, _ in OP_CASES}

@@ -308,7 +308,7 @@ class TestForwardMemory:
         """A taped forward and backward at C=256 with a 32^2 decoder, both
         inputs and every weight taped, loss sum_all: the blend's gate VJP
         sums by channel chunks and reassembly's VJPs run by strips of
-        decoder rows, so the peak is 5.26x the output for fade and 3.00x for
+        decoder rows, so the peak is 5.26x the output for fade and 2.97x for
         carafe (6.14x and 4.03x with whole-plane VJP buffers).  backward
         releases each record's VJPs once they have run, so b3_naive's later
         VJPs no longer sit beside every earlier forward array: 5.55x, not
