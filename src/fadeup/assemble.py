@@ -12,13 +12,19 @@ from . import autograd as ag
 from .kernelgen import KernelMap
 
 
-def reassemble(x_de, kmap: KernelMap):
-    """Content-aware x2 upsampling of ``x_de`` under a normalized kernel map."""
+def reassemble(x_de, kmap: KernelMap, out=None):
+    """Content-aware x2 upsampling of ``x_de`` under a normalized kernel map.
+
+    ``out`` is the untaped result array, which may hold the kernel map in
+    its channels and then loses it (see :func:`autograd.reassemble`).
+    """
     if not isinstance(kmap, KernelMap):
         raise TypeError("reassemble expects a KernelMap")
     if not kmap.normalized:
         raise ValueError("kernel map must be normalized before reassembly")
-    return ag.reassemble(x_de, kmap.data, kmap.k)
+    if out is None:
+        return ag.reassemble(x_de, kmap.data, kmap.k)
+    return ag.reassemble(x_de, kmap.data, kmap.k, out=out)
 
 
 def upsample_nearest(x):

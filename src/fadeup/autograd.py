@@ -344,11 +344,25 @@ def sigmoid(a):
     return _emit(s, [(a, lambda g: g * s * (1.0 - s))], name="sigmoid")
 
 
-def softmax_channel(a):
-    """Softmax over the channel axis, max-subtracted for stability."""
+def softmax_channel(a, out=None):
+    """Softmax over the channel axis, max-subtracted for stability.
+
+    The max-subtracted logits, their exp and the quotient by the sum are
+    formed in one array: ``out`` when given (a's shape and dtype), else a
+    new one.  ``out`` is untaped only, as the VJP reads the result; a
+    Node raises ValueError.
+    """
     ad = check_nchw(value_of(a))
-    e = np.exp(ad - ad.max(axis=1, keepdims=True))
-    s = e / e.sum(axis=1, keepdims=True)
+    if out is not None:
+        if isinstance(a, Node):
+            raise ValueError("a taped softmax keeps its result for the gradient; it takes no out")
+        if out.shape != ad.shape or out.dtype != ad.dtype:
+            raise ShapeError(
+                f"softmax out {out.shape} {out.dtype} does not match {ad.shape} {ad.dtype}"
+            )
+    s = np.subtract(ad, ad.max(axis=1, keepdims=True), out=out)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
 
     def vjp(g):
         return s * (g - (g * s).sum(axis=1, keepdims=True))
@@ -915,11 +929,20 @@ def _window_matrices(xs):
     )
 
 
-def reassemble(x_de, kernels, k: int):
+def reassemble(x_de, kernels, k: int, out=None):
     """Gather-and-dot: out(c, i, j) = sum_m kern(m, i, j) * window_m(c, i//2, j//2).
 
     ``kernels`` has K^2 channels at twice the resolution of ``x_de``; tap m
     addresses window offset (m // K - K//2, m % K - K//2), zero outside.
+
+    ``out``, when given, is the (n, C, 2h, 2w) result array, in the
+    result's dtype; it is untaped only, and a Node argument raises
+    ValueError.  It must not overlap ``x_de``, but ``kernels`` may be a
+    view of any of its channels, e.g. its last K^2: a strip of decoder
+    rows copies all of its kernel rows into its band matrices before any
+    of its GEMMs writes an output row, and a strip writes only its own
+    rows, so each kernel value is read before it is written over.  The
+    kernels are then lost.
 
     Non-finite values: a NaN or inf in decoder row y stays in its batch
     item, its channel and the 2K output rows 2 (y - K//2) .. 2 (y + K//2) + 1
@@ -936,6 +959,16 @@ def reassemble(x_de, kernels, k: int):
         )
     k2, r = k * k, k // 2
     dtype = np.result_type(xd, kd)
+    if out is not None:
+        if isinstance(x_de, Node) or isinstance(kernels, Node):
+            raise ValueError(
+                "a taped reassembly keeps its kernels for the gradient; it takes no out"
+            )
+        if out.shape != (n, c, 2 * h, 2 * w) or out.dtype != dtype or not out.flags.c_contiguous:
+            raise ShapeError(
+                f"reassembly out {out.shape} {out.dtype} is not a C-contiguous "
+                f"{(n, c, 2 * h, 2 * w)} {dtype} array"
+            )
     # One banded GEMM per _BAND adjacent decoder positions x0..x0+B-1 of row
     # y and output row phase p:
     #   (C, K (B+K-1)) @ (K (B+K-1), 2B) -> out[c, 2y+p, 2x0 : 2x0+2B].
@@ -946,7 +979,8 @@ def reassemble(x_de, kernels, k: int):
     # xs exists for one strip of _STRIP decoder rows at a time, and matmul
     # writes each strip straight into its rows of the NCHW output.  The GEMM
     # shapes depend only on w, so results do not depend on batch or height.
-    out = np.empty((n, c, 2 * h, 2 * w), dtype)
+    if out is None:
+        out = np.empty((n, c, 2 * h, 2 * w), dtype)
     kd7 = kd.reshape(n, k, k, h, 2, w, 2)  # [n, dy, dx, y, p, x, q]
     out5 = out.reshape(n, c, h, 2, 2 * w)
     full = w // _BAND
@@ -960,13 +994,16 @@ def reassemble(x_de, kernels, k: int):
     xs = np.zeros((n, c, strip, w + 2 * r, k), dtype)
     for y0 in range(0, h, strip):
         rows = min(strip, h - y0)
+        # every kernel of the strip is in its band matrix before a GEMM
+        # writes the strip's output rows, which may hold the kernels (see out)
+        for (x0, nb, bw), block in zip(groups, blocks):
+            for b in range(bw):
+                block[:, :rows, :, :, b : b + k, :, b, :] = kd7[
+                    :, :, :, y0 : y0 + rows, :, x0 + b : x0 + nb * bw : bw, :
+                ].transpose(0, 3, 5, 4, 2, 1, 6)
         flat = _shifted_rows(xd, k, y0, xs[:, :, :rows]).reshape(n, c, rows, -1)
         for (x0, nb, bw), block in zip(groups, blocks):
             kb = block[:, :rows]
-            for b in range(bw):
-                kb[:, :, :, :, b : b + k, :, b, :] = kd7[
-                    :, :, :, y0 : y0 + rows, :, x0 + b : x0 + nb * bw : bw, :
-                ].transpose(0, 3, 5, 4, 2, 1, 6)
             span = k * (bw + k - 1)
             win = sliding_window_view(flat[..., k * x0 :], span, axis=3)
             win = win[:, :, :, : k * bw * nb : k * bw].transpose(0, 2, 3, 1, 4)
@@ -1168,12 +1205,13 @@ def softmax_cross_entropy(logits, labels: np.ndarray):
 def gradcheck(fn, inputs, eps: float = 1e-5) -> float:
     """Central-difference check of ``fn``'s analytic gradients.
 
-    ``fn`` maps the wrapped inputs to a scalar Node.  Inputs are promoted
-    to float64.  Returns the max over all coordinates of
+    ``fn`` maps the wrapped inputs to a scalar Node.  Inputs are copied
+    to float64, so the perturbations never reach the caller's arrays,
+    not even when ``fn`` raises.  Returns the max over all coordinates of
     |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
     nodes = [
-        Node(np.ascontiguousarray(a, dtype=np.float64), name=f"arg{i}")
+        Node(np.array(a, dtype=np.float64, order="C"), name=f"arg{i}")
         for i, a in enumerate(inputs)
     ]
     loss = fn(*nodes)

@@ -280,9 +280,10 @@ def encoder_only_kernelgen(x_en, p: PairParams) -> KernelMap:
     return KernelMap(_compress_generate(x_en, p.compressor, p.generator), p.kernel_size)
 
 
-def normalize_kernels(kmap: KernelMap) -> KernelMap:
-    """Softmax over the K^2 axis at every position."""
-    return KernelMap(ag.softmax_channel(kmap.data), kmap.k, normalized=True)
+def normalize_kernels(kmap: KernelMap, out=None) -> KernelMap:
+    """Softmax over the K^2 axis at every position, into ``out`` when given
+    (untaped only; see :func:`autograd.softmax_channel`)."""
+    return KernelMap(ag.softmax_channel(kmap.data, out=out), kmap.k, normalized=True)
 
 
 # ---------------------------------------------------------------------------

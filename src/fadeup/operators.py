@@ -302,13 +302,20 @@ class UpsampleOperator:
                     f"decoder has {value_of(x_de).shape[1]} channels, expected {cfg.channels}"
                 )
 
-    def forward_parts(self, x_en, x_de, impl: str | None = None):
+    def forward_parts(self, x_en, x_de, impl: str | None = None, *, parts: bool = True):
         """Run the pipeline and return (output, intermediates dict).
 
         ``impl`` picks the semi-shift form of ``fade``, ``fade_lite`` and
         the semi-shift ablations; None means ``kernelgen.DEFAULT_FORM``,
         and "direct" is the test oracle.  Other variants ignore a valid form;
         an unknown one raises ShapeError for every variant.
+
+        ``parts=False`` returns an empty dict.  Then, when neither the
+        decoder nor the kernel map is taped and C >= K^2, the kernels are
+        normalized into the output's last K^2 channels and reassembly
+        writes over them (see :func:`autograd.reassemble`), so no kernel
+        map sits beside the output.  The output's bits are the same either
+        way.
         """
         impl = impl or kernelgen.DEFAULT_FORM
         if impl not in kernelgen.SEMISHIFT_FORMS:
@@ -324,25 +331,32 @@ class UpsampleOperator:
         if self.adapter is not None:
             guide = kernelgen.apply_channel_adapter(x_en, self.adapter)
         kernels = spec.source.generate(guide, x_de, self.kernel_params, impl)
-        kernels = kernelgen.normalize_kernels(kernels)  # rebinding drops the raw map
-        upsampled = assemble.reassemble(x_de, kernels)
-        parts = {"kernels": kernels}
+        n, c, h, w = value_of(x_de).shape
+        k2 = kernels.shape[1]
+        out = tail = None
+        if not parts and c >= k2 and not any(isinstance(a, Node) for a in (x_de, kernels.data)):
+            out = np.empty((n, c, 2 * h, 2 * w), np.result_type(value_of(x_de), kernels.data))
+            tail = out[:, c - k2 :]
+        kernels = kernelgen.normalize_kernels(kernels, out=tail)  # rebinding drops the raw map
+        upsampled = assemble.reassemble(x_de, kernels, out=out)
+        intermediates = {"kernels": kernels} if parts else {}
 
         mode = effective_gate_mode(cfg)
         if mode == "none":
-            return upsampled, parts
+            return upsampled, intermediates
         if mode == "learned":
             g = gate.generate_gate(x_de, self.gate_params)
         else:
             g = gate.fixed_gate(guide, 1.0)
-        parts["gate"] = g
+        if parts:
+            intermediates["gate"] = g
         # the reassembly output is this call's own array, so an untaped
         # blend writes into it instead of allocating a second output
         untaped = not any(isinstance(a, Node) for a in (guide, upsampled, g))
-        return gate.fuse_gated(guide, upsampled, g, overwrite_up=untaped), parts
+        return gate.fuse_gated(guide, upsampled, g, overwrite_up=untaped), intermediates
 
     def forward(self, x_en, x_de, impl: str | None = None):
-        out, _ = self.forward_parts(x_en, x_de, impl)
+        out, _ = self.forward_parts(x_en, x_de, impl, parts=False)
         return out
 
 

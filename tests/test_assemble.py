@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fadeup import assemble, autograd as ag
 from fadeup.assemble import reassemble
-from fadeup.kernelgen import KernelMap
+from fadeup.kernelgen import KernelMap, normalize_kernels
 from fadeup.tensor import ShapeError
 
 
@@ -250,6 +252,54 @@ class TestReassemble:
         x = np.zeros((1, 1, 2, 2))
         with pytest.raises(ShapeError, match="match"):
             reassemble(x, uniform_kernels(1, 3, 6, 6))
+
+
+    @pytest.mark.parametrize("k, c", [(3, 9), (5, 25), (5, 27), (7, 49)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_may_hold_the_kernels_in_its_tail(self, k, c, dtype):
+        """Kernels normalized into the last K^2 channels of ``out`` give the
+        bits of a reassembly into a new array, as each strip reads its
+        kernel rows before its GEMMs write them.  The 6x19 plane takes a
+        4-row and a 2-row strip, two full bands and a remainder band."""
+        rng = np.random.default_rng(k + c)
+        n, h, w = 2, 6, 19
+        x = rng.normal(size=(n, c, h, w)).astype(dtype)
+        raw = KernelMap(rng.normal(size=(n, k * k, 2 * h, 2 * w)).astype(dtype), k)
+        want = reassemble(x, normalize_kernels(raw))
+        out = np.empty(want.shape, dtype)
+        kmap = normalize_kernels(raw, out=out[:, c - k * k :])
+        assert reassemble(x, kmap, out=out) is out
+        np.testing.assert_array_equal(out, want)
+
+    def test_out_allocates_no_output(self):
+        """Into ``out``, reassembly at C=64 with a 32^2 decoder allocates
+        only its strip scratch, under half the output."""
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(1, 64, 32, 32)).astype(np.float32)
+        kmap = normalize_kernels(
+            KernelMap(rng.normal(size=(1, 25, 64, 64)).astype(np.float32), 5)
+        )
+        out = np.empty((1, 64, 64, 64), np.float32)
+        tracemalloc.start()
+        try:
+            reassemble(x, kmap, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
+        np.testing.assert_array_equal(out, reassemble(x, kmap))
+
+    def test_out_is_untaped_only(self):
+        x = np.zeros((1, 2, 2, 2))
+        kern = uniform_kernels(1, 3, 4, 4).data
+        out = np.empty((1, 2, 4, 4))
+        for args in ((ag.Node(x), kern), (x, ag.Node(kern))):
+            with pytest.raises(ValueError, match="taped"):
+                ag.reassemble(*args, 3, out=out)
+        strided = np.empty((1, 2, 4, 8))[..., ::2]
+        for bad in (np.empty(out.shape, np.float32), np.empty((1, 3, 4, 4)), strided):
+            with pytest.raises(ShapeError, match="out"):
+                ag.reassemble(x, kern, 3, out=bad)
 
 
 class TestBaselineOperators:

@@ -1251,6 +1251,22 @@ class TestGradcheckExamples:
         err = ag.gradcheck(lambda X, W, B: ag.sum_all(ag.mul(fn(X, W, B), probe)), [x, w, b])
         assert err < 1e-7
 
+    def test_input_is_untouched_when_fn_raises(self):
+        """gradcheck perturbs a float64 copy of its own, so a check that
+        raises between its probes leaves the caller's array as it was."""
+        x = np.zeros((1, 1, 2, 2))
+        calls = []
+
+        def fn(X):
+            calls.append(None)
+            if len(calls) == 3:  # the second probe of the first entry
+                raise RuntimeError("probe failed")
+            return ag.sum_all(X)
+
+        with pytest.raises(RuntimeError, match="probe failed"):
+            ag.gradcheck(fn, [x])
+        np.testing.assert_array_equal(x, np.zeros((1, 1, 2, 2)))
+
     def test_maxpool_matches_argmax_routing(self):
         """Forward and gradient equal the reshape-max forward and the argmax
         VJP bit for bit, ties included: a window's gradient goes to its

@@ -395,6 +395,24 @@ class TestNormalize:
         b = kg.normalize_kernels(kg.KernelMap(shifted, 3)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_gives_the_same_bits(self, dtype):
+        """Into the last K^2 channels of a wider array, at n=2 so the view
+        is not contiguous."""
+        raw = kg.KernelMap(np.random.default_rng(2).normal(size=(2, 9, 6, 10)).astype(dtype), 3)
+        wide = np.zeros((2, 12, 6, 10), dtype)
+        out = kg.normalize_kernels(raw, out=wide[:, 3:])
+        assert out.normalized and out.data.base is wide
+        np.testing.assert_array_equal(wide[:, 3:], kg.normalize_kernels(raw).data)
+        assert not wide[:, :3].any()
+
+    def test_out_is_untaped_only(self):
+        raw = np.zeros((1, 9, 2, 2))
+        with pytest.raises(ValueError, match="taped"):
+            ag.softmax_channel(ag.Node(raw), out=np.empty_like(raw))
+        with pytest.raises(ShapeError, match="out"):
+            ag.softmax_channel(raw, out=np.empty(raw.shape, np.float32))
+
 
 def _conv(o, i, k, bias=True):
     return ConvWeights(np.zeros((o, i, k, k)), np.zeros(o) if bias else None)
