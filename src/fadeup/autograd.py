@@ -2,12 +2,12 @@
 
 A forward pass records a graph of :class:`Node` objects; the graph of
 their :class:`Record` entries reachable from the loss is the tape.
-:func:`backward` replays it in exact reverse topological order,
-accumulating gradients additively into ``node.grad``.  Leaves wrapped
-explicitly in :class:`Node` are the trainable parameters; plain ndarrays
-flowing through the same ops are treated as constants.  That lets the
-upsampling pipelines be written once and used both for inference and for
-training.
+:func:`backward` replays it newest record first, a reverse topological
+order that alone sets how gradients add up into ``node.grad``.  Leaves
+wrapped explicitly in :class:`Node` are the trainable parameters; plain
+ndarrays flowing through the same ops are treated as constants.  That
+lets the upsampling pipelines be written once and used both for
+inference and for training.
 
 The tape rule: every op computes its forward and returns
 ``_emit(out, [(input, vjp), ...])``.  :func:`_emit` alone decides whether
@@ -31,10 +31,14 @@ shrinks as the pass walks back and a graph is backpropagated once.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError, check_nchw
+
+_creation = itertools.count()  # numbers each Record in creation order
 
 
 class DivergenceError(RuntimeError):
@@ -57,9 +61,10 @@ class Record:
 
     ``_backprop`` is None on a leaf, the record's VJPs on an interior
     record, and :func:`_consumed` once :func:`backward` has released
-    them; ``_parents`` stays, so a consumed graph can still be walked."""
+    them; ``_parents`` stays, so a consumed graph can still be walked.
+    ``_seq`` is the record's place in creation order."""
 
-    __slots__ = ("grad", "name", "shape", "dtype", "_parents", "_backprop")
+    __slots__ = ("grad", "name", "shape", "dtype", "_parents", "_backprop", "_seq")
 
     def __init__(self, shape, dtype, parents=(), backprop=None, name=None):
         self.grad = None
@@ -67,6 +72,7 @@ class Record:
         self.shape, self.dtype = shape, dtype
         self._parents = tuple(parents)
         self._backprop = backprop
+        self._seq = next(_creation)
 
     def accumulate(self, g, owned=False):
         """Add ``g`` to the gradient; ``owned`` says nobody else keeps ``g``."""
@@ -139,9 +145,9 @@ def _record(shape, dtype, pairs, name=None):
     as :func:`backward` does; then a last vjp that returns g itself hands
     g on, as no later vjp reads it, and a parent with no gradient yet
     takes g instead of a copy.  g += 0.0 runs first, so the parent holds
-    the bits that zeros + g would give (-0.0 becomes 0.0).  An op saves
-    that copy by listing its pass-through parent last (add's b,
-    add_nearest_x2's hi)."""
+    the bits that zeros + g would give (-0.0 becomes 0.0).  Pair order
+    decides only this hand-off, never the bits: an op saves the copy by
+    listing its pass-through parent last (add's b, add_nearest_x2's hi)."""
     links = [
         (p.record if isinstance(p, Node) else p, vjp)
         for p, vjp in pairs
@@ -184,21 +190,15 @@ def _consumed(g, own=False):
 
 
 def _topo(root: Node):
-    """The records reachable from ``root``'s, parents before children."""
-    order, seen, stack = [], set(), [(root.record, False)]
+    """The records reachable from ``root``'s in creation order: parents
+    before children."""
+    seen, stack = {root.record}, [root.record]
     while stack:
-        rec, expanded = stack.pop()
-        if expanded:
-            order.append(rec)
-            continue
-        if id(rec) in seen:
-            continue
-        seen.add(id(rec))
-        stack.append((rec, True))
-        for p in rec._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return order
+        for p in stack.pop()._parents:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return sorted(seen, key=lambda rec: rec._seq)
 
 
 def backward(loss: Node, seed: float = 1.0) -> None:

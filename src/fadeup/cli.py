@@ -167,6 +167,9 @@ def _cmd_upsample(args) -> int:
     op = ops.build_operator(cfg)
     if args.weights:
         ops.load_checkpoint(op, args.weights)
+        for name, v in op.named_parameters():
+            if not np.isfinite(ag.value_of(v)).all():
+                raise ValueError(f"weights {args.weights} hold non-finite values in {name}")
     out = ag.value_of(op.forward(x_en, x_de, impl=s["impl"]))
     T.write_ften(args.out, out)
     inputs = [args.decoder] + ([args.encoder] if args.encoder else [])

@@ -57,6 +57,20 @@ class TestBackwardBasics:
         backward(ag.sum_all(y))
         np.testing.assert_allclose(x.grad, 2.0)
 
+    def test_gradient_bits_do_not_depend_on_operand_order(self):
+        """backward adds a shared leaf's gradients in reverse creation order,
+        so the same sum written with its operands in another order gives
+        the leaf the same gradient bits."""
+        rng = np.random.default_rng(7)
+        x0 = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
+        ps = [rng.normal(size=x0.shape).astype(np.float32) for _ in range(3)]
+        grads = []
+        for total in (lambda a, b, c: ag.add(ag.add(a, b), c), lambda a, b, c: ag.add(c, ag.add(b, a))):
+            x = Node(x0)
+            backward(ag.sum_all(total(*(ag.mul(x, p) for p in ps))))
+            grads.append(x.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
+
     def test_zero_grad_resets(self):
         x = Node(np.ones((2, 2)))
         backward(ag.sum_all(x))
@@ -187,8 +201,9 @@ class TestAddNearest:
 
     def test_l2h_backward_holds_no_expanded_decoder_gradient(self):
         """The backward of a taped l2h generator peaks at 2.6x its kernel map;
-        add plus interp_nearest_x2 in its place kept the full-size gradient of
-        the expansion pending through the encoder conv's backward: 3.5x.
+        add plus interp_nearest_x2 in its place, the expansion built before
+        the encoder branch, keeps the full-size gradient of the expansion
+        pending through the encoder conv's backward: 3.5x.
         (With the convolution VJPs' strips at a floor of 2^16 values, the
         two read 3.9x and 4.6x.)"""
         rng = np.random.default_rng(24)
@@ -197,9 +212,10 @@ class TestAddNearest:
         probe = rng.normal(size=(2, 25, 32, 32))
 
         def l2h_expanded(en, de, p):
-            en_branch = kg._compress_generate(en, p.compressor_en, p.generator)
             de_branch = kg._compress_generate(de, p.compressor_de, p.generator, False)
-            return ag.add(en_branch, ag.interp_nearest_x2(de_branch))
+            expanded = ag.interp_nearest_x2(de_branch)
+            en_branch = kg._compress_generate(en, p.compressor_en, p.generator)
+            return ag.add(en_branch, expanded)
 
         forms = {"fused": lambda *a: kg.semishift_l2h(*a).data, "expanded": l2h_expanded}
         peaks = {}

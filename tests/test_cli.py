@@ -325,6 +325,27 @@ class TestUpsample:
         err = capsys.readouterr().err
         assert "compressor_en.weights" in err and "(8, 3, 1, 1)" in err
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_weights_exit_3(self, tmp_path, capsys, value):
+        """A checkpoint holding NaN or inf is rejected as a non-finite input
+        is: reassembly would spread it over the output."""
+        from fadeup.operators import OperatorConfig, build_operator, save_checkpoint
+
+        en_path, de_path, _, _ = write_pair(tmp_path, seed=2)
+        op = build_operator(OperatorConfig("fade", channels=3, compressed=4))
+        ag.value_of(dict(op.named_parameters())["generator.weights"])[0, 1, 1, 2] = value
+        ckpt, out = tmp_path / "w.fckp", tmp_path / "x.ften"
+        save_checkpoint(op, ckpt)
+        code = main(
+            ["upsample", "--variant", "fade", "--decoder", str(de_path),
+             "--encoder", str(en_path), "--d", "4", "--weights", str(ckpt),
+             "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "non-finite" in err and "generator.weights" in err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_upsample_rerun_byte_identical(self, tmp_path):

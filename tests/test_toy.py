@@ -1,4 +1,8 @@
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +12,7 @@ from fadeup import autograd as ag
 from fadeup import toy
 from fadeup.autograd import DivergenceError, Node
 from fadeup.cli import ABLATION_VARIANTS
+from fadeup.operators import OperatorConfig, build_operator
 from fadeup.tensor import ShapeError
 from fadeup.toy import (
     ToyTask,
@@ -319,3 +324,66 @@ class TestTrainStepMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 5.15 * 2**20, f"peak {peak / 2**20:.3f} MiB"
+
+
+class TestStepDeterminism:
+    def test_bit_identical_with_one_blas_thread(self):
+        """Toy training steps of b1-b6 and a taped fade step hash the same in
+        this process and in one whose BLAS runs one thread."""
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+            PYTHONPATH=os.pathsep.join(
+                [os.path.dirname(os.path.dirname(toy.__file__)), os.path.dirname(__file__)]
+            ),
+        )
+        script = "import test_toy as t; print(t.step_digest())"
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert run.stdout.strip() == step_digest()
+
+
+def step_digest() -> str:
+    """One line per part, its name and a sha256 prefix: three toy training
+    steps of each of b1-b6 at the ``TrainConfig`` defaults on 48 x 48
+    three-class shapes (the losses and the final weights), and one taped
+    f32 fade forward and backward at C=16, d=8 from a 12 x 12 decoder
+    (the inputs' and parameters' gradients)."""
+    lines = []
+    task = ToyTask("multiclass_shapes_segmentation", size=48, classes=3, seed=3, count=8)
+    x, y = make_toy_task(task)
+    inputs = toy.net_inputs(x)
+    for variant, _ in ABLATION_VARIANTS:
+        cfg = TrainConfig(variant)
+        net = toy.ToyNet(
+            variant, in_channels=1, out_channels=3, features=cfg.features,
+            compressed=cfg.compressed, seed=3,
+        )
+        opt = ag.MomentumSGD(net.parameters(), cfg.lr, cfg.momentum)
+        digest = hashlib.sha256()
+        for step in range(3):
+            s = step % 2 * cfg.batch
+            opt.zero_grad()
+            out = net.forward(inputs[s : s + cfg.batch])
+            loss = ag.softmax_cross_entropy(out, y[s : s + cfg.batch])
+            digest.update(np.asarray(ag.value_of(loss)).tobytes())
+            ag.backward(loss)
+            toy._clip_gradients(net.parameters(), cfg.clip_norm)
+            opt.step()
+        for p in net.parameters():
+            digest.update(p.data.tobytes())
+        lines.append(f"{variant} {digest.hexdigest()[:16]}")
+    rng = np.random.default_rng(3)
+    op = build_operator(OperatorConfig("fade", channels=16, compressed=8, seed=3))
+    params = op.wrap_parameters()
+    x_en, x_de = (Node(rng.normal(size=(2, 16, h, h)).astype(np.float32)) for h in (24, 12))
+    out = op.forward(x_en, x_de)
+    ag.backward(ag.sum_all(ag.mul(out, rng.normal(size=out.shape).astype(np.float32))))
+    digest = hashlib.sha256()
+    for leaf in [x_en, x_de, *params]:
+        digest.update(leaf.grad.tobytes())
+    lines.append(f"fade {digest.hexdigest()[:16]}")
+    return "\n".join(lines)
